@@ -307,6 +307,16 @@ class UsageError(ValueError):
     pass
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circuitcode",
@@ -342,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True, dest="b")
     p.add_argument("--l", required=True, dest="l")
     p.add_argument("--labels", help="column sidecar for a labelled witness")
-    p.add_argument("--max-weight", type=int, default=6)
+    p.add_argument("--max-weight", type=_non_negative_int, default=6)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_distance)
 
@@ -369,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true")
     p.add_argument("--b", dest="b")
     p.add_argument("--l", dest="l")
-    p.add_argument("--max-weight", type=int, default=5)
+    p.add_argument("--max-weight", type=_non_negative_int, default=5)
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("css-gen", help="closed-form matrices for a CSS code")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVector, span_union, stack_kernel
+from .gf2 import BitMatrix, BitVector, extend_span, span_union, stack_kernel
 from .pauli import PauliOperator
 from .tanner import TannerGraph
 
@@ -187,18 +187,7 @@ def build_ec_structure(
     alpha_w = stack_kernel([c_in.transpose(), c_out.transpose()])
     w = alpha_w.matmul(k)
 
-    l_rows = []
-    acc = b
-    for row in w.row_vectors():
-        candidate = acc.stack(BitMatrix.from_vectors([row], n_cols=g.n_bits))
-        if candidate.rank() > acc.rank():
-            l_rows.append(row)
-            acc = candidate
-    l = (
-        BitMatrix.from_vectors(l_rows, n_cols=g.n_bits).rref()
-        if l_rows
-        else BitMatrix.zeros(0, g.n_bits)
-    )
+    l = extend_span(b, w).rref()
 
     structure = EcStructure(
         a=g.check_matrix(),
@@ -220,18 +209,7 @@ def complete_ec_structure(g: TannerGraph) -> EcStructure:
     completes it to the whole code with genuine propagators."""
     spaces = code_spaces(g)
     b = spaces.incoherent.rref()
-    l_rows = []
-    acc = b
-    for row in spaces.kernel.row_vectors():
-        candidate = acc.stack(BitMatrix.from_vectors([row], n_cols=g.n_bits))
-        if candidate.rank() > acc.rank():
-            l_rows.append(row)
-            acc = candidate
-    l = (
-        BitMatrix.from_vectors(l_rows, n_cols=g.n_bits).rref()
-        if l_rows
-        else BitMatrix.zeros(0, g.n_bits)
-    )
+    l = extend_span(b, spaces.kernel).rref()
     s_in, s_out = derive_codes_from_b(g, b)
     structure = EcStructure(
         a=g.check_matrix(),

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVector, hstack, kron
+from .gf2 import BitMatrix, BitVector, extend_span, hstack, kron
 from .pauli import PauliOperator
 
 
@@ -45,17 +45,6 @@ class CssCode:
             raise ValueError("logical count mismatch")
 
 
-def _complete(base: BitMatrix, space: BitMatrix) -> BitMatrix:
-    rows = []
-    acc = base
-    for v in space.row_vectors():
-        candidate = acc.stack(BitMatrix.from_vectors([v], n_cols=space.n_cols))
-        if candidate.rank() > acc.rank():
-            rows.append(v)
-            acc = candidate
-    return BitMatrix.from_vectors(rows, n_cols=space.n_cols) if rows else BitMatrix.zeros(0, space.n_cols)
-
-
 def derive_logicals(g_x: BitMatrix, g_z: BitMatrix) -> CssCode:
     """Logical generator matrices with the canonical pairing J_X J_Z^T = 1."""
     if g_x.n_cols != g_z.n_cols:
@@ -64,8 +53,8 @@ def derive_logicals(g_x: BitMatrix, g_z: BitMatrix) -> CssCode:
         raise ValueError("G_X G_Z^T must vanish")
     n = g_x.n_cols
     k = n - g_x.rank() - g_z.rank()
-    j_x0 = _complete(g_x.rref(), g_z.kernel_basis())
-    j_z0 = _complete(g_z.rref(), g_x.kernel_basis())
+    j_x0 = extend_span(g_x, g_z.kernel_basis())
+    j_z0 = extend_span(g_z, g_x.kernel_basis())
     if j_x0.n_rows != k or j_z0.n_rows != k:
         raise AssertionError("logical completion does not match k")
     if k == 0:

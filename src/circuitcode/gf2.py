@@ -66,9 +66,6 @@ class BitVector:
     def to01(self) -> str:
         return "".join(str((self.bits >> j) & 1) for j in range(self.n))
 
-    def to_list(self) -> list[int]:
-        return [(self.bits >> j) & 1 for j in range(self.n)]
-
     def weight(self) -> int:
         return self.bits.bit_count()
 
@@ -148,14 +145,6 @@ class BitMatrix:
         for r in self.rows:
             yield BitVector(self.n_cols, r)
 
-    def column_bits(self, j: int) -> int:
-        """Column ``j`` packed into an integer over the row index."""
-        bits = 0
-        for i, r in enumerate(self.rows):
-            if (r >> j) & 1:
-                bits |= 1 << i
-        return bits
-
     def to_lists(self) -> list[list[int]]:
         return [[(r >> j) & 1 for j in range(self.n_cols)] for r in self.rows]
 
@@ -214,58 +203,43 @@ class BitMatrix:
             rows.extend(m.rows)
         return BitMatrix(len(rows), self.n_cols, rows)
 
+    def _echelon(self) -> "_Echelon":
+        ech = _Echelon()
+        for r in self.rows:
+            ech.add(r)
+        return ech
+
     def _elimination(self) -> tuple[list[int], list[int]]:
         """Reduced row echelon form as (rows, pivot columns)."""
-        work: list[int] = []
-        pivots: list[int] = []
-        for r in self.rows:
-            for p, col in zip(work, pivots):
-                if (r >> col) & 1:
-                    r ^= p
-            if r == 0:
-                continue
-            col = (r & -r).bit_length() - 1
-            pos = 0
-            while pos < len(pivots) and pivots[pos] < col:
-                pos += 1
-            work.insert(pos, r)
-            pivots.insert(pos, col)
-            for i in range(len(work)):
-                if i != pos and (work[i] >> col) & 1:
-                    work[i] ^= r
-        return work, pivots
+        return self._echelon().rref()
 
     def rref(self) -> "BitMatrix":
         work, _ = self._elimination()
         return BitMatrix(len(work), self.n_cols, work)
 
     def rank(self) -> int:
-        _, pivots = self._elimination()
-        return len(pivots)
+        return len(self._echelon().rows)
 
     def kernel_basis(self) -> "BitMatrix":
         """Rows form an rref basis of ``{v : A v^T = 0}``."""
         work, pivots = self._elimination()
         pivot_set = set(pivots)
-        free = [j for j in range(self.n_cols) if j not in pivot_set]
-        basis = []
-        for j in free:
-            vec = 1 << j
-            for p, col in zip(work, pivots):
-                if (p >> j) & 1:
-                    vec |= 1 << col
-            basis.append(vec)
-        return BitMatrix(len(basis), self.n_cols, basis).rref()
+        # one vector per free column j: e_j plus e_col for each pivot row
+        # (pivot column col) that has bit j
+        basis = {j: 1 << j for j in range(self.n_cols) if j not in pivot_set}
+        free_mask = sum(basis.values())
+        for p, col in zip(work, pivots):
+            x = p & free_mask
+            while x:
+                low = x & -x
+                basis[low.bit_length() - 1] |= 1 << col
+                x ^= low
+        return BitMatrix(len(basis), self.n_cols, list(basis.values())).rref()
 
     def row_space_member(self, v: BitVector) -> bool:
         if v.n != self.n_cols:
             raise ValueError("length mismatch")
-        work, pivots = self._elimination()
-        r = v.bits
-        for p, col in zip(work, pivots):
-            if (r >> col) & 1:
-                r ^= p
-        return r == 0
+        return self._echelon().reduce(v.bits) == 0
 
     def row_space_equal(self, other: "BitMatrix") -> bool:
         if self.n_cols != other.n_cols:
@@ -288,38 +262,83 @@ class BitMatrix:
         return BitMatrix(n, n, [(r >> n) & mask for r in work[:n]])
 
     def solve(self, rhs: BitVector) -> BitVector | None:
-        """One solution ``x`` of ``A x^T = rhs^T``, or None if inconsistent."""
+        """One solution ``x`` of ``A x^T = rhs^T``, or None if inconsistent.
+
+        The free variables of the solution are zero.
+        """
         if rhs.n != self.n_rows:
             raise ValueError("length mismatch")
-        work: list[int] = []
-        pivots: list[int] = []
-        # Augment each row with its rhs bit one position past the columns.
-        aug_bit = 1 << self.n_cols
-        for i, r in enumerate(self.rows):
-            if (rhs.bits >> i) & 1:
-                r |= aug_bit
-            for p, col in zip(work, pivots):
-                if (r >> col) & 1:
-                    r ^= p
-            low = r & (aug_bit - 1)
-            if low == 0:
-                if r:
-                    return None
-                continue
-            col = (low & -low).bit_length() - 1
-            pos = 0
-            while pos < len(pivots) and pivots[pos] < col:
-                pos += 1
-            work.insert(pos, r)
-            pivots.insert(pos, col)
-            for k in range(len(work)):
-                if k != pos and (work[k] >> col) & 1:
-                    work[k] ^= r
+        # Augment each row with its rhs bit one position past the columns;
+        # the system is inconsistent iff that column becomes a pivot.
+        n = self.n_cols
+        aug_bit = 1 << n
+        aug = BitMatrix(
+            self.n_rows,
+            n + 1,
+            [r | aug_bit if (rhs.bits >> i) & 1 else r for i, r in enumerate(self.rows)],
+        )
+        work, pivots = aug._elimination()
+        if pivots and pivots[-1] == n:
+            return None
         x = 0
         for p, col in zip(work, pivots):
             if p & aug_bit:
                 x |= 1 << col
-        return BitVector(self.n_cols, x)
+        return BitVector(n, x)
+
+
+class _Echelon:
+    """Rows in echelon form in a pivot dictionary keyed by lowest set bit.
+
+    ``rows[c]`` is the row whose lowest set bit is column ``c``; ``mask`` has
+    one bit per pivot column. A row is reduced with ``x = r & mask``: XOR in
+    the pivot row of x's lowest bit until x is 0. Each row is stored reduced
+    only against the pivots that were there before it, so adding a row costs
+    no back-substitution; ``rref`` does that once, at the end.
+    """
+
+    __slots__ = ("rows", "mask")
+
+    def __init__(self):
+        self.rows: dict[int, int] = {}
+        self.mask = 0
+
+    def reduce(self, r: int) -> int:
+        """r minus its component in the span; 0 iff r lies in the span."""
+        rows, mask = self.rows, self.mask
+        x = r & mask
+        while x:
+            r ^= rows[(x & -x).bit_length() - 1]
+            x = r & mask
+        return r
+
+    def add(self, r: int) -> bool:
+        """Extend the span by r; False (and no change) if r already lies in it."""
+        r = self.reduce(r)
+        if not r:
+            return False
+        low = r & -r
+        self.rows[low.bit_length() - 1] = r
+        self.mask |= low
+        return True
+
+    def rref(self) -> tuple[list[int], list[int]]:
+        """Back-substitute in descending pivot order: (rows, pivots) ascending."""
+        pivots = sorted(self.rows)
+        done: dict[int, int] = {}
+        above = 0
+        for c in reversed(pivots):
+            r = self.rows[c]
+            # rows in done have no pivot bit but their own, so one pass
+            # over r's bits in later pivot columns clears them all
+            x = r & above
+            while x:
+                low = x & -x
+                r ^= done[low.bit_length() - 1]
+                x ^= low
+            done[c] = r
+            above |= 1 << c
+        return [done[c] for c in pivots], pivots
 
 
 def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
@@ -353,16 +372,18 @@ def hstack(*ms: BitMatrix) -> BitMatrix:
     return BitMatrix(n_rows, shift, rows)
 
 
-def rank(m: BitMatrix) -> int:
-    return m.rank()
+def extend_span(base: BitMatrix, candidates: BitMatrix) -> BitMatrix:
+    """The rows of candidates that extend rowsp(base), chosen greedily in order.
 
-
-def kernel_basis(m: BitMatrix) -> BitMatrix:
-    return m.kernel_basis()
-
-
-def row_space_member(m: BitMatrix, v: BitVector) -> bool:
-    return m.row_space_member(v)
+    A row is kept iff it lies outside the span of base and the rows kept
+    before it, so base and the result together span rowsp(base) +
+    rowsp(candidates) and the result's rows are independent.
+    """
+    if base.n_cols != candidates.n_cols:
+        raise ValueError("column count mismatch")
+    ech = base._echelon()
+    kept = [r for r in candidates.rows if ech.add(r)]
+    return BitMatrix(len(kept), candidates.n_cols, kept)
 
 
 def stack_kernel(ms: Sequence[BitMatrix]) -> BitMatrix:
@@ -415,16 +436,12 @@ def min_weight_in(
         max_weight = n
     if max_weight > n:
         raise ValueError("max_weight exceeds column count")
-    work, pivots = space_basis._elimination()
+    ech = space_basis._echelon()
     for support in weight_ordered_supports(n, max_weight):
         bits = 0
         for j in support:
             bits |= 1 << j
-        r = bits
-        for p, col in zip(work, pivots):
-            if (r >> col) & 1:
-                r ^= p
-        if r != 0:
+        if ech.reduce(bits):
             continue
         v = BitVector(n, bits)
         if exclude_test is not None and exclude_test(v):
@@ -438,9 +455,11 @@ def min_weight_in(
 
 
 def write_matrix_text(m: BitMatrix) -> str:
-    lines = [f"{m.n_rows} {m.n_cols}"]
+    n = m.n_cols
+    lines = [f"{m.n_rows} {n}"]
     for r in m.rows:
-        lines.append(" ".join(str((r >> j) & 1) for j in range(m.n_cols)))
+        # binary digits are most significant first; column 0 is bit 0
+        lines.append(" ".join(format(r, f"0{n}b")[::-1]) if n else "")
     return "\n".join(lines) + "\n"
 
 
@@ -454,16 +473,13 @@ def read_matrix_text(text: str) -> BitMatrix:
         raise ValueError(
             f"expected {n_rows * n_cols} entries, found {len(values)}"
         )
-    rows = []
-    for i in range(n_rows):
-        bits = 0
-        for j in range(n_cols):
-            v = values[i * n_cols + j]
-            if v not in ("0", "1"):
-                raise ValueError(f"matrix entries must be 0 or 1, found {v!r}")
-            if v == "1":
-                bits |= 1 << j
-        rows.append(bits)
+    if not set(values) <= {"0", "1"}:
+        bad = next(v for v in values if v not in ("0", "1"))
+        raise ValueError(f"matrix entries must be 0 or 1, found {bad!r}")
+    if n_cols == 0:
+        return BitMatrix(n_rows, 0)
+    digits = "".join(values)
+    rows = [int(digits[i * n_cols : (i + 1) * n_cols][::-1], 2) for i in range(n_rows)]
     return BitMatrix(n_rows, n_cols, rows)
 
 
@@ -499,11 +515,13 @@ def read_alist(text: str) -> BitMatrix:
     tokens = [int(t) for t in text.split()]
     if len(tokens) < 4:
         raise ValueError("truncated alist")
-    it = iter(tokens)
-    n = next(it)
-    mm = next(it)
-    max_col = next(it)
-    max_row = next(it)
+    n, mm, max_col, max_row = tokens[:4]
+    if min(n, mm, max_col, max_row) < 0:
+        raise ValueError("alist header values must be non-negative")
+    expected = 4 + n + mm + n * max_col + mm * max_row
+    if len(tokens) < expected:
+        raise ValueError(f"truncated alist: expected {expected} entries, found {len(tokens)}")
+    it = iter(tokens[4:])
     col_deg = [next(it) for _ in range(n)]
     row_deg = [next(it) for _ in range(mm)]
     rows = [0] * mm
@@ -513,6 +531,8 @@ def read_alist(text: str) -> BitMatrix:
         for v in entries:
             if v == 0:
                 continue
+            if not 0 < v <= mm:
+                raise ValueError(f"column {j} lists check {v}, outside 1..{mm}")
             rows[v - 1] |= 1 << j
             seen += 1
         if seen != col_deg[j]:

@@ -438,7 +438,7 @@ def _build_maps(g, w, p, circuit, qubits, role_of, dt, tau_max_global):
     image_matrix = BitMatrix.from_vectors(images, n_cols=g_out.n_bits)
     if image_matrix.rank() != kernel.n_rows:
         raise AssertionError("codeword transport is not injective")
-    if a_out.kernel_basis().n_rows != kernel.n_rows:
+    if a_out.n_cols - a_out.rank() != kernel.n_rows:
         raise AssertionError("synthesised code has a different dimension")
 
     # error carriers: boundary bits for long terminals, window-exit wire bits

@@ -192,3 +192,48 @@ def test_byte_identical_outputs(zz_file, tmp_path):
         assert proc.returncode == 0
         results.append(proc.stdout)
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize(
+    "alist",
+    [
+        "3 2\n1 2\n1 1 1\n1 2\n1\n2\n",  # truncated after the column lists
+        "3 2\n1 2\n1 1 1\n1 2\n1\n5\n2\n1 0\n2 3\n",  # column 1 names check 5 of 2
+    ],
+    ids=["truncated", "entry-out-of-range"],
+)
+def test_distance_rejects_bad_alist(tmp_path, capsys, alist):
+    bad = tmp_path / "bad.alist"
+    bad.write_text(alist)
+    l = tmp_path / "l.txt"
+    l.write_text("1 3\n1 1 1\n")
+    code, out, err = run_cli(["distance", "--b", bad, "--l", l], capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_negative_max_weight_is_a_usage_error(zz_file, tmp_path, capsys):
+    b = tmp_path / "b.txt"
+    b.write_text("2 3\n1 1 0\n0 1 1\n")
+    l = tmp_path / "l.txt"
+    l.write_text("1 3\n1 1 1\n")
+    code, out, err = run_cli(
+        ["distance", "--b", b, "--l", l, "--max-weight", "-1"], capsys
+    )
+    assert code == 2
+    assert out == "" and "--max-weight" in err
+    code, out, _ = run_cli(["distance", "--b", b, "--l", l, "--max-weight", "0"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == ">0"
+
+    prefix = tmp_path / "sym"
+    assert run_cli(["symmetrize", "--circuit", zz_file, "--out-prefix", prefix], capsys)[0] == 0
+    code, _, err = run_cli(
+        ["synthesize", "--graph", prefix, "--out", tmp_path / "s.qc", "--check",
+         "--max-weight", "-2"],
+        capsys,
+    )
+    assert code == 2
+    assert "--max-weight" in err
+    assert not (tmp_path / "s.qc").exists()

@@ -5,12 +5,10 @@ import pytest
 from circuitcode.gf2 import (
     BitMatrix,
     BitVector,
-    kernel_basis,
+    extend_span,
     min_weight_in,
-    rank,
     read_alist,
     read_matrix_text,
-    row_space_member,
     span_union,
     stack_kernel,
     symplectic_product,
@@ -30,21 +28,21 @@ M_CNOT = BitMatrix.from_rows(
 
 
 def test_rank_identity():
-    assert rank(BitMatrix.identity(2)) == 2
+    assert BitMatrix.identity(2).rank() == 2
 
 
 def test_rank_cnot_map():
     # Hand row reduction: rows 1000,1100,0011,0001 reduce to the identity.
-    assert rank(M_CNOT) == 4
+    assert M_CNOT.rank() == 4
 
 
 def test_rank_zero_matrix():
-    assert rank(BitMatrix.zeros(3, 5)) == 0
+    assert BitMatrix.zeros(3, 5).rank() == 0
 
 
 def test_kernel_single_pivot():
     a_mea = BitMatrix.from_rows([[1, 0, 0, 0]])
-    k = kernel_basis(a_mea)
+    k = a_mea.kernel_basis()
     assert k.n_rows == 3
     assert a_mea.matmul(k.transpose()).is_zero()
 
@@ -57,23 +55,23 @@ def test_kernel_cnot_check_matrix():
         row = M_CNOT.to_lists()[i] + [1 if j == i else 0 for j in range(4)]
         rows.append(row)
     a = BitMatrix.from_rows(rows)
-    k = kernel_basis(a)
+    k = a.kernel_basis()
     assert k.n_rows == 4
     v = BitVector.from_bits([1, 0, 0, 0, 1, 1, 0, 0])
-    assert row_space_member(k, v)
+    assert k.row_space_member(v)
 
 
 def test_kernel_full_rank_square():
-    assert kernel_basis(BitMatrix.identity(4)).n_rows == 0
+    assert BitMatrix.identity(4).kernel_basis().n_rows == 0
 
 
 def test_row_space_member():
-    assert row_space_member(BitMatrix.identity(2), BitVector.from_bits([1, 1]))
+    assert BitMatrix.identity(2).row_space_member(BitVector.from_bits([1, 1]))
     m = BitMatrix.from_rows([[1, 1, 0]])
-    assert not row_space_member(m, BitVector.from_bits([0, 0, 1]))
+    assert not m.row_space_member(BitVector.from_bits([0, 0, 1]))
     m2 = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
     # (1,0,1) is the sum of the two rows.
-    assert row_space_member(m2, BitVector.from_bits([1, 0, 1]))
+    assert m2.row_space_member(BitVector.from_bits([1, 0, 1]))
 
 
 def test_stack_kernel():
@@ -98,7 +96,7 @@ def test_span_union():
     assert u2.n_rows == 2
     u3 = span_union(BitMatrix.from_rows([[1, 1, 0]]), BitMatrix.from_rows([[0, 1, 1]]))
     assert u3.n_rows == 2
-    assert row_space_member(u3, BitVector.from_bits([1, 0, 1]))
+    assert u3.row_space_member(BitVector.from_bits([1, 0, 1]))
 
 
 def test_symplectic_product():
@@ -126,10 +124,10 @@ def test_min_weight_in():
     # Kernel of the repetition-3 checks (110; 011) is {111}: brute force over
     # all 8 vectors confirms the only nonzero member has weight 3.
     checks = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    k = kernel_basis(checks)
+    k = checks.kernel_basis()
     members = [
         v for v in range(1, 8)
-        if row_space_member(k, BitVector(3, v))
+        if k.row_space_member(BitVector(3, v))
     ]
     assert min(BitVector(3, v).weight() for v in members) == 3
     got = min_weight_in(k)
@@ -137,7 +135,7 @@ def test_min_weight_in():
 
 
 def test_min_weight_cap():
-    k = kernel_basis(BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]]))
+    k = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]]).kernel_basis()
     assert min_weight_in(k, max_weight=2) is None
 
 
@@ -151,7 +149,7 @@ def test_kernel_orthogonality_and_rank_sum():
         n_rows = rng.randrange(1, 7)
         n_cols = rng.randrange(1, 9)
         m = BitMatrix(n_rows, n_cols, [rng.getrandbits(n_cols) for _ in range(n_rows)])
-        k = kernel_basis(m)
+        k = m.kernel_basis()
         assert m.matmul(k.transpose()).is_zero()
         assert k.rank() + m.rank() == n_cols
         assert k.rank() == k.n_rows
@@ -161,7 +159,7 @@ def test_rref_idempotent_rank():
     rng = random.Random(11)
     for _ in range(20):
         m = BitMatrix(4, 6, [rng.getrandbits(6) for _ in range(4)])
-        assert rank(m.rref()) == rank(m)
+        assert m.rref().rank() == m.rank()
         assert m.rref().rref() == m.rref()
 
 
@@ -173,7 +171,7 @@ def test_random_rowspace_membership():
         for r in m.rows:
             if rng.random() < 0.5:
                 combo ^= r
-        assert row_space_member(m, BitVector(8, combo))
+        assert m.row_space_member(BitVector(8, combo))
 
 
 def test_symplectic_bilinear_symmetric():
@@ -205,6 +203,133 @@ def test_solve():
 
 
 # ---------------------------------------------------------------------------
+# The elimination kernel against a textbook Gauss-Jordan on lists of 0/1
+
+
+def naive_rref(rows: list[list[int]], n_cols: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan with row swaps, column by column: (nonzero rows, pivots)."""
+    m = [list(r) for r in rows]
+    pivots = []
+    top = 0
+    for c in range(n_cols):
+        found = next((i for i in range(top, len(m)) if m[i][c]), None)
+        if found is None:
+            continue
+        m[top], m[found] = m[found], m[top]
+        for i in range(len(m)):
+            if i != top and m[i][c]:
+                m[i] = [a ^ b for a, b in zip(m[i], m[top])]
+        pivots.append(c)
+        top += 1
+    return m[:top], pivots
+
+
+def naive_kernel(rows: list[list[int]], n_cols: int) -> list[list[int]]:
+    """One kernel vector per free column, brought to rref."""
+    red, pivots = naive_rref(rows, n_cols)
+    basis = []
+    for f in (j for j in range(n_cols) if j not in pivots):
+        v = [0] * n_cols
+        v[f] = 1
+        for row, c in zip(red, pivots):
+            v[c] = row[f]
+        basis.append(v)
+    return naive_rref(basis, n_cols)[0]
+
+
+def random_lists(rng, n_rows, n_cols, density):
+    return [[int(rng.random() < density) for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+def kernel_cases():
+    """Seeded random matrices of every shape the kernel has to handle."""
+    rng = random.Random(2024)
+    cases = []
+    for _ in range(25):
+        for n_rows, n_cols, density in [
+            (rng.randrange(8, 16), rng.randrange(1, 7), 0.5),  # tall
+            (rng.randrange(1, 7), rng.randrange(8, 16), 0.5),  # wide
+            (rng.randrange(1, 12), rng.randrange(1, 12), 0.9),  # dense
+            (rng.randrange(1, 12), rng.randrange(1, 12), 0.12),  # sparse
+        ]:
+            cases.append(random_lists(rng, n_rows, n_cols, density))
+        rows = random_lists(rng, rng.randrange(1, 6), rng.randrange(1, 10), 0.5)
+        cases.append(rows + [rows[rng.randrange(len(rows))] for _ in range(3)])  # duplicates
+    cases += [[[0] * 5] * 3, [[0] * 4] * 4, [[]] * 2]  # all-zero, one with no columns
+    return cases
+
+
+def as_matrix(rows):
+    return BitMatrix.from_rows(rows, n_cols=len(rows[0]))
+
+
+def test_kernel_matches_naive_gauss_jordan():
+    for rows in kernel_cases():
+        n_cols = len(rows[0])
+        m = as_matrix(rows)
+        red, pivots = naive_rref(rows, n_cols)
+        assert m.rref().to_lists() == red
+        assert m.rank() == len(pivots)
+        assert m.kernel_basis().to_lists() == naive_kernel(rows, n_cols)
+
+
+def test_inverse_matches_naive_gauss_jordan():
+    rng = random.Random(99)
+    singular = 0
+    for _ in range(120):
+        n = rng.randrange(1, 9)
+        rows = random_lists(rng, n, n, rng.choice([0.2, 0.5, 0.8]))
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        red, pivots = naive_rref([r + e for r, e in zip(rows, eye)], 2 * n)
+        if pivots[:n] != list(range(n)):
+            singular += 1
+            with pytest.raises(ValueError):
+                as_matrix(rows).inverse()
+        else:
+            assert as_matrix(rows).inverse().to_lists() == [r[n:] for r in red]
+    assert 0 < singular < 120
+
+
+def test_solve_matches_naive_gauss_jordan():
+    rng = random.Random(5)
+    outcomes = set()
+    for rows in kernel_cases():
+        n_rows, n_cols = len(rows), len(rows[0])
+        for _ in range(4):
+            rhs = [rng.randrange(2) for _ in range(n_rows)]
+            red, pivots = naive_rref([r + [b] for r, b in zip(rows, rhs)], n_cols + 1)
+            got = as_matrix(rows).solve(BitVector.from_bits(rhs))
+            consistent = n_cols not in pivots
+            outcomes.add(consistent)
+            if not consistent:
+                assert got is None
+                continue
+            # the solution with every free variable zero
+            want = [0] * n_cols
+            for row, c in zip(red, pivots):
+                want[c] = row[n_cols]
+            assert got is not None and [got[j] for j in range(n_cols)] == want
+    assert outcomes == {True, False}
+
+
+def test_extend_span_matches_greedy_rank_test():
+    rng = random.Random(31)
+    for rows in kernel_cases():
+        n_cols = len(rows[0])
+        base = rows[: len(rows) // 2]
+        candidates = rows[len(rows) // 2 :] + random_lists(rng, 4, n_cols, 0.4)
+        kept = []
+        for v in candidates:
+            acc = base + kept
+            if len(naive_rref(acc + [v], n_cols)[1]) > len(naive_rref(acc, n_cols)[1]):
+                kept.append(v)
+        base_m = BitMatrix.from_rows(base, n_cols=n_cols)
+        got = extend_span(base_m, as_matrix(candidates))
+        assert got.to_lists() == kept
+        assert got.n_cols == n_cols
+
+
+# ---------------------------------------------------------------------------
 # File formats
 
 
@@ -227,3 +352,41 @@ def test_read_matrix_text_rejects_garbage():
         read_matrix_text("2 2\n1 0 2 1\n")
     with pytest.raises(ValueError):
         read_matrix_text("2 2\n1 0\n")
+
+
+def test_matrix_text_layout():
+    m = BitMatrix.from_rows([[1, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]])
+    assert write_matrix_text(m) == "3 4\n1 0 1 1\n0 0 0 1\n0 0 0 0\n"
+    assert write_matrix_text(BitMatrix(2, 0)) == "2 0\n\n\n"
+    assert read_matrix_text("2 0\n\n\n") == BitMatrix(2, 0)
+    rng = random.Random(3)
+    for n_cols in (1, 7, 64, 200):
+        m = BitMatrix(5, n_cols, [rng.getrandbits(n_cols) for _ in range(5)])
+        text = write_matrix_text(m)
+        assert text.splitlines()[1] == " ".join(str(m.get(0, j)) for j in range(n_cols))
+        assert read_matrix_text(text) == m
+
+
+def test_read_matrix_text_rejects_bad_tokens():
+    for text in ("1 2\n1 01\n", "1 2\n1 -1\n", "1 2\n0 x\n", "1 2\n1 0 1\n"):
+        with pytest.raises(ValueError):
+            read_matrix_text(text)
+
+
+def test_read_alist_rejects_truncated_input():
+    text = write_alist(BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]]))
+    tokens = text.split()
+    for cut in (2, 4, 9, len(tokens) - 1):
+        with pytest.raises(ValueError):
+            read_alist(" ".join(tokens[:cut]))
+
+
+def test_read_alist_rejects_out_of_range_entries():
+    # 3 columns, 2 checks; the list of column 0 names check 5, then check -1
+    good = "3 2\n1 2\n1 1 1\n1 2\n1\n2\n2\n1 0\n2 3\n"
+    assert read_alist(good) == BitMatrix.from_rows([[1, 0, 0], [0, 1, 1]])
+    for bad_entry in ("5", "-1"):
+        with pytest.raises(ValueError):
+            read_alist(good.replace("1 2\n1\n2", f"1 2\n{bad_entry}\n2"))
+    with pytest.raises(ValueError):
+        read_alist("-3 2 1 1")
