@@ -92,6 +92,13 @@ def _load_graph(prefix: str) -> tuple[TannerGraph, SymmetryWitness | None]:
     w = None
     if _bundle(prefix, ".witness").exists():
         w = read_witness(_bundle(prefix, ".witness").read_text())
+        in_range = all(0 <= c < g.n_checks for c in w.dual) and all(
+            0 <= v < g.n_bits for v in (*w.dual.values(), *w.long_terminals)
+        )
+        if not in_range:
+            raise ValueError(
+                f"witness names a check or bit outside the {g.n_checks}x{g.n_bits} graph"
+            )
     return g, w
 
 
@@ -169,7 +176,7 @@ def cmd_distance(args) -> int:
     if args.labels:
         labels = read_labels(Path(args.labels).read_text())
         names = [lab.name for lab in labels]
-    res = circuit_distance(b, l, args.max_weight, jobs=args.jobs)
+    res = circuit_distance(b, l, args.max_weight)
     if res.exact:
         print(res.value)
         print(f"bound {half_distance_bound(res.value)}")
@@ -353,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", required=True, dest="l")
     p.add_argument("--labels", help="column sidecar for a labelled witness")
     p.add_argument("--max-weight", type=_non_negative_int, default=6)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("verify", help="verify all codeword equations")

@@ -161,20 +161,6 @@ class CssAssembly:
     def z_cols(self) -> int:
         return self.a_z.n_cols
 
-    def x_operator_block(self, index: int) -> range:
-        """Columns of the X-operator snapshot after `index` logical steps."""
-        n = self.code.n
-        return range(index * n, (index + 1) * n)
-
-    def measurement_columns(self) -> list[int]:
-        n = self.code.n
-        cols = []
-        start = self.layer.m_x_bits * n
-        cols.extend(range(start, self.x_cols))
-        start = self.x_cols + self.layer.m_z_bits * n
-        cols.extend(range(start, self.x_cols + self.z_cols))
-        return cols
-
     def sigma_in(self, row: BitVector) -> PauliOperator:
         return self._boundary(row, 0)
 

@@ -55,10 +55,14 @@ def _search(
     L-syndrome; returns (support, enumerated count)."""
     count = 0
     for w in range(1, max_weight + 1):
-        found, c = _search_weight_class(b_cols, l_cols, n, w, 0, n)
-        count += c
-        if found is not None:
-            return found, count
+        for first in range(n - w + 1):
+            found, c = _extend(
+                b_cols, l_cols, n, w - 1, first + 1,
+                b_cols[first], l_cols[first], (first,),
+            )
+            count += c
+            if found is not None:
+                return found, count
     return None, count
 
 
@@ -83,14 +87,11 @@ def circuit_distance(
     b: BitMatrix,
     l: BitMatrix,
     max_weight: int = 6,
-    jobs: int = 1,
 ) -> DistanceResult:
     """Minimum weight of an undetected logical error: e in ker B, L e != 0.
 
     Exact when a witness of weight <= max_weight exists; otherwise the result
-    carries the cap as a lower bound. With jobs > 1 the weight classes are
-    partitioned by leading column; the merge keeps the (weight, lex) minimum,
-    so the result does not depend on the schedule.
+    carries the cap as a lower bound.
     """
     if b.n_cols != l.n_cols:
         raise ValueError("B and L must share the error space")
@@ -100,10 +101,7 @@ def circuit_distance(
         return DistanceResult(None, None, max_weight, 0)
     b_cols = _column_syndromes(b)
     l_cols = _column_syndromes(l)
-    if jobs > 1:
-        support, count = _parallel_search(b_cols, l_cols, n, max_weight, jobs)
-    else:
-        support, count = _search(b_cols, l_cols, n, max_weight)
+    support, count = _search(b_cols, l_cols, n, max_weight)
     if support is None:
         return DistanceResult(None, None, max_weight, count)
     witness = BitVector.from_indices(n, support)
@@ -116,45 +114,6 @@ def _verify_witness(b: BitMatrix, l: BitMatrix, witness: BitVector) -> None:
         raise AssertionError("witness fails the B checks")
     if l.mul_vec(witness).is_zero():
         raise AssertionError("witness is not a logical error")
-
-
-def _parallel_search(b_cols, l_cols, n, max_weight, jobs):
-    from concurrent.futures import ThreadPoolExecutor
-
-    jobs = max(1, min(jobs, n))
-    bounds = []
-    step = (n + jobs - 1) // jobs
-    for k in range(0, n, step):
-        bounds.append((k, min(n, k + step)))
-
-    total = 0
-    for w in range(1, max_weight + 1):
-        results = []
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_search_weight_class, b_cols, l_cols, n, w, lo, hi)
-                for lo, hi in bounds
-            ]
-            for f in futures:
-                results.append(f.result())
-        total += sum(c for _, c in results)
-        hits = [s for s, _ in results if s is not None]
-        if hits:
-            return min(hits), total
-    return None, total
-
-
-def _search_weight_class(b_cols, l_cols, n, w, lo, hi):
-    count = 0
-    for first in range(lo, min(hi, n - w + 1)):
-        found, c = _extend(
-            b_cols, l_cols, n, w - 1, first + 1,
-            b_cols[first], l_cols[first], (first,),
-        )
-        count += c
-        if found is not None:
-            return found, count
-    return None, count
 
 
 def css_distance(

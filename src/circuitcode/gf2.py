@@ -7,8 +7,7 @@ weight-ordered enumeration used by the distance search cheap.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class BitVector:
@@ -414,42 +413,6 @@ def symplectic_product(b1: BitVector, b2: BitVector) -> int:
     return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1
 
 
-def weight_ordered_supports(n_cols: int, max_weight: int) -> Iterator[tuple[int, ...]]:
-    """All column supports of weight 1..max_weight, by weight then lexicographic."""
-    for w in range(1, max_weight + 1):
-        yield from combinations(range(n_cols), w)
-
-
-def min_weight_in(
-    space_basis: BitMatrix,
-    exclude_test: Callable[[BitVector], bool] | None = None,
-    max_weight: int | None = None,
-) -> tuple[BitVector, int] | None:
-    """Minimum-weight nonzero vector of rowsp(space_basis) not hit by exclude_test.
-
-    Enumerates the ambient space by increasing weight (lexicographic within a
-    weight class) and tests row-space membership, so the returned witness is
-    deterministic. Returns None when nothing is found up to max_weight.
-    """
-    n = space_basis.n_cols
-    if max_weight is None:
-        max_weight = n
-    if max_weight > n:
-        raise ValueError("max_weight exceeds column count")
-    ech = space_basis._echelon()
-    for support in weight_ordered_supports(n, max_weight):
-        bits = 0
-        for j in support:
-            bits |= 1 << j
-        if ech.reduce(bits):
-            continue
-        v = BitVector(n, bits)
-        if exclude_test is not None and exclude_test(v):
-            continue
-        return v, len(support)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Text and alist formats
 
@@ -521,6 +484,8 @@ def read_alist(text: str) -> BitMatrix:
     expected = 4 + n + mm + n * max_col + mm * max_row
     if len(tokens) < expected:
         raise ValueError(f"truncated alist: expected {expected} entries, found {len(tokens)}")
+    if len(tokens) > expected:
+        raise ValueError(f"alist has {len(tokens) - expected} entries past its header's count")
     it = iter(tokens[4:])
     col_deg = [next(it) for _ in range(n)]
     row_deg = [next(it) for _ in range(mm)]

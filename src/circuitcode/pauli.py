@@ -86,12 +86,6 @@ class PauliOperator:
     def is_identity_kind(self) -> bool:
         return self.x == 0 and self.z == 0
 
-    def unsigned(self) -> "PauliOperator":
-        return PauliOperator(self.n, self.x, self.z, 0)
-
-    def negate(self) -> "PauliOperator":
-        return PauliOperator(self.n, self.x, self.z, self.phase_exp + 2)
-
     def __mul__(self, other: "PauliOperator") -> "PauliOperator":
         if self.n != other.n:
             raise ValueError("qubit count mismatch")

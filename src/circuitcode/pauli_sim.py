@@ -204,15 +204,6 @@ class Tableau:
     def measure_z(self, q: int, rng=None, forced=None) -> int:
         return self.measure_pauli(PauliOperator(self.n, 0, 1 << q), rng, forced)
 
-    def reset_z(self, q: int, rng=None):
-        if self.measure_z(q, rng, None if rng else 1) == -1:
-            self.apply_pauli(1 << q, 0)
-
-    def reset_x(self, q: int, rng=None):
-        p = PauliOperator(self.n, 1 << q, 0)
-        if self.measure_pauli(p, rng, None if rng else 1) == -1:
-            self.apply_pauli(0, 1 << q)
-
     def stabilizes(self, p: PauliOperator) -> int | None:
         """Expectation of p when it is +-1; None when the expectation is 0."""
         s = 0 if p.sign() == 1 else 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 from .tanner import CodeMaps, SymmetryWitness, TannerGraph, VertexLabel, verify_symmetry
 
 
@@ -92,20 +92,6 @@ def random_plan(
         for sub in subsets:
             sub.sort()
         tree = [(rng.randrange(i), i) for i in range(1, r)]
-        pairs[a] = PairPlan(v, a, subsets, tree)
-    return SplitPlan(pairs)
-
-
-def path_plan(g: TannerGraph, w: SymmetryWitness, order: dict[int, int]) -> SplitPlan:
-    """Plans whose templates are paths with one neighbour subset per vertex."""
-    pairs = {}
-    for a, v in w.dual.items():
-        neigh = sorted(g.checks[a])
-        r = max(1, min(order.get(a, 1), len(neigh) if neigh else 1))
-        subsets: list[list[int]] = [[] for _ in range(r)]
-        for i, u in enumerate(neigh):
-            subsets[min(i, r - 1)].append(u)
-        tree = [(i, i + 1) for i in range(r - 1)]
         pairs[a] = PairPlan(v, a, subsets, tree)
     return SplitPlan(pairs)
 
@@ -243,14 +229,6 @@ def _bit_side_index(plan: SplitPlan, check_of_bit: dict[int, int], u: int, v: in
     raise AssertionError("dual bit missing from the partner plan")
 
 
-def map_codeword(maps: CodeMaps, c: BitVector) -> BitVector:
-    return maps.map_codeword(c)
-
-
-def map_error(maps: CodeMaps, e: BitVector) -> BitVector:
-    return maps.map_error(e)
-
-
 @dataclass
 class DistanceBoundReport:
     before: object
@@ -280,20 +258,25 @@ def check_distance_bound(
     l2 = maps.map_matrix(l)
     d2 = circuit_distance(b2, l2, max_weight)
     g_max = g.max_degree()
+    return DistanceBoundReport(d1, d2, g_max, *distance_bound_holds(d1, d2, g_max))
+
+
+def distance_bound_holds(before, after, g_max: int) -> tuple[bool, bool]:
+    """(lower, upper) halves of d' in [d / floor(g_max/2), d].
+
+    Only genuine refutations fail: a search that stopped at its cap bounds
+    the distance from below and is compared through that bound.
+    """
     factor = max(1, g_max // 2)
-    # flag only genuine refutations; an unresolved search cannot violate
-    ok_lower = True
-    ok_upper = True
-    if d1.exact and d2.exact:
-        ok_lower = d2.value * factor >= d1.value
-        ok_upper = d2.value <= d1.value
-    elif d1.exact and not d2.exact:
-        # true d2 exceeds its cap, so d2 <= d1 fails when d1 is within it
-        ok_upper = d1.value > d2.max_weight
-    elif d2.exact and not d1.exact:
-        # true d1 exceeds its cap, so the factor bound needs d2*factor past it
-        ok_lower = d2.value * factor >= d1.lower_bound
-    return DistanceBoundReport(d1, d2, g_max, ok_lower, ok_upper)
+    if before.exact and after.exact:
+        return after.value * factor >= before.value, after.value <= before.value
+    if before.exact:
+        # the true d' exceeds its cap, so d' <= d fails when d is within it
+        return True, before.value > after.max_weight
+    if after.exact:
+        # the true d exceeds its cap, so the factor bound needs d'*factor past it
+        return after.value * factor >= before.lower_bound, True
+    return True, True
 
 
 # ---------------------------------------------------------------------------

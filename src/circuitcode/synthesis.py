@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, OpKind, Operation
 from .gf2 import BitMatrix, BitVector
-from .tanner import SymmetryWitness, TannerGraph, build_plain
+from .splitting import distance_bound_holds
+from .tanner import CodeMaps, SymmetryWitness, TannerGraph, build_plain
 
 Vertex = tuple[str, int]  # ("b", bit index) or ("c", check index)
 
@@ -137,50 +138,9 @@ class QubitLine:
 
 
 @dataclass
-class SynthesisMaps:
-    """Codeword map defined on a kernel basis plus a positional error map."""
-
-    src_kernel: BitMatrix
-    images: BitMatrix
-    error: BitMatrix
-
-    def map_codeword(self, c: BitVector) -> BitVector:
-        coeffs = _express(self.src_kernel, c)
-        out = BitVector(self.images.n_cols)
-        for i in coeffs:
-            out ^= self.images.row(i)
-        return out
-
-    def map_error(self, e: BitVector) -> BitVector:
-        return self.error.mul_vec(e)
-
-    def map_matrix(self, m: BitMatrix) -> BitMatrix:
-        return BitMatrix.from_vectors(
-            [self.map_codeword(v) for v in m.row_vectors()],
-            n_cols=self.images.n_cols,
-        )
-
-
-def _express(basis: BitMatrix, v: BitVector) -> list[int]:
-    """Coefficients of v over an rref basis; raises if outside the span."""
-    pivots = []
-    for row in basis.rows:
-        pivots.append((row & -row).bit_length() - 1)
-    bits = v.bits
-    used = []
-    for i, (row, piv) in enumerate(zip(basis.rows, pivots)):
-        if (bits >> piv) & 1:
-            bits ^= row
-            used.append(i)
-    if bits:
-        raise ValueError("vector is not in the codeword space")
-    return used
-
-
-@dataclass
 class SynthesisResult:
     circuit: Circuit
-    maps: SynthesisMaps
+    maps: CodeMaps
     qubits: list[QubitLine]
     dt: int
 
@@ -469,12 +429,14 @@ def _build_maps(g, w, p, circuit, qubits, role_of, dt, tau_max_global):
         t_exit = window_exit(p.tau[("b", v_idx)])
         err_rows[carrier(role, q, t_exit)] = 1 << v_idx
 
-    maps = SynthesisMaps(
-        src_kernel=kernel,
-        images=image_matrix,
+    # row k of the kernel basis is the only one with a 1 at its pivot, the
+    # lowest set bit of the row, so reading the pivot bits of a codeword gives
+    # its coefficients over the basis
+    coefficients = BitMatrix(kernel.n_rows, g.n_bits, [r & -r for r in kernel.rows])
+    return CodeMaps(
+        codeword=image_matrix.transpose().matmul(coefficients),
         error=BitMatrix(g_out.n_bits, g.n_bits, err_rows),
     )
-    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +454,9 @@ class RoundTripReport:
 
     @property
     def ok(self) -> bool:
-        lower = True
-        upper = True
-        factor = max(1, self.g_max // 2)
-        if self.distance_before.exact and self.distance_after.exact:
-            lower = self.distance_after.value * factor >= self.distance_before.value
-            upper = self.distance_after.value <= self.distance_before.value
+        lower, upper = distance_bound_holds(
+            self.distance_before, self.distance_after, self.g_max
+        )
         return self.pairing_ok and lower and upper
 
 
@@ -511,12 +470,21 @@ def roundtrip_check(
     pair_samples: int = 50,
     rng: random.Random | None = None,
 ) -> RoundTripReport:
-    """Synthesise, rebuild, and compare codes, pairings and distances."""
+    """Synthesise, rebuild, and compare codes, pairings and distances.
+
+    The rows of ``b`` and ``l`` must be codewords of ``g``.
+    """
     from .distance import circuit_distance
 
+    a = g.check_matrix()
+    for name, m in (("B", b), ("L", l)):
+        if m.n_cols != g.n_bits:
+            raise ValueError(f"{name} has {m.n_cols} columns, the graph has {g.n_bits} bits")
+        if not a.matmul(m.transpose()).is_zero():
+            raise ValueError(f"the rows of {name} are not codewords of the graph")
     result = synthesize(g, w, p)
     maps = result.maps
-    kernel = maps.src_kernel
+    kernel = a.kernel_basis()
     rng = rng or random.Random(0)
 
     pairing_ok = True

@@ -101,12 +101,6 @@ class TannerGraph:
             self._index = {lab.key(): i for i, lab in enumerate(self.bits)}
         return self._index.get((kind, q, t, serial))
 
-    def bit_by_name(self, name: str) -> int:
-        for i, lab in enumerate(self.bits):
-            if lab.name == name:
-                return i
-        raise KeyError(name)
-
     def bit_degree(self, i: int) -> int:
         return sum(1 for c in self.checks if i in c)
 
@@ -143,7 +137,8 @@ class CodeMaps:
     """Linear maps between codeword spaces and error spaces of two graphs.
 
     ``codeword`` sends ker A into ker A'; ``error`` embeds errors so that
-    c . e = codeword(c) . error(e) and weights are preserved.
+    c . e = codeword(c) . error(e) and weights are preserved. Bit splitting,
+    symmetrisation, symmetric splitting and synthesis all return one.
     """
 
     codeword: BitMatrix  # |V_B'| x |V_B|
@@ -156,20 +151,8 @@ class CodeMaps:
         return self.error.mul_vec(e)
 
     def map_matrix(self, m: BitMatrix) -> BitMatrix:
-        return BitMatrix.from_vectors(
-            [self.map_codeword(v) for v in m.row_vectors()],
-            n_cols=self.codeword.n_rows,
-        )
-
-    def compose(self, later: "CodeMaps") -> "CodeMaps":
-        return CodeMaps(
-            codeword=later.codeword.matmul(self.codeword),
-            error=later.error.matmul(self.error),
-        )
-
-    @classmethod
-    def identity(cls, n: int) -> "CodeMaps":
-        return cls(BitMatrix.identity(n), BitMatrix.identity(n))
+        """Map every row of ``m`` (a codeword of the source graph)."""
+        return m.matmul(self.codeword.transpose())
 
 
 @dataclass
@@ -184,9 +167,6 @@ class SymmetryWitness:
         for check, bit in self.dual.items():
             rows[bit] |= 1 << check
         return BitMatrix(g.n_bits, g.n_checks, rows)
-
-    def dual_bit_of(self, check: int) -> int:
-        return self.dual[check]
 
     def check_of_bit(self) -> dict[int, int]:
         return {b: c for c, b in self.dual.items()}
@@ -500,7 +480,58 @@ def symmetrize(
 
     Splits are applied exactly at asymmetric wire junctions, where an output
     terminal pair and the next input terminal pair are short on the same
-    component. The returned maps compose the individual split maps.
+    component. All splits are applied in one pass; the result equals folding
+    ``bit_split`` over the junctions in increasing bit order, and the returned
+    maps equal the product of the individual split maps.
+    """
+    dual, long_bits, splits = _junctions(g)
+    n = g.n_bits
+    side_checks = {s: set(rec.checks) for rec in g.gadgets for s in rec.sides}
+    neighbours: list[list[int]] = [[] for _ in range(n)]
+    for k, c in enumerate(g.checks):
+        for j in c:
+            neighbours[j].append(k)
+    serial = max((lab.serial for lab in g.bits if lab.kind == "s"), default=-1) + 1
+    bits = list(g.bits)
+    checks = list(g.checks)
+    fwd = [1 << i for i in range(n)]
+    err = list(fwd)
+    for v, early, late in splits:
+        late_checks = side_checks[late]
+        if not set(neighbours[v]) <= side_checks[early] | late_checks:
+            raise AssertionError("junction checks do not cover the split bit")
+        # the late gadget's checks move to a fresh bit tied back to v
+        v2 = len(bits)
+        bits.append(VertexLabel("s", 0, -1, serial + v2 - n))
+        for c in neighbours[v]:
+            if c in late_checks:
+                checks[c] = tuple(j for j in checks[c] if j != v) + (v2,)
+        # the double-long partner bit on the same wire junction
+        lab = g.bits[v]
+        partner = g.bit_index(_other(lab.kind), lab.q, lab.t)
+        dual[early.pair_check] = v
+        dual[late.pair_check] = v2
+        if partner is not None:
+            dual[len(checks)] = partner
+        checks.append((v, v2))
+        fwd.append(1 << v)
+        err.append(0)
+
+    witness = SymmetryWitness(dual, frozenset(long_bits))
+    out = TannerGraph(bits, checks, g.n_qubits, g.depth, None, list(g.removed))
+    maps = CodeMaps(BitMatrix(len(bits), n, fwd), BitMatrix(len(bits), n, err))
+    return out, witness, maps
+
+
+def _junctions(
+    g: TannerGraph,
+) -> tuple[dict[int, int], set[int], list[tuple[int, SideInfo, SideInfo]]]:
+    """Pairings of the unsplit bits, long terminals, and the junctions to split.
+
+    A bit claimed short by one gadget side pairs with that side's check; a
+    bit claimed long only is a long terminal; a bit claimed short by two
+    sides is a junction ``(bit, early side, late side)``, in increasing bit
+    order.
     """
     if g.gadgets is None:
         raise ValueError("symmetrize needs the plain graph of the circuit")
@@ -532,49 +563,10 @@ def symmetrize(
                 early, late = late, early
             splits.append((i, early, late))
         elif len(longs) == 2:
-            pass  # handled together with its short-short partner below
+            pass  # handled together with its short-short partner
         else:
             raise AssertionError(f"unexpected terminal claims on bit {i}")
-
-    current = g
-    maps = CodeMaps.identity(g.n_bits)
-    for v, early, late in sorted(splits, key=lambda s: s[0]):
-        # double-long partner bit on the same wire junction
-        partner_kind = _other(current.bits[v].kind)
-        lab = current.bits[v]
-        partner = current.bit_index(partner_kind, lab.q, lab.t)
-        neigh = current.bit_neighbors(v)
-        early_rec = [c for c in neigh if c in _gadget_checks(g, early)]
-        late_rec = [c for c in neigh if c in _gadget_checks(g, late)]
-        if set(early_rec) | set(late_rec) != set(neigh):
-            raise AssertionError("junction checks do not cover the split bit")
-        new_graph, split_maps = bit_split(current, v, (early_rec, late_rec))
-        v2 = new_graph.n_bits - 1
-        new_check = new_graph.n_checks - 1
-        dual[early.pair_check] = v
-        dual[late.pair_check] = v2
-        if partner is not None:
-            dual[new_check] = partner
-        maps = maps.compose(split_maps)
-        current = new_graph
-
-    witness = SymmetryWitness(dual, frozenset(long_bits))
-    out = TannerGraph(
-        current.bits,
-        current.checks,
-        g.n_qubits,
-        g.depth,
-        None,
-        list(g.removed),
-    )
-    return out, witness, maps
-
-
-def _gadget_checks(g: TannerGraph, side: SideInfo) -> set[int]:
-    for rec in g.gadgets or []:
-        if side in rec.sides:
-            return set(rec.checks)
-    raise AssertionError("side does not belong to any gadget")
+    return dual, long_bits, splits
 
 
 def verify_symmetry(g: TannerGraph, w: SymmetryWitness) -> list[str]:
@@ -703,9 +695,12 @@ def read_witness(text: str) -> SymmetryWitness:
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if parts[0] == "dual":
-            dual[int(parts[1])] = int(parts[2])
-        elif parts[0] == "long":
+        if parts[0] == "dual" and len(parts) == 3:
+            check = int(parts[1])
+            if check in dual:
+                raise ValueError(f"witness pairs check {check} twice: {line!r}")
+            dual[check] = int(parts[2])
+        elif parts[0] == "long" and len(parts) == 2:
             long_bits.add(int(parts[1]))
         else:
             raise ValueError(f"bad witness line {line!r}")

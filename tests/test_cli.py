@@ -1,3 +1,4 @@
+import re
 import subprocess
 import sys
 
@@ -199,8 +200,9 @@ def test_byte_identical_outputs(zz_file, tmp_path):
     [
         "3 2\n1 2\n1 1 1\n1 2\n1\n2\n",  # truncated after the column lists
         "3 2\n1 2\n1 1 1\n1 2\n1\n5\n2\n1 0\n2 3\n",  # column 1 names check 5 of 2
+        "3 2\n2 2\n1 2 1\n2 2\n1 0\n1 2\n2 0\n1 2\n2 3\n9 9 9\n",  # tokens past the count
     ],
-    ids=["truncated", "entry-out-of-range"],
+    ids=["truncated", "entry-out-of-range", "trailing-tokens"],
 )
 def test_distance_rejects_bad_alist(tmp_path, capsys, alist):
     bad = tmp_path / "bad.alist"
@@ -237,3 +239,63 @@ def test_negative_max_weight_is_a_usage_error(zz_file, tmp_path, capsys):
     assert code == 2
     assert "--max-weight" in err
     assert not (tmp_path / "s.qc").exists()
+
+
+def test_removed_jobs_flag_is_a_usage_error(tmp_path, capsys):
+    b = tmp_path / "b.txt"
+    b.write_text("2 3\n1 1 0\n0 1 1\n")
+    l = tmp_path / "l.txt"
+    l.write_text("1 3\n1 1 1\n")
+    code, out, err = run_cli(["distance", "--b", b, "--l", l, "--jobs", "2"], capsys)
+    assert code == 2
+    assert out == "" and "--jobs" in err
+
+
+def symmetric_bundle(zz_file, tmp_path, capsys):
+    prefix = tmp_path / "sym"
+    assert run_cli(["symmetrize", "--circuit", zz_file, "--out-prefix", prefix], capsys)[0] == 0
+    return prefix
+
+
+@pytest.mark.parametrize("case", ["wide", "non-codeword"])
+def test_synthesize_check_rejects_bad_b_and_l(zz_file, tmp_path, capsys, case):
+    from circuitcode.gf2 import BitMatrix, read_matrix_text, write_matrix_text
+
+    prefix = symmetric_bundle(zz_file, tmp_path, capsys)
+    a = read_matrix_text((tmp_path / "sym.A.txt").read_text())
+    k = a.kernel_basis()
+    if case == "wide":
+        m = BitMatrix(k.n_rows, a.n_cols + 3, k.rows)
+    else:
+        m = BitMatrix(1, a.n_cols, [1])
+        assert not a.mul_vec(m.row(0)).is_zero()
+    for name in ("b", "l"):
+        (tmp_path / f"{name}.txt").write_text(write_matrix_text(m))
+    code, _, err = run_cli(
+        ["synthesize", "--graph", prefix, "--out", tmp_path / "s.qc", "--check",
+         "--b", tmp_path / "b.txt", "--l", tmp_path / "l.txt", "--max-weight", "2"],
+        capsys,
+    )
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: re.sub(r"^dual 0 \d+$", "dual 0 999", text, flags=re.M),  # bit outside
+        lambda text: text + "dual 0 3\n",  # second dual line for check 0
+        lambda text: text + "dual 999 3\n",  # check outside
+        lambda text: text + "long 999\n",  # long terminal outside
+        lambda text: text + "dual 0\n",  # missing field
+    ],
+    ids=["bit-outside", "repeated-dual", "check-outside", "long-outside", "short-line"],
+)
+def test_synthesize_rejects_bad_witness(zz_file, tmp_path, capsys, edit):
+    prefix = symmetric_bundle(zz_file, tmp_path, capsys)
+    witness = tmp_path / "sym.witness"
+    witness.write_text(edit(witness.read_text()))
+    code, out, err = run_cli(["synthesize", "--graph", prefix, "--out", tmp_path / "s.qc"], capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "witness" in err

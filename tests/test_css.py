@@ -214,14 +214,6 @@ def test_half_distance_bound():
     assert half_distance_bound(4) == 2
 
 
-def test_parallel_distance_matches_sequential():
-    asm = assemble_physical(code_211(), repeated_measurement_layer(2))
-    seq = circuit_distance(asm.b, asm.l, 3, jobs=1)
-    par = circuit_distance(asm.b, asm.l, 3, jobs=4)
-    assert seq.value == par.value
-    assert seq.witness == par.witness
-
-
 def test_circuit_distance_against_exhaustive_oracle():
     # independent oracle: scan the entire error space of small random B/L
     import random

@@ -6,7 +6,6 @@ from circuitcode.gf2 import (
     BitMatrix,
     BitVector,
     extend_span,
-    min_weight_in,
     read_alist,
     read_matrix_text,
     span_union,
@@ -112,31 +111,6 @@ def test_symplectic_product():
 def test_symplectic_product_odd_length():
     with pytest.raises(ValueError):
         symplectic_product(BitVector.from_bits([1, 0, 1]), BitVector.from_bits([0, 1, 1]))
-
-
-def test_min_weight_in():
-    got = min_weight_in(BitMatrix.from_rows([[1, 1]]))
-    assert got is not None and got[1] == 2
-
-    got = min_weight_in(BitMatrix.from_rows([[1, 0, 0], [0, 1, 1]]))
-    assert got is not None and got[1] == 1
-
-    # Kernel of the repetition-3 checks (110; 011) is {111}: brute force over
-    # all 8 vectors confirms the only nonzero member has weight 3.
-    checks = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    k = checks.kernel_basis()
-    members = [
-        v for v in range(1, 8)
-        if k.row_space_member(BitVector(3, v))
-    ]
-    assert min(BitVector(3, v).weight() for v in members) == 3
-    got = min_weight_in(k)
-    assert got is not None and got[1] == 3
-
-
-def test_min_weight_cap():
-    k = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]]).kernel_basis()
-    assert min_weight_in(k, max_weight=2) is None
 
 
 # ---------------------------------------------------------------------------

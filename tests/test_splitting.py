@@ -147,9 +147,10 @@ def test_distance_bound_trivial_plan_equality():
 
 
 def trivial_maps(g):
+    from circuitcode.gf2 import BitMatrix
     from circuitcode.tanner import CodeMaps
 
-    return CodeMaps.identity(g.n_bits)
+    return CodeMaps(BitMatrix.identity(g.n_bits), BitMatrix.identity(g.n_bits))
 
 
 def test_distance_bound_random_plans():

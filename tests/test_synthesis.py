@@ -5,6 +5,7 @@ from circuitcode.circuit import parse_circuit, random_circuit
 from circuitcode.gf2 import BitVector
 from circuitcode.synthesis import (
     PathPartition,
+    RoundTripReport,
     greedy_partition,
     read_partition,
     roundtrip_check,
@@ -58,8 +59,9 @@ def test_synthesize_cnot_gadget():
     assert result.circuit.validate() == []
     maps = result.maps
     # codes map bijectively and the boundary pairing carries over
-    k = maps.src_kernel
+    k = g.check_matrix().kernel_basis()
     assert k.n_rows == 4
+    assert maps.map_matrix(k).rank() == 4
     for v in k.row_vectors():
         img = maps.map_codeword(v)
         for j in range(g.n_bits):
@@ -173,7 +175,8 @@ def test_greedy_partition_validates():
         assert validate_partition(g, w, p) == []
         result = synthesize(g, w, p)
         assert result.circuit.validate() == []
-        assert result.maps.src_kernel.n_rows == result.maps.images.n_rows
+        k = g.check_matrix().kernel_basis()
+        assert result.maps.map_matrix(k).rank() == k.n_rows
 
 
 def test_greedy_roundtrip_distances():
@@ -193,3 +196,15 @@ def test_greedy_roundtrip_distances():
         assert report.pairing_ok
         assert report.ok
         done += 1
+
+
+def test_roundtrip_report_uses_the_split_distance_bound():
+    from circuitcode.distance import DistanceResult
+    from circuitcode.splitting import distance_bound_holds
+
+    one = DistanceResult(1, BitVector.from_indices(4, [0]), 3, 1)
+    capped = DistanceResult(None, None, 3, 10)
+    for before, after, ok in [(one, one, True), (one, capped, False), (capped, one, False)]:
+        report = RoundTripReport(None, 0, True, before, after, 3)
+        assert report.ok == ok
+        assert report.ok == all(distance_bound_holds(before, after, 3))

@@ -5,6 +5,8 @@ import pytest
 from circuitcode.circuit import parse_circuit, random_circuit
 from circuitcode.gf2 import BitMatrix, BitVector
 from circuitcode.tanner import (
+    SymmetryWitness,
+    _junctions,
     bit_split,
     build_plain,
     export_dot,
@@ -157,6 +159,61 @@ def test_symmetrize_random_circuits():
         assert a2.kernel_basis().n_rows == k.n_rows
         for cw in k.row_vectors():
             assert a2.mul_vec(maps.map_codeword(cw)).is_zero()
+
+
+def rep_memory_text(d):
+    """Repetition-code memory, d rounds: data 1..d, ancillas d+1..2d-1."""
+    layers = []
+    for _ in range(d):
+        layers.append([f"rz {d + i}" for i in range(1, d)])
+        layers.append([f"cnot {i} {d + i}" for i in range(1, d)])
+        layers.append([f"cnot {i + 1} {d + i}" for i in range(1, d)])
+        layers.append([f"mz {d + i}" for i in range(1, d)])
+    return f"qubits {2 * d - 1}\n" + "\ntick\n".join("\n".join(l) for l in layers) + "\n"
+
+
+def symmetrize_by_bit_split(g):
+    """Reference symmetrisation: one bit_split per junction, maps by matmul."""
+    dual, long_bits, splits = _junctions(g)
+    current = g
+    codeword = error = BitMatrix.identity(g.n_bits)
+    for v, early, late in splits:
+        early_checks = next(rec.checks for rec in g.gadgets if early in rec.sides)
+        late_checks = next(rec.checks for rec in g.gadgets if late in rec.sides)
+        neigh = current.bit_neighbors(v)
+        partition = (
+            [c for c in neigh if c in early_checks],
+            [c for c in neigh if c in late_checks],
+        )
+        current, maps = bit_split(current, v, partition)
+        codeword = maps.codeword.matmul(codeword)
+        error = maps.error.matmul(error)
+        lab = g.bits[v]
+        partner = g.bit_index("z" if lab.kind == "x" else "x", lab.q, lab.t)
+        dual[early.pair_check] = v
+        dual[late.pair_check] = current.n_bits - 1
+        if partner is not None:
+            dual[current.n_checks - 1] = partner
+    return current, SymmetryWitness(dual, frozenset(long_bits)), codeword, error
+
+
+def test_symmetrize_equals_bit_split_fold():
+    rng = random.Random(101)
+    circuits = [parse_circuit(t) for t in (ZZ_TEXT, rep_memory_text(3), rep_memory_text(5))]
+    circuits += [random_circuit(rng.randrange(1, 9), rng.randrange(1, 17), rng) for _ in range(200)]
+    n_splits = 0
+    for c in circuits:
+        g = build_plain(c)
+        g2, w, maps = symmetrize(g, c)
+        ref, ref_w, codeword, error = symmetrize_by_bit_split(g)
+        assert g2.bits == ref.bits
+        assert g2.checks == ref.checks
+        assert list(w.dual.items()) == list(ref_w.dual.items())
+        assert w.long_terminals == ref_w.long_terminals
+        assert maps.codeword == codeword
+        assert maps.error == error
+        n_splits += g2.n_bits - g.n_bits
+    assert n_splits > 1500
 
 
 def serialize_for_debug(c):
