@@ -131,7 +131,7 @@ def cmd_symmetrize(args) -> int:
 def cmd_classify(args) -> int:
     circuit = _read_circuit(args.circuit)
     g = build_plain(circuit)
-    basis = g.check_matrix().kernel_basis()
+    basis = g.kernel_basis()
     for i, v in enumerate(basis.row_vectors()):
         kind = cw.classify(g, v)
         s_in = cw.sigma_at_layer(g, v, 0).label()
@@ -172,6 +172,8 @@ def cmd_ec_matrices(args) -> int:
 def cmd_distance(args) -> int:
     b = _read_matrix(args.b)
     l = _read_matrix(args.l)
+    if l.is_zero():
+        raise ValueError("L has no nonzero row, so no logical error exists")
     names = None
     if args.labels:
         labels = read_labels(Path(args.labels).read_text())
@@ -193,7 +195,7 @@ def cmd_distance(args) -> int:
 def cmd_verify(args) -> int:
     circuit = _read_circuit(args.circuit)
     g = build_plain(circuit)
-    basis = g.check_matrix().kernel_basis()
+    basis = g.kernel_basis()
     rng = random.Random(args.seed)
     failures = 0
     for i, v in enumerate(basis.row_vectors()):
@@ -229,6 +231,9 @@ def cmd_synthesize(args) -> int:
     g, w = _load_graph(args.graph)
     if w is None:
         raise ValueError("synthesis needs a witness file")
+    problems = verify_symmetry(g, w)
+    if problems:
+        raise ValueError("the witness is not a symmetry witness: " + problems[0])
     if args.partition:
         partition = read_partition(g, Path(args.partition).read_text())
     elif args.greedy:
@@ -251,7 +256,7 @@ def cmd_synthesize(args) -> int:
         else:
             ec = codewords.complete_ec_structure(g)
             b, l = ec.b, ec.l
-        report = roundtrip_check(g, w, partition, b, l, args.max_weight)
+        report = roundtrip_check(g, result, b, l, args.max_weight)
         print(f"roundtrip {'ok' if report.ok else 'FAILED'}")
         print(f"distance {report.distance_before} -> {report.distance_after}")
         if not report.ok:

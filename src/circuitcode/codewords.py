@@ -57,7 +57,7 @@ def code_spaces(g: TannerGraph) -> CodeSpaces:
     a = g.check_matrix()
     p0 = layer_projection(g, 0)
     pt = layer_projection(g, g.depth)
-    kernel = a.kernel_basis()
+    kernel = g.kernel_basis()
     with_detectors = stack_kernel([a, pt])
     with_emitters = stack_kernel([a, p0])
     checkers = stack_kernel([a, p0, pt])

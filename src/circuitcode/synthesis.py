@@ -32,6 +32,39 @@ def _dual_vertex(w: SymmetryWitness, check_of_bit: dict[int, int], v: Vertex) ->
     return ("b", w.dual[idx])
 
 
+def _path_index(paths: list[list[Vertex]]) -> dict[Vertex, int]:
+    """The index of the path holding each vertex."""
+    return {v: i for i, path in enumerate(paths) for v in path}
+
+
+def _qubit_paths(
+    w: SymmetryWitness, p: PathPartition, index_of: dict[Vertex, int]
+) -> list[tuple[list[Vertex], list[Vertex]]]:
+    """Each dual path pair once, in partition order, as (X path, Z path).
+
+    The path holding the smaller bit plays X. A path met second in the
+    partition is reversed where needed so that it runs dual vertex by dual
+    vertex along its partner.
+    """
+    check_of_bit = w.check_of_bit()
+    paired: set[int] = set()
+    pairs = []
+    for i, path in enumerate(p.paths):
+        if i in paired:
+            continue
+        dual = [_dual_vertex(w, check_of_bit, v) for v in path]
+        j = index_of[dual[0]]
+        paired.update((i, j))
+        other = p.paths[j] if dual == p.paths[j] else p.paths[j][::-1]
+        min_here = min((v[1] for v in path if v[0] == "b"), default=None)
+        min_there = min((v[1] for v in other if v[0] == "b"), default=None)
+        if min_there is None or (min_here is not None and min_here <= min_there):
+            pairs.append((path, other))
+        else:
+            pairs.append((other, path))
+    return pairs
+
+
 def trivial_partition(g: TannerGraph, w: SymmetryWitness) -> PathPartition:
     """One vertex per path, every time label 1."""
     paths: list[list[Vertex]] = []
@@ -77,10 +110,7 @@ def validate_partition(
         problems.append("paths must partition the symmetric subgraph")
         return problems
 
-    index_of: dict[Vertex, int] = {}
-    for i, path in enumerate(p.paths):
-        for v in path:
-            index_of[v] = i
+    index_of = _path_index(p.paths)
     for i, path in enumerate(p.paths):
         dual = [_dual_vertex(w, check_of_bit, v) for v in path]
         js = {index_of.get(v) for v in dual}
@@ -101,10 +131,7 @@ def validate_partition(
 
     # inter-path edges must connect equal time labels; long terminals must
     # attach to path end checks
-    pos_in_path: dict[Vertex, int] = {}
-    for path in p.paths:
-        for k, v in enumerate(path):
-            pos_in_path[v] = k
+    pos_in_path = {v: k for path in p.paths for k, v in enumerate(path)}
     for a, members in enumerate(g.checks):
         for bit in members:
             if bit in w.long_terminals:
@@ -153,35 +180,12 @@ def synthesize(
         raise ValueError("invalid partition: " + problems[0])
     check_of_bit = w.check_of_bit()
 
-    # pair paths into qubits; the path holding the smallest bit plays X
-    index_of: dict[Vertex, int] = {}
-    for i, path in enumerate(p.paths):
-        for v in path:
-            index_of[v] = i
-    paired: set[int] = set()
-    lines: list[tuple[list[Vertex], list[Vertex]]] = []
-    order = []
-    for i, path in enumerate(p.paths):
-        if i in paired:
-            continue
-        dual = [_dual_vertex(w, check_of_bit, v) for v in path]
-        j = index_of[dual[0]]
-        paired.update((i, j))
-        other = p.paths[j]
-        if dual != other:
-            other = other[::-1]
-        min_bit_here = min((v[1] for v in path if v[0] == "b"), default=None)
-        min_bit_there = min((v[1] for v in other if v[0] == "b"), default=None)
-        if min_bit_there is None or (
-            min_bit_here is not None and min_bit_here <= min_bit_there
-        ):
-            x_path, z_path = path, other
-            key = min_bit_here
-        else:
-            x_path, z_path = other, path
-            key = min_bit_there
-        order.append((key, x_path, z_path))
-    order.sort(key=lambda item: item[0])
+    # qubits in order of the smallest bit, which always lies on the X path
+    index_of = _path_index(p.paths)
+    order = sorted(
+        _qubit_paths(w, p, index_of),
+        key=lambda pair: min(v[1] for v in pair[0] if v[0] == "b"),
+    )
 
     role_of: dict[Vertex, tuple[int, str]] = {}
     qubits: list[QubitLine] = []
@@ -189,7 +193,7 @@ def synthesize(
     for t in w.long_terminals:
         (chk,) = g.bit_neighbors(t)
         long_on_check[chk] = t
-    for q, (_, x_path, z_path) in enumerate(order, start=1):
+    for q, (x_path, z_path) in enumerate(order, start=1):
         for v in x_path:
             role_of[v] = (q, "x")
         for v in z_path:
@@ -322,7 +326,7 @@ def _table_gate(qu: int, ru: str, qv: int, rv: str) -> list[Operation]:
 def _build_maps(g, w, p, circuit, qubits, role_of, dt, tau_max_global):
     g_out = build_plain(circuit)
     a_out = g_out.check_matrix()
-    kernel = g.check_matrix().kernel_basis()
+    kernel = g.kernel_basis()
     t_final = circuit.depth
 
     def window_exit(tau: int) -> int:
@@ -462,17 +466,17 @@ class RoundTripReport:
 
 def roundtrip_check(
     g: TannerGraph,
-    w: SymmetryWitness,
-    p: PathPartition,
+    result: SynthesisResult,
     b: BitMatrix,
     l: BitMatrix,
     max_weight: int = 5,
-    pair_samples: int = 50,
-    rng: random.Random | None = None,
 ) -> RoundTripReport:
-    """Synthesise, rebuild, and compare codes, pairings and distances.
+    """Compare the codes, pairings and distances of ``g`` and its synthesis.
 
-    The rows of ``b`` and ``l`` must be codewords of ``g``.
+    ``result`` is ``synthesize`` run on ``g``. The rows of ``b`` and ``l``
+    must be codewords of ``g``. The pairing holds when the error map sends
+    each bit to its own output bit and ``c.e = codeword(c).error(e)`` for
+    every codeword ``c`` and error ``e``.
     """
     from .distance import circuit_distance
 
@@ -482,31 +486,12 @@ def roundtrip_check(
             raise ValueError(f"{name} has {m.n_cols} columns, the graph has {g.n_bits} bits")
         if not a.matmul(m.transpose()).is_zero():
             raise ValueError(f"the rows of {name} are not codewords of the graph")
-    result = synthesize(g, w, p)
     maps = result.maps
-    kernel = a.kernel_basis()
-    rng = rng or random.Random(0)
-
-    pairing_ok = True
-    basis = list(kernel.row_vectors())
-    images = [maps.map_codeword(v) for v in basis]
-    for j in range(g.n_bits):
-        e = BitVector.from_indices(g.n_bits, [j])
-        img_e = maps.map_error(e)
-        if img_e.weight() != 1:
-            pairing_ok = False
-        for v, img in zip(basis, images):
-            if v.dot(e) != img.dot(img_e):
-                pairing_ok = False
-    for _ in range(pair_samples):
-        e = BitVector(g.n_bits, rng.getrandbits(g.n_bits))
-        img_e = maps.map_error(e)
-        if e.weight() != img_e.weight():
-            pairing_ok = False
-        for v, img in zip(basis, images):
-            if v.dot(e) != img.dot(img_e):
-                pairing_ok = False
-
+    kernel = g.kernel_basis()
+    pairing_ok = (
+        sorted(r for r in maps.error.rows if r) == [1 << j for j in range(g.n_bits)]
+        and maps.map_matrix(kernel).matmul(maps.error) == kernel
+    )
     d1 = circuit_distance(b, l, max_weight)
     d2 = circuit_distance(maps.map_matrix(b), maps.map_matrix(l), max_weight)
     return RoundTripReport(
@@ -519,38 +504,20 @@ def roundtrip_check(
 
 
 def write_partition(g: TannerGraph, w: SymmetryWitness, p: PathPartition) -> str:
-    check_of_bit = w.check_of_bit()
-    index_of = {}
-    for i, path in enumerate(p.paths):
-        for v in path:
-            index_of[v] = i
+    index_of = _path_index(p.paths)
 
     def vertex_name(v: Vertex) -> str:
         return g.bits[v[1]].name if v[0] == "b" else f"c{v[1]}"
 
-    # reuse the synthesis pairing to emit stable qubit labels and roles
+    # the synthesis pairing gives stable qubit labels and roles; each path is
+    # written as stored in the partition
     result_lines = []
-    paired = set()
-    q = 0
-    for i, path in enumerate(p.paths):
-        if i in paired:
-            continue
-        dual = [_dual_vertex(w, check_of_bit, v) for v in path]
-        j = index_of[dual[0]]
-        paired.update((i, j))
-        q += 1
-        min_here = min((v[1] for v in path if v[0] == "b"), default=None)
-        min_there = min((v[1] for v in p.paths[j] if v[0] == "b"), default=None)
-        if min_there is None or (min_here is not None and min_here <= min_there):
-            x_path, z_path = path, p.paths[j]
-        else:
-            x_path, z_path = p.paths[j], path
-        result_lines.append(
-            f"path {q} X : " + " ".join(vertex_name(v) for v in x_path)
-        )
-        result_lines.append(
-            f"path {q} Z : " + " ".join(vertex_name(v) for v in z_path)
-        )
+    for q, pair in enumerate(_qubit_paths(w, p, index_of), start=1):
+        for role, path in zip("XZ", pair):
+            stored = p.paths[index_of[path[0]]]
+            result_lines.append(
+                f"path {q} {role} : " + " ".join(vertex_name(v) for v in stored)
+            )
     for v in sorted(p.tau, key=lambda v: (v[0], v[1])):
         result_lines.append(f"tau {vertex_name(v)} {p.tau[v]}")
     return "\n".join(result_lines) + "\n"
@@ -651,12 +618,8 @@ def greedy_partition(
 
     # assign taus: position along the path plus a per-path offset, solved by
     # propagation over inter-path equality constraints
-    index_of = {}
-    pos = {}
-    for i, path in enumerate(paths):
-        for k, v in enumerate(path):
-            index_of[v] = i
-            pos[v] = k
+    index_of = _path_index(paths)
+    pos = {v: k for path in paths for k, v in enumerate(path)}
 
     from collections import deque
 

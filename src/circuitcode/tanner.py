@@ -74,8 +74,11 @@ class TannerGraph:
         self.depth = depth
         self.gadgets = gadgets
         self.removed = removed or []
+        # memoised on the assumption that a graph is not mutated once built
         self._matrix: BitMatrix | None = None
+        self._kernel: BitMatrix | None = None
         self._index: dict[tuple, int] | None = None
+        self._bit_checks: list[list[int]] | None = None
 
     @property
     def n_bits(self) -> int:
@@ -96,16 +99,31 @@ class TannerGraph:
             self._matrix = BitMatrix(len(rows), len(self.bits), rows)
         return self._matrix
 
+    def kernel_basis(self) -> BitMatrix:
+        """RREF basis of the codewords, ker A."""
+        if self._kernel is None:
+            self._kernel = self.check_matrix().kernel_basis()
+        return self._kernel
+
     def bit_index(self, kind: str, q: int, t: int, serial: int = 0) -> int | None:
         if self._index is None:
             self._index = {lab.key(): i for i, lab in enumerate(self.bits)}
         return self._index.get((kind, q, t, serial))
 
+    def _adjacency(self) -> list[list[int]]:
+        """The checks of every bit, in increasing check index."""
+        if self._bit_checks is None:
+            self._bit_checks = [[] for _ in self.bits]
+            for k, c in enumerate(self.checks):
+                for j in c:
+                    self._bit_checks[j].append(k)
+        return self._bit_checks
+
     def bit_degree(self, i: int) -> int:
-        return sum(1 for c in self.checks if i in c)
+        return len(self._adjacency()[i])
 
     def bit_neighbors(self, i: int) -> list[int]:
-        return [k for k, c in enumerate(self.checks) if i in c]
+        return list(self._adjacency()[i])
 
     def measurement_bits(self) -> list[int]:
         return [i for i, lab in enumerate(self.bits) if lab.is_measurement]
@@ -487,10 +505,6 @@ def symmetrize(
     dual, long_bits, splits = _junctions(g)
     n = g.n_bits
     side_checks = {s: set(rec.checks) for rec in g.gadgets for s in rec.sides}
-    neighbours: list[list[int]] = [[] for _ in range(n)]
-    for k, c in enumerate(g.checks):
-        for j in c:
-            neighbours[j].append(k)
     serial = max((lab.serial for lab in g.bits if lab.kind == "s"), default=-1) + 1
     bits = list(g.bits)
     checks = list(g.checks)
@@ -498,12 +512,13 @@ def symmetrize(
     err = list(fwd)
     for v, early, late in splits:
         late_checks = side_checks[late]
-        if not set(neighbours[v]) <= side_checks[early] | late_checks:
+        neighbours = g.bit_neighbors(v)
+        if not set(neighbours) <= side_checks[early] | late_checks:
             raise AssertionError("junction checks do not cover the split bit")
         # the late gadget's checks move to a fresh bit tied back to v
         v2 = len(bits)
         bits.append(VertexLabel("s", 0, -1, serial + v2 - n))
-        for c in neighbours[v]:
+        for c in neighbours:
             if c in late_checks:
                 checks[c] = tuple(j for j in checks[c] if j != v) + (v2,)
         # the double-long partner bit on the same wire junction

@@ -15,9 +15,10 @@ from circuitcode.distance import circuit_distance, css_distance
 from circuitcode.gf2 import BitMatrix, BitVector
 from circuitcode.pauli import PauliOperator
 from circuitcode.splitting import check_distance_bound, random_plan, symmetric_split
-from circuitcode.synthesis import roundtrip_check, trivial_partition
+from circuitcode.synthesis import roundtrip_check, synthesize, trivial_partition
 from circuitcode.tanner import bit_split, build_plain, symmetrize, verify_symmetry
 from tests.test_circuit import ZZ_TEXT
+from tests.test_synthesis import sampled_pairing_ok
 
 STEANE_H = BitMatrix.from_rows(
     [
@@ -202,9 +203,10 @@ def test_criterion_7_synthesis_roundtrip():
         g, w, maps0 = symmetrize(g0, c)
         b = maps0.map_matrix(ec.b)
         l = maps0.map_matrix(ec.l)
-        p = trivial_partition(g, w)
-        report = roundtrip_check(g, w, p, b, l, max_weight=4, rng=rng)
+        result = synthesize(g, w, trivial_partition(g, w))
+        report = roundtrip_check(g, result, b, l, max_weight=4)
         assert report.pairing_ok
+        assert sampled_pairing_ok(g, result.maps, rng) == report.pairing_ok
         assert report.ok
         done += 1
     gate.finish()

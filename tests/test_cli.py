@@ -1,11 +1,17 @@
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from circuitcode import cli, synthesis
 from circuitcode.cli import main
+from circuitcode.gf2 import BitMatrix
 from tests.test_circuit import ZZ_TEXT
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 STEANE_H = "3 7\n1 0 1 0 1 0 1\n0 1 1 0 0 1 1\n0 0 0 1 1 1 1\n"
 
@@ -175,6 +181,7 @@ def test_domain_error_exit_code(tmp_path, capsys):
 def test_byte_identical_outputs(zz_file, tmp_path):
     # identical inputs and seeds give identical bytes
     results = []
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     for run in range(2):
         proc = subprocess.run(
             [
@@ -189,6 +196,7 @@ def test_byte_identical_outputs(zz_file, tmp_path):
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         results.append(proc.stdout)
@@ -288,8 +296,13 @@ def test_synthesize_check_rejects_bad_b_and_l(zz_file, tmp_path, capsys, case):
         lambda text: text + "dual 999 3\n",  # check outside
         lambda text: text + "long 999\n",  # long terminal outside
         lambda text: text + "dual 0\n",  # missing field
+        lambda text: "",  # no pairing at all
+        lambda text: re.sub(r"^dual 1 \d+$", "dual 1 7", text, flags=re.M),  # 7 is dual 0's bit
     ],
-    ids=["bit-outside", "repeated-dual", "check-outside", "long-outside", "short-line"],
+    ids=[
+        "bit-outside", "repeated-dual", "check-outside", "long-outside", "short-line",
+        "empty", "not-injective",
+    ],
 )
 def test_synthesize_rejects_bad_witness(zz_file, tmp_path, capsys, edit):
     prefix = symmetric_bundle(zz_file, tmp_path, capsys)
@@ -299,3 +312,45 @@ def test_synthesize_rejects_bad_witness(zz_file, tmp_path, capsys, edit):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "witness" in err
+
+
+@pytest.mark.parametrize("l_text", ["0 3\n", "2 3\n0 0 0\n0 0 0\n"], ids=["no-rows", "zero-rows"])
+def test_distance_without_a_logical_is_an_error(tmp_path, capsys, l_text):
+    b = tmp_path / "b.txt"
+    b.write_text("2 3\n1 1 0\n0 1 1\n")
+    l = tmp_path / "l.txt"
+    l.write_text(l_text)
+    code, out, err = run_cli(["distance", "--b", b, "--l", l], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: L has no nonzero row, so no logical error exists\n"
+
+
+def test_synthesize_check_synthesises_once(zz_file, tmp_path, capsys, monkeypatch):
+    prefix = symmetric_bundle(zz_file, tmp_path, capsys)
+    a = (tmp_path / "sym.A.txt").read_text().split("\n", 1)[0]
+    calls = []
+    original = synthesis.synthesize
+
+    def counted(*args):
+        calls.append("synthesize")
+        return original(*args)
+
+    kernel_basis = BitMatrix.kernel_basis
+
+    def counted_kernel(m):
+        calls.append(f"{m.n_rows} {m.n_cols}")
+        return kernel_basis(m)
+
+    monkeypatch.setattr(cli, "synthesize", counted)
+    monkeypatch.setattr(synthesis, "synthesize", counted)
+    monkeypatch.setattr(BitMatrix, "kernel_basis", counted_kernel)
+    code, out, _ = run_cli(
+        ["synthesize", "--graph", prefix, "--out", tmp_path / "s.qc", "--check",
+         "--max-weight", "2"],
+        capsys,
+    )
+    assert code == 0 and "roundtrip ok" in out
+    assert calls.count("synthesize") == 1
+    # the kernel of the input graph's check matrix is eliminated once
+    assert calls.count(a) == 1

@@ -67,7 +67,7 @@ def test_cross_validation_211(m):
     for row in l2.row_vectors():
         assert full.row_space_member(row)
 
-    report = roundtrip_check(g, w, p, asm.b, asm.l, max_weight=3)
+    report = roundtrip_check(g, result, asm.b, asm.l, max_weight=3)
     assert report.pairing_ok
     assert report.ok
     # the [[2,1,1]] code keeps distance 1 through the whole pipeline

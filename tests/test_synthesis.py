@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 
 from circuitcode import codewords as cw
 from circuitcode.circuit import parse_circuit, random_circuit
-from circuitcode.gf2 import BitVector
+from circuitcode.gf2 import BitMatrix, BitVector
 from circuitcode.synthesis import (
     PathPartition,
     RoundTripReport,
@@ -23,6 +24,25 @@ def symmetric_graph(text):
     g0 = build_plain(c)
     g, w, maps = symmetrize(g0, c)
     return c, g0, g, w, maps
+
+
+def sampled_pairing_ok(g, maps, rng, samples=50):
+    """The pairing on every unit error and ``samples`` random errors.
+
+    An independent oracle for ``RoundTripReport.pairing_ok``: each error
+    keeps its weight and c.e = codeword(c).error(e) for every basis codeword.
+    """
+    basis = list(g.kernel_basis().row_vectors())
+    images = [maps.map_codeword(v) for v in basis]
+    errors = [BitVector.from_indices(g.n_bits, [j]) for j in range(g.n_bits)]
+    errors += [BitVector(g.n_bits, rng.getrandbits(g.n_bits)) for _ in range(samples)]
+    for e in errors:
+        img_e = maps.map_error(e)
+        if e.weight() != img_e.weight():
+            return False
+        if any(v.dot(e) != img.dot(img_e) for v, img in zip(basis, images)):
+            return False
+    return True
 
 
 def test_trivial_partition_validates():
@@ -106,8 +126,8 @@ def test_roundtrip_zz():
     ec = cw.complete_ec_structure(g0)
     b = maps0.map_matrix(ec.b)
     l = maps0.map_matrix(ec.l)
-    p = trivial_partition(g, w)
-    report = roundtrip_check(g, w, p, b, l, max_weight=3)
+    result = synthesize(g, w, trivial_partition(g, w))
+    report = roundtrip_check(g, result, b, l, max_weight=3)
     assert report.pairing_ok
     assert report.ok
     assert report.distance_before.value == 1
@@ -116,7 +136,6 @@ def test_roundtrip_zz():
     # circuit whose measurement outcomes still multiply to +1
     from circuitcode import pauli_sim as sim
 
-    result = synthesize(g, w, p)
     g_plain0 = build_plain(c)
     checker0 = cw.code_spaces(g_plain0).checkers.row(0)
     checker_sym = maps0.map_codeword(checker0)
@@ -140,9 +159,10 @@ def test_roundtrip_random_graphs():
         g, w, maps0 = symmetrize(g0, c)
         b = maps0.map_matrix(ec.b)
         l = maps0.map_matrix(ec.l)
-        p = trivial_partition(g, w)
-        report = roundtrip_check(g, w, p, b, l, max_weight=4, rng=rng)
+        result = synthesize(g, w, trivial_partition(g, w))
+        report = roundtrip_check(g, result, b, l, max_weight=4)
         assert report.pairing_ok
+        assert sampled_pairing_ok(g, result.maps, rng) == report.pairing_ok
         assert report.ok
         done += 1
 
@@ -192,10 +212,46 @@ def test_greedy_roundtrip_distances():
         p = greedy_partition(g, w, rng)
         b = maps0.map_matrix(ec.b)
         l = maps0.map_matrix(ec.l)
-        report = roundtrip_check(g, w, p, b, l, max_weight=4, rng=rng)
+        result = synthesize(g, w, p)
+        report = roundtrip_check(g, result, b, l, max_weight=4)
         assert report.pairing_ok
+        assert sampled_pairing_ok(g, result.maps, rng) == report.pairing_ok
         assert report.ok
         done += 1
+
+
+def test_pairing_check_catches_tampered_maps():
+    _, g0, g, w, maps0 = symmetric_graph("qubits 2\ncnot 1 2\n")
+    ec = cw.complete_ec_structure(g0)
+    b = maps0.map_matrix(ec.b)
+    l = maps0.map_matrix(ec.l)
+    result = synthesize(g, w, trivial_partition(g, w))
+    assert roundtrip_check(g, result, b, l, max_weight=2).pairing_ok
+
+    def tampered(**change):
+        maps = replace(result.maps, **change)
+        return roundtrip_check(g, replace(result, maps=maps), b, l, max_weight=2).pairing_ok
+
+    err = result.maps.error
+    carriers = [i for i, r in enumerate(err.rows) if r]
+    first, second = carriers[:2]
+    # two columns sent to one output bit
+    rows = list(err.rows)
+    rows[first] |= rows[second]
+    rows[second] = 0
+    assert not tampered(error=BitMatrix(err.n_rows, err.n_cols, rows))
+    # a column dropped
+    rows = list(err.rows)
+    rows[first] = 0
+    assert not tampered(error=BitMatrix(err.n_rows, err.n_cols, rows))
+    # one codeword-map bit flipped on a carrier row, in a column some
+    # basis codeword uses
+    cw_map = result.maps.codeword
+    k0 = g.kernel_basis().rows[0]
+    pivot = (k0 & -k0).bit_length() - 1
+    rows = list(cw_map.rows)
+    rows[first] ^= 1 << pivot
+    assert not tampered(codeword=BitMatrix(cw_map.n_rows, cw_map.n_cols, rows))
 
 
 def test_roundtrip_report_uses_the_split_distance_bound():
