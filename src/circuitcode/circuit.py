@@ -1,4 +1,4 @@
-"""Circuit intermediate representation, text format, validation, extension.
+"""Circuit intermediate representation, text format and validation.
 
 A circuit is a list of layers; each layer is a set of primitive operations.
 Qubits not mentioned in a layer implicitly idle. Indices are 1-based in the
@@ -24,14 +24,11 @@ class OpKind(enum.Enum):
     PAULI_X = "x"
     PAULI_Y = "y"
     PAULI_Z = "z"
-    SWAP = "swap"  # internal to extended circuits, not part of the text format
 
 
-GATE_KINDS = {OpKind.CNOT, OpKind.H, OpKind.S, OpKind.SWAP}
 PAULI_KINDS = {OpKind.PAULI_X, OpKind.PAULI_Y, OpKind.PAULI_Z}
 INIT_KINDS = {OpKind.INIT_Z, OpKind.INIT_X}
 MEAS_KINDS = {OpKind.MEAS_Z, OpKind.MEAS_X}
-TWO_QUBIT_KINDS = {OpKind.CNOT, OpKind.SWAP}
 
 
 @dataclass(frozen=True)
@@ -40,10 +37,10 @@ class Operation:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        want = 2 if self.kind in TWO_QUBIT_KINDS else 1
+        want = 2 if self.kind is OpKind.CNOT else 1
         if len(self.qubits) != want:
             raise ValueError(f"{self.kind.value} takes {want} qubit(s)")
-        if self.kind in TWO_QUBIT_KINDS and self.qubits[0] == self.qubits[1]:
+        if want == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError(f"{self.kind.value} needs two distinct qubits")
 
     def text(self) -> str:
@@ -82,8 +79,6 @@ class Circuit:
         for t, layer in enumerate(self.layers, start=1):
             seen: set[int] = set()
             for op in layer:
-                if op.kind is OpKind.SWAP:
-                    problems.append(f"layer {t}: swap is not a primitive operation")
                 for q in op.qubits:
                     if not 1 <= q <= self.n_qubits:
                         problems.append(f"layer {t}: qubit {q} out of range 1..{self.n_qubits}")
@@ -174,7 +169,12 @@ class Circuit:
 # ---------------------------------------------------------------------------
 # Text format
 
-_TEXT_KINDS = {k.value: k for k in OpKind if k is not OpKind.SWAP}
+_TEXT_KINDS = {k.value: k for k in OpKind}
+
+# Largest accepted qubits x (layers + 1), the number of wire-bit positions of
+# a circuit. Graph construction costs time and memory per position, so larger
+# circuits are rejected before anything loops over them.
+MAX_WIRE_BITS = 1_000_000
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -211,7 +211,7 @@ def parse_circuit(text: str) -> Circuit:
         kind = _TEXT_KINDS.get(head)
         if kind is None:
             raise CircuitError(f"unknown operation {head!r}", lineno)
-        want = 2 if kind in TWO_QUBIT_KINDS else 1
+        want = 2 if kind is OpKind.CNOT else 1
         if len(fields) != 1 + want:
             raise CircuitError(f"{head} takes {want} qubit argument(s)", lineno)
         try:
@@ -235,6 +235,11 @@ def parse_circuit(text: str) -> Circuit:
         raise CircuitError("missing qubits header")
     if saw_op_since_tick or (current and saw_tick):
         layers.append(current)
+    if n_qubits * (len(layers) + 1) > MAX_WIRE_BITS:
+        raise CircuitError(
+            f"{n_qubits} qubits x {len(layers) + 1} times exceeds the limit of"
+            f" {MAX_WIRE_BITS} wire bits"
+        )
     circuit = Circuit(n_qubits, layers).canonical()
     problems = circuit.validate()
     if problems:
@@ -249,159 +254,8 @@ def serialize(circuit: Circuit) -> str:
         if t:
             lines.append("tick")
         for op in layer:
-            if op.kind is OpKind.SWAP:
-                raise CircuitError("swap has no text form; expand it first")
             lines.append(op.text())
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Extended circuit
-
-
-@dataclass
-class ExtendedCircuit:
-    """Equivalent circuit with all initialisations first and measurements last.
-
-    Middle layers contain Clifford gates only; each measurement followed by a
-    reinitialisation is rerouted through a fresh ancilla and a swap.
-    """
-
-    base: Circuit
-    n_original: int
-    n_pairs: int
-    # bit ids are (kind, qubit, time) with kind "z" or "x" on the original circuit
-    v_init_start: list[tuple[int, int]]  # (q, t) output z-bit of first-op inits
-    v_init_paired: list[tuple[int, int]]
-    v_meas_last: list[tuple[int, int]]  # (q, t) input z-bit of final measurements
-    v_meas_paired: list[tuple[int, int]]
-    pair_ancilla: dict[int, int]  # pair label -> ancilla qubit (1-based)
-    pair_meas: dict[int, tuple[int, int]]
-    pair_init: dict[int, tuple[int, int]]
-    q_init: set[int]
-    q_meas: set[int]
-    init_basis: dict[int, OpKind]  # extended qubit -> INIT_Z / INIT_X
-    meas_basis: dict[int, OpKind]
-
-    @property
-    def n_qubits(self) -> int:
-        return self.base.n_qubits
-
-    @property
-    def middle_layers(self) -> list[list[Operation]]:
-        return self.base.layers[1:-1]
-
-
-def extend(circuit: Circuit) -> ExtendedCircuit:
-    """Move initialisations to the first layer and measurements to the last.
-
-    Each measurement/initialisation pair on a reused qubit becomes an ancilla
-    initialised up front, swapped in at the measurement layer and measured at
-    the end. Pauli and identity operations on dead wire segments are dropped;
-    they act on a state that is discarded before it can matter.
-    """
-    circuit.check_valid()
-    n = circuit.n_qubits
-    T = circuit.depth
-
-    v_init_start: list[tuple[int, int]] = []
-    v_init_paired: list[tuple[int, int]] = []
-    v_meas_last: list[tuple[int, int]] = []
-    v_meas_paired: list[tuple[int, int]] = []
-    pair_meas: dict[int, tuple[int, int]] = {}
-    pair_init: dict[int, tuple[int, int]] = {}
-    pair_ancilla: dict[int, int] = {}
-    init_basis: dict[int, OpKind] = {}
-    meas_basis: dict[int, OpKind] = {}
-    # swap placement: pair label -> (q, measurement layer)
-    swaps: list[tuple[int, int, int]] = []
-
-    n_pairs = 0
-    for q in range(1, n + 1):
-        pending_meas: tuple[int, int, OpKind] | None = None  # (q, t_in, kind)
-        for t in range(1, T + 1):
-            op = circuit.op_on(q, t - 1)
-            if op is None or op.kind is OpKind.I or op.kind in PAULI_KINDS:
-                continue
-            if op.kind in MEAS_KINDS:
-                pending_meas = (q, t - 1, op.kind)
-            elif op.kind in INIT_KINDS:
-                if pending_meas is None:
-                    v_init_start.append((q, t))
-                    init_basis[q] = op.kind
-                else:
-                    n_pairs += 1
-                    label = n_pairs
-                    mq, mt, mkind = pending_meas
-                    pair_meas[label] = (mq, mt)
-                    pair_init[label] = (q, t)
-                    v_meas_paired.append((mq, mt))
-                    v_init_paired.append((q, t))
-                    anc = n + label
-                    pair_ancilla[label] = anc
-                    init_basis[anc] = op.kind
-                    meas_basis[anc] = mkind
-                    swaps.append((label, q, mt + 1))
-                    pending_meas = None
-        if pending_meas is not None:
-            mq, mt, mkind = pending_meas
-            v_meas_last.append((mq, mt))
-            meas_basis[mq] = mkind
-
-    n_ext = n + n_pairs
-    q_init = set(init_basis)
-    q_meas = set(meas_basis)
-
-    first_layer = [Operation(kind, (q,)) for q, kind in sorted(init_basis.items())]
-    last_layer = [
-        Operation(OpKind.MEAS_Z if kind is OpKind.MEAS_Z else OpKind.MEAS_X, (q,))
-        for q, kind in sorted(meas_basis.items())
-    ]
-
-    swap_by_layer: dict[int, list[Operation]] = {}
-    for label, q, layer_t in swaps:
-        swap_by_layer.setdefault(layer_t, []).append(
-            Operation(OpKind.SWAP, (q, n + label))
-        )
-
-    dead: dict[int, set[int]] = {q: set() for q in range(1, n + 1)}
-    for q in range(1, n + 1):
-        live = set()
-        for t0, t1, _, _ in circuit.live_spans(q):
-            live.update(range(t0 + 1, t1 + 1))
-        dead[q] = set(range(1, T + 1)) - live
-
-    middle: list[list[Operation]] = []
-    for t in range(1, T + 1):
-        ops: list[Operation] = []
-        for op in circuit.layers[t - 1]:
-            if op.kind in MEAS_KINDS or op.kind in INIT_KINDS:
-                continue
-            if op.kind in PAULI_KINDS or op.kind is OpKind.I:
-                if all(t in dead[q] for q in op.qubits):
-                    continue
-            ops.append(op)
-        ops.extend(swap_by_layer.get(t, []))
-        middle.append(sorted(ops, key=lambda o: (min(o.qubits), o.kind.value)))
-
-    layers = [first_layer] + middle + [last_layer]
-    ext = Circuit(n_ext, layers)
-    return ExtendedCircuit(
-        base=ext,
-        n_original=n,
-        n_pairs=n_pairs,
-        v_init_start=v_init_start,
-        v_init_paired=v_init_paired,
-        v_meas_last=v_meas_last,
-        v_meas_paired=v_meas_paired,
-        pair_ancilla=pair_ancilla,
-        pair_meas=pair_meas,
-        pair_init=pair_init,
-        q_init=q_init,
-        q_meas=q_meas,
-        init_basis=init_basis,
-        meas_basis=meas_basis,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -282,22 +282,17 @@ def cmd_css_gen(args) -> int:
     else:
         raise UsageError(f"unknown layer {args.layer!r} (use rep:<m> or cnot)")
     asm = assemble_physical(code, layer)
-    _write_matrix(_bundle(args.out_prefix, ".A.txt"), asm.a)
+    # each check's dual is the lowest bit its column of D selects
+    dual = {
+        check: (col.bits & -col.bits).bit_length() - 1
+        for check, col in enumerate(asm.d.transpose().row_vectors())
+    }
+    long_bits = frozenset(range(asm.d.n_rows)) - set(dual.values())
+    w = SymmetryWitness(dual, long_bits)
+    _save_graph(args.out_prefix, graph_from_matrix(asm.a), w, alist=False)
     _write_matrix(_bundle(args.out_prefix, ".D.txt"), asm.d)
     _write_matrix(_bundle(args.out_prefix, ".B.txt"), asm.b)
     _write_matrix(_bundle(args.out_prefix, ".L.txt"), asm.l)
-    labels = []
-    for i in range(asm.a.n_cols):
-        labels.append(f"{i} s 0 -1 -")
-    _bundle(args.out_prefix, ".labels").write_text("\n".join(labels) + "\n")
-    dual_lines = []
-    long_bits = set(range(asm.d.n_rows))
-    for check in range(asm.d.n_cols):
-        rows = [i for i in range(asm.d.n_rows) if asm.d.get(i, check)]
-        dual_lines.append(f"dual {check} {rows[0]}")
-        long_bits.discard(rows[0])
-    dual_lines.extend(f"long {v}" for v in sorted(long_bits))
-    _bundle(args.out_prefix, ".witness").write_text("\n".join(dual_lines) + "\n")
     print(f"n {code.n} k {code.k} A {asm.a.n_rows}x{asm.a.n_cols}")
     return 0
 

@@ -176,17 +176,3 @@ def conjugate_by_pauli(p: PauliOperator, x_mask: int, z_mask: int) -> PauliOpera
     anti = ((p.x & z_mask).bit_count() + (p.z & x_mask).bit_count()) & 1
     return PauliOperator(p.n, p.x, p.z, p.phase_exp + (2 if anti else 0))
 
-
-def conjugate_by_swap(p: PauliOperator, a: int, b: int) -> PauliOperator:
-    ab, bb = 1 << a, 1 << b
-    x = p.x & ~(ab | bb)
-    z = p.z & ~(ab | bb)
-    if p.x & ab:
-        x |= bb
-    if p.x & bb:
-        x |= ab
-    if p.z & ab:
-        z |= bb
-    if p.z & bb:
-        z |= ab
-    return PauliOperator(p.n, x, z, p.phase_exp)

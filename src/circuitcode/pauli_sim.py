@@ -2,8 +2,8 @@
 
 This module is the independent oracle for everything the Tanner-graph side
 claims: it executes circuits on stabiliser states with exact sign tracking,
-evaluates the Clifford sign of a codeword through the extended circuit, and
-checks each codeword equation, optionally with injected Pauli errors.
+evaluates the Clifford sign of a codeword layer by layer, and checks each
+codeword equation, optionally with injected Pauli errors.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, INIT_KINDS, MEAS_KINDS, OpKind, extend
+from .circuit import Circuit, INIT_KINDS, MEAS_KINDS, OpKind
 from .gf2 import BitVector
 from .pauli import (
     PauliOperator,
@@ -19,7 +19,6 @@ from .pauli import (
     conjugate_by_h,
     conjugate_by_pauli,
     conjugate_by_s,
-    conjugate_by_swap,
 )
 from .tanner import TannerGraph
 
@@ -96,6 +95,8 @@ class Tableau:
             if z & tb:
                 row[1] = z ^ cb
 
+    # No circuit operation applies a swap; kept because perfbench/tracing.py
+    # wraps every ``Tableau.apply_*`` method by name.
     def apply_swap(self, a: int, b: int):
         ab, bb = 1 << a, 1 << b
         for row in self._rows():
@@ -123,8 +124,6 @@ class Tableau:
             self.apply_s(op.qubits[0] - 1)
         elif kind is OpKind.CNOT:
             self.apply_cnot(op.qubits[0] - 1, op.qubits[1] - 1)
-        elif kind is OpKind.SWAP:
-            self.apply_swap(op.qubits[0] - 1, op.qubits[1] - 1)
         elif kind is OpKind.PAULI_X:
             self.apply_pauli(1 << (op.qubits[0] - 1), 0)
         elif kind is OpKind.PAULI_Z:
@@ -187,14 +186,7 @@ class Tableau:
             m = 0 if outcome == 1 else 1
             self.stab[pivot] = [x, z, (m + s) & 1]
             return outcome
-        # deterministic branch
-        acc = [0, 0, 0]
-        for i in range(self.n):
-            if self._anticommute(self.destab[i], x, z):
-                acc = self._mul_rows(acc, self.stab[i])
-        if acc[0] != x or acc[1] != z:
-            raise AssertionError("operator commutes with the group but is not in it")
-        outcome = 1 if ((acc[2] + s) & 1) == 0 else -1
+        outcome = self._group_sign(x, z, s)
         if forced is not None and forced != outcome:
             raise ForcedOutcomeError(
                 f"measurement of {p.label()} is deterministic with outcome {outcome}"
@@ -210,17 +202,21 @@ class Tableau:
         for i in range(self.n):
             if self._anticommute(self.stab[i], p.x, p.z):
                 return None
+        return self._group_sign(p.x, p.z, s)
+
+    def _group_sign(self, x: int, z: int, s: int) -> int:
+        """The +-1 with which the state fixes (-1)^s sigma(x, z).
+
+        The operator must commute with every stabiliser: it is then the
+        product of the stabilisers whose destabilisers anticommute with it.
+        """
         acc = [0, 0, 0]
         for i in range(self.n):
-            if self._anticommute(self.destab[i], p.x, p.z):
+            if self._anticommute(self.destab[i], x, z):
                 acc = self._mul_rows(acc, self.stab[i])
-        if acc[0] != p.x or acc[1] != p.z:
+        if acc[0] != x or acc[1] != z:
             raise AssertionError("operator commutes with the group but is not in it")
         return 1 if ((acc[2] + s) & 1) == 0 else -1
-
-    def stab_pauli(self, i: int) -> PauliOperator:
-        x, z, r = self.stab[i]
-        return PauliOperator(self.n, x, z, 2 * r)
 
     def invariants_ok(self) -> bool:
         for i in range(self.n):
@@ -233,12 +229,10 @@ class Tableau:
         return True
 
 
-def random_tableau(n: int, rng: random.Random, moves: int | None = None) -> Tableau:
-    """A random stabiliser state built from a random Clifford circuit."""
+def random_tableau(n: int, rng: random.Random) -> Tableau:
+    """A random stabiliser state built from 12n + 6 random Clifford moves."""
     t = Tableau(n)
-    if moves is None:
-        moves = 12 * n + 6
-    for _ in range(moves):
+    for _ in range(12 * n + 6):
         r = rng.random()
         if n >= 2 and r < 0.35:
             a, b = rng.sample(range(n), 2)
@@ -253,16 +247,17 @@ def random_tableau(n: int, rng: random.Random, moves: int | None = None) -> Tabl
     return t
 
 
-def state_containing(
-    paulis: list[PauliOperator], n: int, rng: random.Random, tries: int = 200
-) -> Tableau:
+_STATE_TRIES = 200  # random states drawn before state_containing gives up
+
+
+def state_containing(paulis: list[PauliOperator], n: int, rng: random.Random) -> Tableau:
     """A random stabiliser state whose group contains each given Pauli.
 
     Measures each operator on a random state; a -1 outcome is corrected with
     an anticommuting Pauli flip, which moves the state into the +1 eigenspace
     without disturbing previously fixed (commuting) operators.
     """
-    for _ in range(tries):
+    for _ in range(_STATE_TRIES):
         t = random_tableau(n, rng)
         ok = True
         for p in paulis:
@@ -304,19 +299,16 @@ def run(
     circuit: Circuit,
     initial: Tableau | None = None,
     rng: random.Random | None = None,
-    forced_outcomes: dict[tuple[int, int], int] | None = None,
     error_layers: dict[int, tuple[int, int]] | None = None,
 ) -> RunResult:
     """Execute a circuit on a stabiliser state.
 
-    ``forced_outcomes`` maps (qubit, layer) to +-1; forcing a deterministic
-    measurement to the wrong value raises. ``error_layers`` maps a time index
-    t (0..depth) to an (x_mask, z_mask) Pauli applied after layer t.
+    ``error_layers`` maps a time index t (0..depth) to an (x_mask, z_mask)
+    Pauli applied after layer t.
     """
     t = initial.copy() if initial is not None else Tableau(circuit.n_qubits)
     if t.n != circuit.n_qubits:
         raise ValueError("tableau size does not match the circuit")
-    forced_outcomes = forced_outcomes or {}
     outcomes: dict[tuple[int, int], int] = {}
     if error_layers and 0 in error_layers:
         x, z = error_layers[0]
@@ -331,18 +323,16 @@ def run(
                     if kind is OpKind.MEAS_Z
                     else PauliOperator(t.n, 1 << (q - 1), 0)
                 )
-                forced = forced_outcomes.get((q, layer_no))
-                outcomes[(q, layer_no)] = t.measure_pauli(p, rng, forced)
+                outcomes[(q, layer_no)] = t.measure_pauli(p, rng)
             elif kind in INIT_KINDS:
                 q = op.qubits[0]
-                forced = forced_outcomes.get((q, layer_no))
                 if kind is OpKind.INIT_Z:
                     p = PauliOperator(t.n, 0, 1 << (q - 1))
                     flip = (1 << (q - 1), 0)
                 else:
                     p = PauliOperator(t.n, 1 << (q - 1), 0)
                     flip = (0, 1 << (q - 1))
-                branch = t.measure_pauli(p, rng, forced)
+                branch = t.measure_pauli(p, rng)
                 outcomes[(q, layer_no)] = branch
                 if branch == -1:
                     t.apply_pauli(*flip)
@@ -368,8 +358,6 @@ def conjugate_pauli(circuit: Circuit, p: PauliOperator) -> PauliOperator:
                 out = conjugate_by_s(out, op.qubits[0] - 1)
             elif kind is OpKind.CNOT:
                 out = conjugate_by_cnot(out, op.qubits[0] - 1, op.qubits[1] - 1)
-            elif kind is OpKind.SWAP:
-                out = conjugate_by_swap(out, op.qubits[0] - 1, op.qubits[1] - 1)
             elif kind is OpKind.PAULI_X:
                 out = conjugate_by_pauli(out, 1 << (op.qubits[0] - 1), 0)
             elif kind is OpKind.PAULI_Z:
@@ -388,77 +376,44 @@ def conjugate_pauli(circuit: Circuit, p: PauliOperator) -> PauliOperator:
 # The Clifford sign of a codeword
 
 
-def _bit_value(g: TannerGraph, c: BitVector, kind: str, q: int, t: int) -> int:
-    idx = g.bit_index(kind, q, t)
-    return c[idx] if idx is not None else 0
-
-
 def nu(circuit: Circuit, g: TannerGraph, c: BitVector) -> int:
     """Sign contributed by the Clifford gates along a codeword.
 
-    Lifts the codeword into the extended circuit (all initialisations first,
-    measurements last), conjugates the layer-1 operator through the middle
-    Clifford and returns its sign. The resulting operator is checked against
-    the expected final-layer operator.
+    The codeword's wire bits give the Pauli operator at every time. The
+    operations of one layer act on disjoint qubits, so nu is the product over
+    layers of the sign picked up by conjugating the operator at t - 1 through
+    the layer's gates, with the qubits the layer measures or initialises left
+    out. Each conjugate is checked against the operator at t.
     """
     a = g.check_matrix()
     if c.n != g.n_bits or not a.mul_vec(c).is_zero():
         raise ValueError("nu needs a codeword of the circuit graph")
-    ext = extend(circuit)
     n = circuit.n_qubits
-    n_ext = ext.base.n_qubits
-    x1 = z1 = 0
-    for q in range(1, n + 1):
-        if _bit_value(g, c, "x", q, 0):
-            x1 |= 1 << (q - 1)
-        if _bit_value(g, c, "z", q, 0):
-            z1 |= 1 << (q - 1)
-    for q, t in ext.v_init_start:
-        if ext.init_basis[q] is OpKind.INIT_Z:
-            if _bit_value(g, c, "z", q, t):
-                z1 ^= 1 << (q - 1)
-        else:
-            if _bit_value(g, c, "x", q, t):
-                x1 ^= 1 << (q - 1)
-    for label, (q, t) in ext.pair_init.items():
-        anc = ext.pair_ancilla[label] - 1
-        if ext.init_basis[anc + 1] is OpKind.INIT_Z:
-            if _bit_value(g, c, "z", q, t):
-                z1 ^= 1 << anc
-        else:
-            if _bit_value(g, c, "x", q, t):
-                x1 ^= 1 << anc
-
-    xT = zT = 0
-    T = circuit.depth
-    for q in range(1, n + 1):
-        if _bit_value(g, c, "x", q, T):
-            xT |= 1 << (q - 1)
-        if _bit_value(g, c, "z", q, T):
-            zT |= 1 << (q - 1)
-    for q, t in ext.v_meas_last:
-        if ext.meas_basis[q] is OpKind.MEAS_Z:
-            if _bit_value(g, c, "z", q, t):
-                zT ^= 1 << (q - 1)
-        else:
-            if _bit_value(g, c, "x", q, t):
-                xT ^= 1 << (q - 1)
-    for label, (q, t) in ext.pair_meas.items():
-        anc = ext.pair_ancilla[label] - 1
-        if ext.meas_basis[anc + 1] is OpKind.MEAS_Z:
-            if _bit_value(g, c, "z", q, t):
-                zT ^= 1 << anc
-        else:
-            if _bit_value(g, c, "x", q, t):
-                xT ^= 1 << anc
-
-    middle = Circuit(n_ext, ext.middle_layers)
-    out = conjugate_pauli(middle, PauliOperator(n_ext, x1, z1))
-    if out.x != xT or out.z != zT:
-        raise AssertionError(
-            "conjugated codeword operator does not match the final layer"
-        )
-    return out.sign()
+    xs = [0] * (circuit.depth + 1)
+    zs = [0] * (circuit.depth + 1)
+    for i in c.support():
+        lab = g.bits[i]
+        if lab.kind == "x":
+            xs[lab.t] |= 1 << (lab.q - 1)
+        elif lab.kind == "z":
+            zs[lab.t] |= 1 << (lab.q - 1)
+    sign = 1
+    for t, layer in enumerate(circuit.layers, start=1):
+        keep = (1 << n) - 1
+        gates = []
+        for op in layer:
+            if op.kind in INIT_KINDS or op.kind in MEAS_KINDS:
+                keep &= ~(1 << (op.qubits[0] - 1))
+            else:
+                gates.append(op)
+        p = PauliOperator(n, xs[t - 1] & keep, zs[t - 1] & keep)
+        out = conjugate_pauli(Circuit(n, [gates]), p)
+        if out.x != xs[t] & keep or out.z != zs[t] & keep:
+            raise AssertionError(
+                f"conjugated codeword operator does not match layer {t}"
+            )
+        sign *= out.sign()
+    return sign
 
 
 # ---------------------------------------------------------------------------

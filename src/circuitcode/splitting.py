@@ -77,13 +77,14 @@ def trivial_plan(g: TannerGraph, w: SymmetryWitness) -> SplitPlan:
     return SplitPlan(pairs)
 
 
-def random_plan(
-    g: TannerGraph, w: SymmetryWitness, rng: random.Random, max_order: int = 4
-) -> SplitPlan:
+_MAX_SPLIT_ORDER = 4  # most parts a random plan splits one check's edges into
+
+
+def random_plan(g: TannerGraph, w: SymmetryWitness, rng: random.Random) -> SplitPlan:
     pairs = {}
     for a, v in w.dual.items():
         neigh = sorted(g.checks[a])
-        r = rng.randrange(1, max(2, min(max_order, max(1, len(neigh))) + 1))
+        r = rng.randrange(1, max(2, min(_MAX_SPLIT_ORDER, max(1, len(neigh))) + 1))
         members = neigh[:]
         rng.shuffle(members)
         subsets: list[list[int]] = [[] for _ in range(r)]

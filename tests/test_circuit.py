@@ -7,7 +7,6 @@ from circuitcode.circuit import (
     CircuitError,
     OpKind,
     Operation,
-    extend,
     parse_circuit,
     random_circuit,
     serialize,
@@ -107,59 +106,6 @@ def test_live_spans():
     assert c.live_spans(1) == [(0, 8, False, False)]
     # the ancilla has two measured spans starting at its initialisations
     assert c.live_spans(3) == [(1, 3, True, True), (5, 7, True, True)]
-
-
-def test_extend_no_reuse():
-    c = parse_circuit("qubits 2\nrz 1\ntick\ncnot 1 2\ntick\nmz 1\n")
-    ext = extend(c)
-    assert ext.n_pairs == 0
-    assert ext.base.n_qubits == 2
-    assert ext.base.depth == c.depth + 2
-    first = ext.base.layers[0]
-    assert all(op.kind in (OpKind.INIT_Z, OpKind.INIT_X) for op in first)
-    last = ext.base.layers[-1]
-    assert all(op.kind in (OpKind.MEAS_Z, OpKind.MEAS_X) for op in last)
-
-
-def test_extend_zz_reroutes_the_reused_ancilla():
-    # Only the mid-circuit measurement/reinitialisation pair needs an ancilla;
-    # the opening init and the closing measurement just move to the boundary
-    # layers on their own qubit.
-    ext = extend(zz_circuit())
-    assert ext.n_pairs == 1
-    assert ext.base.n_qubits == 4
-    assert ext.v_init_start == [(3, 1)]
-    assert ext.v_meas_last == [(3, 7)]
-    assert ext.v_init_paired == [(3, 5)]
-    assert ext.v_meas_paired == [(3, 3)]
-    swaps = [
-        op for layer in ext.middle_layers for op in layer if op.kind is OpKind.SWAP
-    ]
-    assert len(swaps) == 1
-
-
-def test_extend_pure_clifford_keeps_middle():
-    c = parse_circuit("qubits 2\nh 1\ntick\ncnot 1 2\n")
-    ext = extend(c)
-    assert ext.n_pairs == 0
-    assert ext.middle_layers == c.layers
-
-
-def test_extend_middle_layers_are_gates_only():
-    rng = random.Random(5)
-    for _ in range(25):
-        c = random_circuit(rng.randrange(1, 5), rng.randrange(1, 8), rng)
-        ext = extend(c)
-        assert len(ext.v_init_paired) == ext.n_pairs
-        assert len(ext.v_meas_paired) == ext.n_pairs
-        for layer in ext.middle_layers:
-            for op in layer:
-                assert op.kind not in (
-                    OpKind.INIT_Z,
-                    OpKind.INIT_X,
-                    OpKind.MEAS_Z,
-                    OpKind.MEAS_X,
-                )
 
 
 def test_random_circuits_are_valid():

@@ -2,11 +2,13 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from circuitcode import cli, synthesis
+from circuitcode.circuit import MAX_WIRE_BITS
 from circuitcode.cli import main
 from circuitcode.gf2 import BitMatrix
 from tests.test_circuit import ZZ_TEXT
@@ -354,3 +356,18 @@ def test_synthesize_check_synthesises_once(zz_file, tmp_path, capsys, monkeypatc
     assert calls.count("synthesize") == 1
     # the kernel of the input graph's check matrix is eliminated once
     assert calls.count(a) == 1
+
+
+@pytest.mark.parametrize(
+    "text", ["qubits 1000000\nh 1\n", "qubits 100000000\n"], ids=["one-gate", "bare-header"]
+)
+def test_circuit_over_the_wire_bit_limit_is_an_error(tmp_path, capsys, text):
+    big = tmp_path / "big.qc"
+    big.write_text(text)
+    start = time.perf_counter()
+    code, out, err = run_cli(["classify", "--circuit", big], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"limit of {MAX_WIRE_BITS} wire bits" in err

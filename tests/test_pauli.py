@@ -10,7 +10,6 @@ from circuitcode.pauli import (
     conjugate_by_h,
     conjugate_by_pauli,
     conjugate_by_s,
-    conjugate_by_swap,
 )
 
 I2 = ((1, 0), (0, 1))
@@ -148,11 +147,6 @@ def test_pauli_conjugation_signs():
     p = PauliOperator.from_label("Z1", 1)
     assert conjugate_by_pauli(p, x_mask=1, z_mask=0).label() == "-Z1"
     assert conjugate_by_pauli(p, x_mask=0, z_mask=1).label() == "Z1"
-
-
-def test_swap():
-    p = PauliOperator.from_label("X1Z2", 2)
-    assert conjugate_by_swap(p, 0, 1).label() == "Z1X2"
 
 
 def test_label_roundtrip():
