@@ -177,6 +177,8 @@ def cmd_distance(args) -> int:
     names = None
     if args.labels:
         labels = read_labels(Path(args.labels).read_text())
+        if len(labels) != b.n_cols:
+            raise ValueError(f"{len(labels)} labels for the {b.n_cols} columns of B")
         names = [lab.name for lab in labels]
     res = circuit_distance(b, l, args.max_weight)
     if res.exact:
@@ -314,14 +316,21 @@ class UsageError(ValueError):
     pass
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def _int_at_least(low: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    return parse
+
+
+_non_negative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1, "positive")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -365,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify all codeword equations")
     p.add_argument("--circuit", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--states", type=int, default=4)
+    p.add_argument("--states", type=_positive_int, default=4)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("split", help="symmetric splitting with a plan")

@@ -23,10 +23,6 @@ from .pauli import (
 from .tanner import TannerGraph
 
 
-class ForcedOutcomeError(ValueError):
-    """A forced measurement outcome contradicts a deterministic one."""
-
-
 def _phase_product(x1, z1, x2, z2):
     """Exponent of i in sigma(x1,z1) sigma(x2,z2) relative to sigma(x3,z3)."""
     x3, z3 = x1 ^ x2, z1 ^ z2
@@ -154,12 +150,7 @@ class Tableau:
 
     # -- measurement ----------------------------------------------------------
 
-    def measure_pauli(
-        self,
-        p: PauliOperator,
-        rng: random.Random | None = None,
-        forced: int | None = None,
-    ) -> int:
+    def measure_pauli(self, p: PauliOperator, rng: random.Random | None = None) -> int:
         """Measure the Hermitian Pauli p; returns the outcome +1 or -1."""
         sign = p.sign()  # raises on imaginary phase
         s = 0 if sign == 1 else 1
@@ -170,12 +161,9 @@ class Tableau:
                 pivot = i
                 break
         if pivot is not None:
-            if forced is not None:
-                outcome = forced
-            elif rng is not None:
-                outcome = 1 if rng.random() < 0.5 else -1
-            else:
-                raise ValueError("random outcome needs an rng or a forced value")
+            if rng is None:
+                raise ValueError("random outcome needs an rng")
+            outcome = 1 if rng.random() < 0.5 else -1
             old = self.stab[pivot][:]
             for i in range(self.n):
                 if i != pivot and self._anticommute(self.stab[i], x, z):
@@ -186,15 +174,10 @@ class Tableau:
             m = 0 if outcome == 1 else 1
             self.stab[pivot] = [x, z, (m + s) & 1]
             return outcome
-        outcome = self._group_sign(x, z, s)
-        if forced is not None and forced != outcome:
-            raise ForcedOutcomeError(
-                f"measurement of {p.label()} is deterministic with outcome {outcome}"
-            )
-        return outcome
+        return self._group_sign(x, z, s)
 
-    def measure_z(self, q: int, rng=None, forced=None) -> int:
-        return self.measure_pauli(PauliOperator(self.n, 0, 1 << q), rng, forced)
+    def measure_z(self, q: int, rng=None) -> int:
+        return self.measure_pauli(PauliOperator(self.n, 0, 1 << q), rng)
 
     def stabilizes(self, p: PauliOperator) -> int | None:
         """Expectation of p when it is +-1; None when the expectation is 0."""

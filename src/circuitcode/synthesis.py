@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .circuit import Circuit, OpKind, Operation
-from .gf2 import BitMatrix, BitVector
+from .gf2 import BitMatrix
 from .splitting import distance_bound_holds
 from .tanner import CodeMaps, SymmetryWitness, TannerGraph, build_plain
 
@@ -154,10 +154,7 @@ def validate_partition(
 @dataclass
 class QubitLine:
     qubit: int
-    x_path: list[Vertex]
-    z_path: list[Vertex]
-    t_min: int
-    t_max: int
+    first_bit: int  # the subgraph bit at the start of the qubit's path pair
     init_kind: OpKind | None
     meas_kind: OpKind | None
     open_in: tuple[int, int] | None  # (end bit, long terminal) indices at t=0
@@ -168,8 +165,6 @@ class QubitLine:
 class SynthesisResult:
     circuit: Circuit
     maps: CodeMaps
-    qubits: list[QubitLine]
-    dt: int
 
 
 def synthesize(
@@ -198,8 +193,6 @@ def synthesize(
             role_of[v] = (q, "x")
         for v in z_path:
             role_of[v] = (q, "z")
-        taus = [p.tau[v] for v in x_path]
-        t_min, t_max = min(taus), max(taus)
         ends_min = (x_path[0], z_path[0])
         ends_max = (x_path[-1], z_path[-1])
         bit_min = ends_min[0] if ends_min[0][0] == "b" else ends_min[1]
@@ -228,7 +221,7 @@ def synthesize(
         else:
             open_out = (bit_max[1], long_max)
         qubits.append(
-            QubitLine(q, x_path, z_path, t_min, t_max, init_kind, meas_kind, open_in, open_out)
+            QubitLine(q, bit_min[1], init_kind, meas_kind, open_in, open_out)
         )
 
     # gates per inter-path edge class, grouped by time label
@@ -292,8 +285,8 @@ def synthesize(
             layers[base + k].extend(ops)
     circuit = Circuit(len(qubits), layers).canonical().check_valid()
 
-    maps = _build_maps(g, w, p, circuit, qubits, role_of, dt, tau_max_global)
-    return SynthesisResult(circuit, maps, qubits, dt)
+    maps = _build_maps(g, w, p, circuit, qubits, role_of, dt)
+    return SynthesisResult(circuit, maps)
 
 
 def _table_gate(qu: int, ru: str, qv: int, rv: str) -> list[Operation]:
@@ -323,7 +316,7 @@ def _table_gate(qu: int, ru: str, qv: int, rv: str) -> list[Operation]:
     ]
 
 
-def _build_maps(g, w, p, circuit, qubits, role_of, dt, tau_max_global):
+def _build_maps(g, w, p, circuit, qubits, role_of, dt):
     g_out = build_plain(circuit)
     a_out = g_out.check_matrix()
     kernel = g.kernel_basis()
@@ -332,76 +325,41 @@ def _build_maps(g, w, p, circuit, qubits, role_of, dt, tau_max_global):
     def window_exit(tau: int) -> int:
         return 1 + tau * dt
 
-    images = []
-    for c in kernel.row_vectors():
-        x_vals = {}
-        z_vals = {}
-        for line in qubits:
-            q = line.qubit
-            if line.open_in is not None:
-                bit_end, long_end = line.open_in
-                role = role_of[("b", bit_end)][1]
-                r_val = c[bit_end]
-                o_val = c[long_end]
-                x_vals[q] = r_val if role == "x" else o_val
-                z_vals[q] = o_val if role == "x" else r_val
+    # bit k of values[i] is output bit i in the image of kernel row k. Each
+    # wire starts at the source bits it carries: an open input at its end bit
+    # and long terminal, an initialised qubit at the bit of its init basis.
+    columns = kernel.transpose().rows
+    values: list[int | None] = [None] * g_out.n_bits
+    for line in qubits:
+        role = role_of[("b", line.first_bit)][1]
+        if line.open_in is None:
+            values[g_out.bit_index(role, line.qubit, 1)] = columns[line.first_bit]
+        else:
+            other = "z" if role == "x" else "x"
+            values[g_out.bit_index(role, line.qubit, 0)] = columns[line.first_bit]
+            values[g_out.bit_index(other, line.qubit, 0)] = columns[line.open_in[1]]
+    # build_plain emits its checks layer by layer and every gadget row has one
+    # output bit, so each row either fixes that bit or must already hold
+    for members in g_out.checks:
+        unset = []
+        acc = 0
+        for j in members:
+            if values[j] is None:
+                unset.append(j)
             else:
-                x_vals[q] = None  # created by the init layer
-                z_vals[q] = None
-        values: dict[tuple[str, int, int], int] = {}
-        for q in x_vals:
-            if x_vals[q] is not None:
-                values[("x", q, 0)] = x_vals[q]
-                values[("z", q, 0)] = z_vals[q]
-        for t, layer in enumerate(circuit.layers, start=1):
-            for op in layer:
-                if op.kind in (OpKind.INIT_Z, OpKind.INIT_X):
-                    (q,) = op.qubits
-                    line = qubits[q - 1]
-                    bit_end = (
-                        line.x_path[0] if line.x_path[0][0] == "b" else line.z_path[0]
-                    )
-                    val = c[bit_end[1]]
-                    if op.kind is OpKind.INIT_Z:
-                        x_vals[q], z_vals[q] = 0, val
-                    else:
-                        x_vals[q], z_vals[q] = val, 0
-                elif op.kind in (OpKind.MEAS_Z, OpKind.MEAS_X):
-                    (q,) = op.qubits
-                    dead_kind = "x" if op.kind is OpKind.MEAS_Z else "z"
-                    leftover = x_vals[q] if dead_kind == "x" else z_vals[q]
-                    if leftover != 0:
-                        raise AssertionError(
-                            "codeword transport violates a measurement check"
-                        )
-                    x_vals[q] = z_vals[q] = None
-                elif op.kind is OpKind.H:
-                    (q,) = op.qubits
-                    x_vals[q], z_vals[q] = z_vals[q], x_vals[q]
-                elif op.kind is OpKind.S:
-                    (q,) = op.qubits
-                    z_vals[q] = x_vals[q] ^ z_vals[q]
-                elif op.kind is OpKind.CNOT:
-                    qc, qt = op.qubits
-                    x_vals[qt] ^= x_vals[qc]
-                    z_vals[qc] ^= z_vals[qt]
-                # identity and Pauli kinds leave values unchanged
-            for q in x_vals:
-                if x_vals[q] is not None:
-                    values[("x", q, t)] = x_vals[q]
-                    values[("z", q, t)] = z_vals[q]
-        bits = 0
-        for i, lab in enumerate(g_out.bits):
-            if values.get((lab.kind, lab.q, lab.t)):
-                bits |= 1 << i
-        img = BitVector(g_out.n_bits, bits)
-        if not a_out.mul_vec(img).is_zero():
-            raise AssertionError("transported codeword leaves the output code")
-        images.append(img)
+                acc ^= values[j]
+        if len(unset) == 1:
+            values[unset[0]] = acc
+        elif unset or acc:
+            raise AssertionError("codeword images violate an output check")
+    if None in values:
+        raise AssertionError("an output bit carries no codeword image")
 
-    image_matrix = BitMatrix.from_vectors(images, n_cols=g_out.n_bits)
-    if image_matrix.rank() != kernel.n_rows:
-        raise AssertionError("codeword transport is not injective")
+    images = BitMatrix(g_out.n_bits, kernel.n_rows, values)
+    if not a_out.matmul(images).is_zero():
+        raise AssertionError("codeword images leave the output code")
+    if images.transpose().rank() != kernel.n_rows:
+        raise AssertionError("codeword images are not injective")
     if a_out.n_cols - a_out.rank() != kernel.n_rows:
         raise AssertionError("synthesised code has a different dimension")
 
@@ -438,7 +396,7 @@ def _build_maps(g, w, p, circuit, qubits, role_of, dt, tau_max_global):
     # its coefficients over the basis
     coefficients = BitMatrix(kernel.n_rows, g.n_bits, [r & -r for r in kernel.rows])
     return CodeMaps(
-        codeword=image_matrix.transpose().matmul(coefficients),
+        codeword=images.matmul(coefficients),
         error=BitMatrix(g_out.n_bits, g.n_bits, err_rows),
     )
 
@@ -530,6 +488,8 @@ def read_partition(g: TannerGraph, text: str) -> PathPartition:
         if name in name_to_bit:
             return ("b", name_to_bit[name])
         if name.startswith("c") and name[1:].isdigit():
+            if int(name[1:]) >= g.n_checks:
+                raise ValueError(f"check {name} is outside the graph's {g.n_checks} checks")
             return ("c", int(name[1:]))
         raise ValueError(f"unknown vertex {name!r}")
 

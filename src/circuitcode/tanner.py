@@ -66,14 +66,12 @@ class TannerGraph:
         n_qubits: int | None = None,
         depth: int | None = None,
         gadgets: list[GadgetRec] | None = None,
-        removed: list[VertexLabel] | None = None,
     ):
         self.bits = bits
         self.checks = [tuple(sorted(c)) for c in checks]
         self.n_qubits = n_qubits
         self.depth = depth
         self.gadgets = gadgets
-        self.removed = removed or []
         # memoised on the assumption that a graph is not mutated once built
         self._matrix: BitMatrix | None = None
         self._kernel: BitMatrix | None = None
@@ -429,7 +427,6 @@ def build_plain(circuit: Circuit) -> TannerGraph:
         if degree[i] > 0 or bits[i].is_measurement or bits[i].is_initialisation
     ]
     remap = {old: new for new, old in enumerate(keep)}
-    removed = [bits[i] for i in range(len(bits)) if i not in remap]
     new_bits = [bits[i] for i in keep]
     new_checks = [tuple(sorted(remap[j] for j in c)) for c in checks]
     for rec in gadgets:
@@ -444,7 +441,7 @@ def build_plain(circuit: Circuit) -> TannerGraph:
             )
             for s in rec.sides
         ]
-    return TannerGraph(new_bits, new_checks, n, T, gadgets, removed)
+    return TannerGraph(new_bits, new_checks, n, T, gadgets)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +480,7 @@ def bit_split(
         BitMatrix(g.n_bits + 1, g.n_bits, fwd),
         BitMatrix(g.n_bits + 1, g.n_bits, err),
     )
-    out = TannerGraph(bits, checks, g.n_qubits, g.depth, None, list(g.removed))
+    out = TannerGraph(bits, checks, g.n_qubits, g.depth)
     return out, maps
 
 
@@ -533,7 +530,7 @@ def symmetrize(
         err.append(0)
 
     witness = SymmetryWitness(dual, frozenset(long_bits))
-    out = TannerGraph(bits, checks, g.n_qubits, g.depth, None, list(g.removed))
+    out = TannerGraph(bits, checks, g.n_qubits, g.depth)
     maps = CodeMaps(BitMatrix(len(bits), n, fwd), BitMatrix(len(bits), n, err))
     return out, witness, maps
 

@@ -371,3 +371,39 @@ def test_circuit_over_the_wire_bit_limit_is_an_error(tmp_path, capsys, text):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert f"limit of {MAX_WIRE_BITS} wire bits" in err
+
+
+def test_partition_naming_a_check_outside_the_graph_is_an_error(zz_file, tmp_path, capsys):
+    prefix = symmetric_bundle(zz_file, tmp_path, capsys)
+    part = tmp_path / "bad.part"
+    part.write_text("path 1 X : x[1,0] c999\ntau x[1,0] 1\ntau c999 2\n")
+    code, out, err = run_cli(
+        ["synthesize", "--graph", prefix, "--partition", part, "--out", tmp_path / "s.qc"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "c999" in err
+    assert not (tmp_path / "s.qc").exists()
+
+
+def test_distance_rejects_a_labels_file_of_the_wrong_length(tmp_path, capsys):
+    b = tmp_path / "b.txt"
+    b.write_text("1 3\n1 1 0\n")
+    l = tmp_path / "l.txt"
+    l.write_text("1 3\n0 0 1\n")
+    labels = tmp_path / "f.labels"
+    labels.write_text("0 x 1 0 -\n")
+    code, out, err = run_cli(["distance", "--b", b, "--l", l, "--labels", labels], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: 1 labels for the 3 columns of B\n"
+
+
+@pytest.mark.parametrize("states", ["0", "-3"])
+def test_verify_states_must_be_positive(zz_file, capsys, states):
+    code, out, err = run_cli(
+        ["verify", "--circuit", zz_file, "--seed", 7, "--states", states], capsys
+    )
+    assert code == 2
+    assert out == "" and "--states" in err
