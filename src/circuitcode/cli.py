@@ -239,9 +239,7 @@ def cmd_synthesize(args) -> int:
     if args.partition:
         partition = read_partition(g, Path(args.partition).read_text())
     elif args.greedy:
-        if args.seed is None:
-            raise UsageError("--greedy needs --seed")
-        partition = greedy_partition(g, w, random.Random(args.seed))
+        partition = greedy_partition(g, w)
     else:
         partition = trivial_partition(g, w)
     result = synthesize(g, w, partition)
@@ -316,21 +314,25 @@ class UsageError(ValueError):
     pass
 
 
-def _int_at_least(low: int, what: str):
+# the most random input states `verify` prepares per codeword
+MAX_STATES = 1000
+
+
+def _int_in(low: int, high: int | None, what: str):
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low:
+        if value < low or (high is not None and value > high):
             raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
         return value
 
     return parse
 
 
-_non_negative_int = _int_at_least(0, "non-negative")
-_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_in(0, None, "non-negative")
+_state_count = _int_in(1, MAX_STATES, f"in 1..{MAX_STATES}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify all codeword equations")
     p.add_argument("--circuit", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--states", type=_positive_int, default=4)
+    p.add_argument("--states", type=_state_count, default=4)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("split", help="symmetric splitting with a plan")
@@ -388,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--partition")
     p.add_argument("--greedy", action="store_true")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.add_argument("--emit-partition")
     p.add_argument("--check", action="store_true")

@@ -34,17 +34,6 @@ class DistanceResult:
         return f">{self.max_weight}"
 
 
-def _column_syndromes(m: BitMatrix) -> list[int]:
-    cols = [0] * m.n_cols
-    for i, row in enumerate(m.rows):
-        r = row
-        while r:
-            j = (r & -r).bit_length() - 1
-            cols[j] |= 1 << i
-            r &= r - 1
-    return cols
-
-
 def _search(
     b_cols: list[int],
     l_cols: list[int],
@@ -99,9 +88,7 @@ def circuit_distance(
     max_weight = min(max_weight, n)
     if l.n_rows == 0 or l.is_zero():
         return DistanceResult(None, None, max_weight, 0)
-    b_cols = _column_syndromes(b)
-    l_cols = _column_syndromes(l)
-    support, count = _search(b_cols, l_cols, n, max_weight)
+    support, count = _search(b.transpose().rows, l.transpose().rows, n, max_weight)
     if support is None:
         return DistanceResult(None, None, max_weight, count)
     witness = BitVector.from_indices(n, support)

@@ -300,6 +300,12 @@ def write_plan(g: TannerGraph, plan: SplitPlan) -> str:
 
 def read_plan(g: TannerGraph, text: str) -> SplitPlan:
     name_to_bit = {lab.name: i for i, lab in enumerate(g.bits)}
+
+    def bit_of(name: str) -> int:
+        if name not in name_to_bit:
+            raise ValueError(f"plan names bit {name!r}, which the graph does not have")
+        return name_to_bit[name]
+
     pairs = {}
     for raw in text.splitlines():
         line = raw.strip()
@@ -309,8 +315,10 @@ def read_plan(g: TannerGraph, text: str) -> SplitPlan:
         fields = head.split()
         if len(fields) != 3 or fields[0] != "pair":
             raise ValueError(f"bad plan line {line!r}")
-        bit = name_to_bit[fields[1]]
+        bit = bit_of(fields[1])
         check = int(fields[2].lstrip("c"))
+        if check in pairs:
+            raise ValueError(f"plan pairs check c{check} twice: {line!r}")
         # subset separators carry no spaces; " ; " separates the tree part
         subs_part, _, tree_part = rest.partition(" ; ")
         subs_tokens = subs_part.split(None, 1)
@@ -320,7 +328,7 @@ def read_plan(g: TannerGraph, text: str) -> SplitPlan:
         subsets = []
         for chunk in subs_text.split(";"):
             names = chunk.split()
-            subsets.append([name_to_bit[nm] for nm in names])
+            subsets.append([bit_of(nm) for nm in names])
         tree_tokens = tree_part.split()
         if not tree_tokens or tree_tokens[0] != "tree":
             raise ValueError(f"bad plan line {line!r}")

@@ -8,7 +8,6 @@ the returned maps realise that relation explicitly.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .circuit import Circuit, OpKind, Operation
@@ -511,13 +510,12 @@ def read_partition(g: TannerGraph, text: str) -> PathPartition:
     return PathPartition(paths, tau)
 
 
-def greedy_partition(
-    g: TannerGraph, w: SymmetryWitness, rng: random.Random
-) -> PathPartition:
+def greedy_partition(g: TannerGraph, w: SymmetryWitness) -> PathPartition:
     """Grow dual path pairs greedily; falls back to single vertices.
 
     Time labels are solved afterwards by offset propagation over inter-path
-    edges; paths that would make the labelling inconsistent stay short.
+    edges; a labelling that is inconsistent, or a partition that is invalid
+    for any other reason, gives the trivial partition instead.
     """
     check_of_bit = w.check_of_bit()
     unused: set[Vertex] = {("b", v) for v in w.dual.values()}
@@ -557,8 +555,6 @@ def greedy_partition(
             stop_after = False
             for v in candidates:
                 d = _dual_vertex(w, check_of_bit, v)
-                if v == d or v in path or d in path:
-                    continue
                 # a check with a long terminal (on either side of the dual
                 # pair) must end up at a path end
                 if v[0] == "c" and v[1] in long_checks:
@@ -594,15 +590,12 @@ def greedy_partition(
             continue
         offset[i] = 0
         queue = deque([i])
-        ok = True
         while queue:
             cur = queue.popleft()
             j = pair_of[cur]
             if j not in offset:
                 offset[j] = offset[cur]
                 queue.append(j)
-            elif offset[j] != offset[cur]:
-                ok = False
             for v in paths[cur]:
                 neighbours = (
                     [("c", a) for a in g.bit_neighbors(v[1])]
@@ -611,17 +604,11 @@ def greedy_partition(
                 )
                 for u in neighbours:
                     j2 = index_of[u]
-                    if j2 == cur:
-                        continue
-                    want = offset[cur] + pos[v] - pos[u]
                     if j2 not in offset:
-                        offset[j2] = want
+                        offset[j2] = offset[cur] + pos[v] - pos[u]
                         queue.append(j2)
-                    elif offset[j2] != want:
-                        ok = False
-        if not ok:
-            return trivial_partition(g, w)
 
+    # an inconsistent labelling fails validate_partition
     base = min(offset.values(), default=0)
     tau = {}
     for i, path in enumerate(paths):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .circuit import Circuit, OpKind, Operation, PAULI_KINDS
+from .circuit import INIT_KINDS, MEAS_KINDS, PAULI_KINDS, Circuit, OpKind, Operation
 from .gf2 import BitMatrix, BitVector
 
 
@@ -41,19 +41,14 @@ class VertexLabel:
 class SideInfo:
     """Terminal bookkeeping for one qubit side (in/out) of a gadget."""
 
-    q: int
     side: str  # 'in' | 'out'
-    short_kind: str  # 'x' | 'z'
     short_bit: int
-    long_bit: int | None
+    long_bit: int
     pair_check: int
 
 
 @dataclass
 class GadgetRec:
-    layer: int
-    kind: OpKind
-    qubits: tuple[int, ...]
     checks: list[int]
     sides: list[SideInfo]
 
@@ -191,7 +186,8 @@ class SymmetryWitness:
 # ---------------------------------------------------------------------------
 # Gadget tables
 
-_ROW_X, _ROW_Z = "x", "z"
+# operations whose gadget is a plain wire: an identity up to sign
+_IDENTITY_KINDS = PAULI_KINDS | {OpKind.I}
 
 
 def _gate_rows(op: Operation, t: int):
@@ -221,7 +217,7 @@ def _gate_rows(op: Operation, t: int):
             ([("x", q, tin), ("x", q, tout)], ("x", q)),
             ([("x", q, tin), ("z", q, tin), ("z", q, tout)], ("z", q)),
         ]
-    if k is OpKind.I or k in PAULI_KINDS:
+    if k in _IDENTITY_KINDS:
         return [
             ([("x", q, tin), ("x", q, tout)], ("x", q)),
             ([("z", q, tin), ("z", q, tout)], ("z", q)),
@@ -241,16 +237,18 @@ def _other(kind: str) -> str:
     return "z" if kind == "x" else "x"
 
 
-def _side_table(op_kind: OpKind, q: int, qubits: tuple[int, ...], orient: str | None):
+def _side_table(op: Operation, q: int, orient: str | None = None):
     """Short-terminal kinds and pairing row owners per side of a gadget.
 
-    Returns a list of (side, q, short_kind, pair_row_owner). The pairing rows
-    were chosen so that the deleted check matrix A.D is symmetric for every
-    composition of gadgets, including across bit splits at asymmetric merges.
+    Returns a list of (side, short_kind, pair_row_owner) for qubit ``q``;
+    ``orient`` is the short input kind of an identity or Pauli gadget. The
+    pairing rows were chosen so that the deleted check matrix A.D is symmetric
+    for every composition of gadgets, including across bit splits at
+    asymmetric merges.
     """
-    k = op_kind
+    k = op.kind
     if k is OpKind.CNOT:
-        c, g = qubits
+        c, g = op.qubits
         if q == c:
             return [("in", "x", ("z", c)), ("out", "z", ("x", c))]
         return [("in", "z", ("x", g)), ("out", "x", ("z", g))]
@@ -258,7 +256,7 @@ def _side_table(op_kind: OpKind, q: int, qubits: tuple[int, ...], orient: str | 
         return [("in", "z", ("z", q)), ("out", "z", ("x", q))]
     if k is OpKind.S:
         return [("in", "x", ("z", q)), ("out", "z", ("x", q))]
-    if k is OpKind.I or k in PAULI_KINDS:
+    if k in _IDENTITY_KINDS:
         if orient == "x":  # x-in short
             return [("in", "x", ("z", q)), ("out", "z", ("x", q))]
         return [("in", "z", ("x", q)), ("out", "x", ("z", q))]
@@ -273,18 +271,9 @@ def _side_table(op_kind: OpKind, q: int, qubits: tuple[int, ...], orient: str | 
     raise ValueError(f"no side table for {k}")
 
 
-_IN_SHORT = {
-    OpKind.H: "z",
-    OpKind.S: "x",
-    OpKind.MEAS_Z: "z",
-    OpKind.MEAS_X: "x",
-}
-
-
-def _in_short_kind(op: Operation, q: int) -> str:
-    if op.kind is OpKind.CNOT:
-        return "x" if q == op.qubits[0] else "z"
-    return _IN_SHORT[op.kind]
+def _short_kind(op: Operation, q: int, side: str) -> str:
+    """The short terminal kind of one side of a gate, init or measurement."""
+    return next(short for s, short, _ in _side_table(op, q) if s == side)
 
 
 # ---------------------------------------------------------------------------
@@ -292,156 +281,89 @@ def _in_short_kind(op: Operation, q: int) -> str:
 
 
 def build_plain(circuit: Circuit) -> TannerGraph:
-    """Plain Tanner graph: one gadget per operation, isolated bits removed.
+    """Plain Tanner graph: one gadget per operation.
 
     Wire segments that carry no state (before a first initialisation, between
     a measurement and the following initialisation, after a final
-    measurement) receive no gadgets at all; identity and Pauli operations on
-    such segments are sign bookkeeping only.
+    measurement) receive no bits and no gadgets; identity and Pauli operations
+    on such segments are sign bookkeeping only. Every bit of a live segment
+    lies on a gadget row or is a flagged initialisation or measurement bit,
+    so a circuit with at least one layer has no isolated bit.
     """
     circuit.check_valid()
     n, T = circuit.n_qubits, circuit.depth
+    if T == 0:
+        return TannerGraph([], [], n, 0, [])
+    on = [{q: op for op in layer for q in op.qubits} for layer in circuit.layers]
 
-    spans = {q: circuit.live_spans(q) for q in range(1, n + 1)}
-    live_times: dict[int, set[int]] = {q: set() for q in range(1, n + 1)}
-    interior: dict[int, set[int]] = {q: set() for q in range(1, n + 1)}
-    gadget_layers: dict[int, set[int]] = {q: set() for q in range(1, n + 1)}
-    for q, sp in spans.items():
-        for t0, t1, opened, closed in sp:
-            live_times[q].update(range(t0, t1 + 1))
-            interior[q].update(range(t0 + 1, t1 + 1))
-            gadget_layers[q].update(range(t0 + 1, t1 + 1))
-            if opened:
-                gadget_layers[q].add(t0)
-            if closed:
-                gadget_layers[q].add(t1 + 1)
-
-    # wire bits, ordered by (t, kind, q): per layer x1..xn then z1..zn
-    bits: list[VertexLabel] = []
-    index: dict[tuple, int] = {}
-    for t in range(0, T + 1):
-        for kind in ("x", "z"):
-            for q in range(1, n + 1):
-                if t in live_times[q]:
-                    lab = VertexLabel(kind, q, t)
-                    index[(kind, q, t)] = len(bits)
-                    bits.append(lab)
-
-    # identity orientation per (q, layer): which kind is the short input
+    # one walk per live segment: its times, the gadget of each (q, layer) and
+    # the short input kind of each identity or Pauli gadget
+    live: set[tuple[int, int]] = set()
+    gadget: dict[tuple[int, int], Operation] = {}
     orient: dict[tuple[int, int], str] = {}
     for q in range(1, n + 1):
-        for t0, t1, opened, closed in spans[q]:
-            pending: list[int] = []
-            prev_out_short: str | None = None
-            if opened:
-                op = circuit.op_on(q, t0 - 1)
-                prev_out_short = "z" if op.kind is OpKind.INIT_Z else "x"
-            for layer in range(t0 + 1, t1 + 1):
-                op = circuit.op_on(q, layer - 1)
-                trivial = op is None or op.kind is OpKind.I or op.kind in PAULI_KINDS
-                if trivial:
-                    pending.append(layer)
-                    continue
-                if pending:
-                    if prev_out_short is not None:
-                        kind = _other(prev_out_short)
-                    else:
-                        kind = _in_short_kind(op, q)
-                    for lay in pending:
-                        orient[(q, lay)] = kind
-                    pending = []
-                for side, short_kind, _ in _side_table(op.kind, q, op.qubits, None):
-                    if side == "out":
-                        prev_out_short = short_kind
-            if pending:
-                if prev_out_short is not None:
-                    kind = _other(prev_out_short)
-                elif closed:
-                    closer = circuit.op_on(q, t1)
-                    kind = _in_short_kind(closer, q)
+        for t0, t1, opened, closed in circuit.live_spans(q):
+            live.update((q, t) for t in range(t0, t1 + 1))
+            inner = {
+                t: on[t - 1].get(q) or Operation(OpKind.I, (q,))
+                for t in range(t0 + 1, t1 + 1)
+            }
+            opener = on[t0 - 1][q] if opened else None
+            closer = on[t1][q] if closed else None
+            # an identity is short on the other kind to the short output before
+            # it; with no opener, the segment's first gate or closer decides
+            first = next(
+                (op for op in inner.values() if op.kind not in _IDENTITY_KINDS), closer
+            )
+            lead = _short_kind(first, q, "in") if first else "x"
+            out = _short_kind(opener, q, "out") if opener else _other(lead)
+            for t, op in inner.items():
+                if op.kind in _IDENTITY_KINDS:
+                    orient[(q, t)] = _other(out)
                 else:
-                    kind = "x"
-                for lay in pending:
-                    orient[(q, lay)] = kind
+                    out = _short_kind(op, q, "out")
+                gadget[(q, t)] = op
+            if opener:
+                gadget[(q, t0)] = opener
+            if closer:
+                gadget[(q, t1 + 1)] = closer
+
+    # wire bits, ordered by (t, kind, q): per layer x1..xn then z1..zn
+    bits = [
+        VertexLabel(kind, q, t)
+        for t in range(T + 1)
+        for kind in ("x", "z")
+        for q in range(1, n + 1)
+        if (q, t) in live
+    ]
+    index = {(lab.kind, lab.q, lab.t): i for i, lab in enumerate(bits)}
 
     checks: list[tuple[int, ...]] = []
     gadgets: list[GadgetRec] = []
-    meas_marks: set[int] = set()
-    init_marks: set[int] = set()
-
     for t in range(1, T + 1):
-        ops: list[Operation] = []
-        covered: set[int] = set()
-        for op in circuit.layers[t - 1]:
-            if all(t in gadget_layers[q] for q in op.qubits):
-                ops.append(op)
-            covered.update(op.qubits)
         for q in range(1, n + 1):
-            if q not in covered and t in interior[q]:
-                ops.append(Operation(OpKind.I, (q,)))
-        ops.sort(key=lambda o: (min(o.qubits), o.kind.value))
-        for op in ops:
-            row_specs = _gate_rows(op, t)
-            check_ids: list[int] = []
+            op = gadget.get((q, t))
+            if op is None or q != min(op.qubits):
+                continue  # no gadget here, or a CNOT emitted at its lower qubit
+            first_check = len(checks)
             owner_to_check: dict[tuple, int] = {}
-            for edges, owner in row_specs:
-                members = tuple(sorted(index[e] for e in edges if e in index))
-                cid = len(checks)
-                checks.append(members)
-                check_ids.append(cid)
-                owner_to_check[owner] = cid
-            if op.kind is OpKind.MEAS_Z:
-                meas_marks.add(index[("z", op.qubits[0], t - 1)])
-            elif op.kind is OpKind.MEAS_X:
-                meas_marks.add(index[("x", op.qubits[0], t - 1)])
-            elif op.kind is OpKind.INIT_Z:
-                init_marks.add(index[("z", op.qubits[0], t)])
-            elif op.kind is OpKind.INIT_X:
-                init_marks.add(index[("x", op.qubits[0], t)])
+            for edges, owner in _gate_rows(op, t):
+                owner_to_check[owner] = len(checks)
+                checks.append(tuple(index[e] for e in edges))
             sides: list[SideInfo] = []
-            for q in op.qubits:
-                ori = orient.get((q, t))
-                for side, short_kind, owner in _side_table(op.kind, q, op.qubits, ori):
+            for p in op.qubits:
+                for side, short_kind, owner in _side_table(op, p, orient.get((p, t))):
                     tt = t - 1 if side == "in" else t
-                    short_bit = index[(short_kind, q, tt)]
-                    long_bit = index.get((_other(short_kind), q, tt))
-                    sides.append(
-                        SideInfo(q, side, short_kind, short_bit, long_bit, owner_to_check[owner])
-                    )
-            gadgets.append(GadgetRec(t, op.kind, op.qubits, check_ids, sides))
-
-    # apply measurement / initialisation flags
-    for i in sorted(meas_marks):
-        bits[i] = replace(bits[i], is_measurement=True)
-    for i in sorted(init_marks):
-        bits[i] = replace(bits[i], is_initialisation=True)
-
-    # remove isolated bits, keeping flagged measurement/initialisation bits
-    degree = [0] * len(bits)
-    for c in checks:
-        for j in c:
-            degree[j] += 1
-    keep = [
-        i
-        for i in range(len(bits))
-        if degree[i] > 0 or bits[i].is_measurement or bits[i].is_initialisation
-    ]
-    remap = {old: new for new, old in enumerate(keep)}
-    new_bits = [bits[i] for i in keep]
-    new_checks = [tuple(sorted(remap[j] for j in c)) for c in checks]
-    for rec in gadgets:
-        rec.sides = [
-            SideInfo(
-                s.q,
-                s.side,
-                s.short_kind,
-                remap[s.short_bit],
-                remap.get(s.long_bit) if s.long_bit is not None else None,
-                s.pair_check,
-            )
-            for s in rec.sides
-        ]
-    return TannerGraph(new_bits, new_checks, n, T, gadgets)
+                    short_bit = index[(short_kind, p, tt)]
+                    # an initialised or measured bit is its gadget's short terminal
+                    if op.kind in MEAS_KINDS:
+                        bits[short_bit] = replace(bits[short_bit], is_measurement=True)
+                    elif op.kind in INIT_KINDS:
+                        bits[short_bit] = replace(bits[short_bit], is_initialisation=True)
+                    long_bit = index[(_other(short_kind), p, tt)]
+                    sides.append(SideInfo(side, short_bit, long_bit, owner_to_check[owner]))
+            gadgets.append(GadgetRec(list(range(first_check, len(checks))), sides))
+    return TannerGraph(bits, checks, n, T, gadgets)
 
 
 # ---------------------------------------------------------------------------
@@ -552,19 +474,16 @@ def _junctions(
     for rec in g.gadgets:
         for s in rec.sides:
             claims.setdefault(s.short_bit, []).append(s)
-            if s.long_bit is not None:
-                claims.setdefault(s.long_bit, []).append(s)
+            claims.setdefault(s.long_bit, []).append(s)
 
     dual: dict[int, int] = {}
     long_bits: set[int] = set()
     splits: list[tuple[int, SideInfo, SideInfo]] = []
 
     for i in range(g.n_bits):
-        sides = claims.get(i, [])
+        sides = claims[i]
         shorts = [s for s in sides if s.short_bit == i]
         longs = [s for s in sides if s.long_bit == i]
-        if not sides:
-            continue  # flagged isolated bit with no gadget side (not reachable)
         if len(shorts) == 1 and len(longs) <= 1:
             dual[shorts[0].pair_check] = i
         elif len(shorts) == 0 and len(longs) == 1:

@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from circuitcode import cli, synthesis
-from circuitcode.circuit import MAX_WIRE_BITS
+from circuitcode.circuit import MAX_WIRE_BITS, parse_circuit
 from circuitcode.cli import main
 from circuitcode.gf2 import BitMatrix
+from circuitcode.splitting import trivial_plan, write_plan
+from circuitcode.tanner import build_plain, symmetrize
 from tests.test_circuit import ZZ_TEXT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -400,10 +402,48 @@ def test_distance_rejects_a_labels_file_of_the_wrong_length(tmp_path, capsys):
     assert err == "error: 1 labels for the 3 columns of B\n"
 
 
-@pytest.mark.parametrize("states", ["0", "-3"])
+@pytest.mark.parametrize("states", ["0", "-3", "1001", "100000000000000000000"])
 def test_verify_states_must_be_positive(zz_file, capsys, states):
     code, out, err = run_cli(
         ["verify", "--circuit", zz_file, "--seed", 7, "--states", states], capsys
     )
     assert code == 2
     assert out == "" and "--states" in err
+
+
+def test_synthesize_greedy_takes_no_seed(zz_file, tmp_path, capsys):
+    prefix = symmetric_bundle(zz_file, tmp_path, capsys)
+    code, out, _ = run_cli(
+        ["synthesize", "--graph", prefix, "--greedy", "--out", tmp_path / "g.qc"], capsys
+    )
+    assert code == 0 and out.startswith("qubits ")
+    assert (tmp_path / "g.qc").exists()
+    code, out, err = run_cli(
+        ["synthesize", "--graph", prefix, "--greedy", "--seed", "1", "--out", tmp_path / "s.qc"],
+        capsys,
+    )
+    assert code == 2
+    assert out == "" and "--seed" in err
+    assert not (tmp_path / "s.qc").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda text: text.replace("pair x[1,0] c1 ", "pair x[9,9] c1 "), "x[9,9]"),
+        (lambda text: text + text.splitlines()[0] + "\n", "c0"),
+    ],
+    ids=["unknown-bit", "repeated-pair"],
+)
+def test_split_rejects_bad_plan(zz_file, tmp_path, capsys, edit, named):
+    prefix = symmetric_bundle(zz_file, tmp_path, capsys)
+    c = parse_circuit(ZZ_TEXT)
+    g, w, _ = symmetrize(build_plain(c), c)
+    plan = tmp_path / "bad.plan"
+    plan.write_text(edit(write_plan(g, trivial_plan(g, w))))
+    code, out, err = run_cli(
+        ["split", "--graph", prefix, "--plan", plan, "--out-prefix", tmp_path / "split"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: plan ") and named in err

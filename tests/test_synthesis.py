@@ -191,7 +191,7 @@ def test_greedy_partition_validates():
         c = random_circuit(rng.randrange(1, 4), rng.randrange(1, 6), rng)
         g0 = build_plain(c)
         g, w, _ = symmetrize(g0, c)
-        p = greedy_partition(g, w, rng)
+        p = greedy_partition(g, w)
         assert validate_partition(g, w, p) == []
         result = synthesize(g, w, p)
         assert result.circuit.validate() == []
@@ -209,7 +209,7 @@ def test_greedy_roundtrip_distances():
         if ec.l.n_rows == 0:
             continue
         g, w, maps0 = symmetrize(g0, c)
-        p = greedy_partition(g, w, rng)
+        p = greedy_partition(g, w)
         b = maps0.map_matrix(ec.b)
         l = maps0.map_matrix(ec.l)
         result = synthesize(g, w, p)

@@ -64,6 +64,12 @@ def test_max_degree_invariant_random():
         c = random_circuit(rng.randrange(1, 5), rng.randrange(1, 8), rng, x_basis=False)
         g = build_plain(c)
         assert g.max_degree() <= 3
+        # no isolated bit: every bit has a check or an init/measurement flag
+        for i, lab in enumerate(g.bits):
+            assert g.bit_degree(i) >= 1 or lab.is_measurement or lab.is_initialisation
+    # a circuit with no layers has no bits, checks or gadgets
+    g = build_plain(parse_circuit("qubits 2\n"))
+    assert g.bits == [] and g.checks == [] and g.gadgets == []
 
 
 def test_bit_split_examples():
