@@ -66,12 +66,9 @@ class Circuit:
     def depth(self) -> int:
         return len(self.layers)
 
-    def op_on(self, qubit: int, layer_index: int) -> Operation | None:
-        """The explicit operation touching `qubit` in layer `layer_index` (0-based)."""
-        for op in self.layers[layer_index]:
-            if qubit in op.qubits:
-                return op
-        return None
+    def ops_by_qubit(self) -> list[dict[int, Operation]]:
+        """Per layer, the operation on each qubit (the first, if there are two)."""
+        return [{q: op for op in reversed(layer) for q in op.qubits} for layer in self.layers]
 
     def validate(self) -> list[str]:
         """All rule violations, empty when the circuit is well formed."""
@@ -85,40 +82,7 @@ class Circuit:
                     if q in seen:
                         problems.append(f"layer {t}: qubit {q} used twice")
                     seen.add(q)
-        # Wire discipline: gates may not follow a measurement before the next
-        # initialisation, and an initialisation may not follow gates unless a
-        # measurement closed the wire first. Identity and Pauli operations are
-        # transparent for both rules.
-        for q in range(1, self.n_qubits + 1):
-            state = "open"  # open wire from t=0
-            for t, layer in enumerate(self.layers, start=1):
-                op = None
-                for cand in layer:
-                    if q in cand.qubits:
-                        op = cand
-                        break
-                if op is None or op.kind is OpKind.I or op.kind in PAULI_KINDS:
-                    continue
-                if op.kind in MEAS_KINDS:
-                    if state == "dead":
-                        problems.append(
-                            f"layer {t}: qubit {q} measured while not carrying a state"
-                        )
-                    state = "dead"
-                elif op.kind in INIT_KINDS:
-                    if state == "live":
-                        problems.append(
-                            f"layer {t}: qubit {q} reinitialised after gates without a measurement"
-                        )
-                    state = "live"
-                else:  # gate
-                    if state == "dead":
-                        problems.append(
-                            f"layer {t}: gate on qubit {q} after measurement without reinitialisation"
-                        )
-                    elif state == "open":
-                        state = "live"
-        return problems
+        return problems + self._walk_wires()[0]
 
     def check_valid(self) -> "Circuit":
         problems = self.validate()
@@ -126,37 +90,65 @@ class Circuit:
             raise CircuitError("; ".join(problems))
         return self
 
-    def live_spans(self, qubit: int) -> list[tuple[int, int, bool, bool]]:
-        """Maximal live wire segments of a qubit as (t_start, t_end, opened, closed).
+    def live_spans(self) -> list[list[tuple[int, int, bool, bool]]]:
+        """Maximal live wire segments of every qubit (entry q - 1).
 
-        Times are bit-layer indices 0..T. ``opened`` means the segment starts
-        at an initialisation; ``closed`` means it ends at a measurement. Bits
-        outside live segments never receive graph gadgets: a wire between a
-        measurement and the next initialisation carries no state.
+        A segment is (t_start, t_end, opened, closed) in bit-layer indices
+        0..T. ``opened`` means the segment starts at an initialisation;
+        ``closed`` means it ends at a measurement. Bits outside live segments
+        never receive graph gadgets: a wire between a measurement and the next
+        initialisation carries no state.
         """
-        spans = []
-        start = 0
-        opened = False
-        alive = True
-        for t in range(1, self.depth + 1):
-            op = self.op_on(qubit, t - 1)
-            if op is None or op.kind is OpKind.I or op.kind in PAULI_KINDS:
-                continue
-            if op.kind in INIT_KINDS:
-                # validate() guarantees the wire is unused here, so any open
-                # segment before the init never carried a state: drop it.
-                start = t
-                opened = True
-                alive = True
-            elif op.kind in MEAS_KINDS:
-                spans.append((start, t - 1, opened, True))
-                alive = False
-            else:
-                if not alive:
-                    raise CircuitError(f"gate on dead wire of qubit {qubit}")
-        if alive:
-            spans.append((start, self.depth, opened, False))
+        problems, spans = self._walk_wires()
+        if problems:
+            raise CircuitError("; ".join(problems))
         return spans
+
+    def _walk_wires(self) -> tuple[list[str], list[list[tuple[int, int, bool, bool]]]]:
+        """One walk per qubit: wire-discipline violations and live segments.
+
+        Gates may not follow a measurement before the next initialisation, and
+        an initialisation may not follow gates unless a measurement closed the
+        wire first. Identity and Pauli operations are transparent for both
+        rules.
+        """
+        layers = self.ops_by_qubit()
+        problems = []
+        all_spans = []
+        for q in range(1, self.n_qubits + 1):
+            spans = []
+            state = "open"  # open wire from t=0
+            start = 0
+            opened = False
+            for t, on in enumerate(layers, start=1):
+                op = on.get(q)
+                if op is None or op.kind is OpKind.I or op.kind in PAULI_KINDS:
+                    continue
+                if op.kind in MEAS_KINDS:
+                    if state == "dead":
+                        problems.append(
+                            f"layer {t}: qubit {q} measured while not carrying a state"
+                        )
+                    spans.append((start, t - 1, opened, True))
+                    state = "dead"
+                elif op.kind in INIT_KINDS:
+                    if state == "live":
+                        problems.append(
+                            f"layer {t}: qubit {q} reinitialised after gates without a measurement"
+                        )
+                    # the wire is unused before the init, so any open segment
+                    # there never carried a state: drop it
+                    start, opened, state = t, True, "live"
+                elif state == "dead":
+                    problems.append(
+                        f"layer {t}: gate on qubit {q} after measurement without reinitialisation"
+                    )
+                else:
+                    state = "live"
+            if state != "dead":
+                spans.append((start, self.depth, opened, False))
+            all_spans.append(spans)
+        return problems, all_spans
 
     def canonical(self) -> "Circuit":
         layers = [
@@ -185,6 +177,7 @@ def parse_circuit(text: str) -> Circuit:
     n_qubits: int | None = None
     layers: list[list[Operation]] = []
     current: list[Operation] = []
+    position: dict[int, int] = {}  # qubit -> index of its operation in current
     saw_op_since_tick = False
     saw_tick = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -205,6 +198,7 @@ def parse_circuit(text: str) -> Circuit:
         if head == "tick":
             layers.append(current)
             current = []
+            position = {}
             saw_tick = True
             saw_op_since_tick = False
             continue
@@ -225,10 +219,11 @@ def parse_circuit(text: str) -> Circuit:
             op = Operation(kind, qubits)
         except ValueError as exc:
             raise CircuitError(str(exc), lineno) from None
-        for prev in current:
-            clash = set(prev.qubits) & set(op.qubits)
-            if clash:
-                raise CircuitError(f"qubit {clash.pop()} used twice in one layer", lineno)
+        earlier = [position[q] for q in qubits if q in position]
+        if earlier:
+            clash = set(current[min(earlier)].qubits) & set(qubits)
+            raise CircuitError(f"qubit {clash.pop()} used twice in one layer", lineno)
+        position.update((q, len(current)) for q in qubits)
         current.append(op)
         saw_op_since_tick = True
     if n_qubits is None:

@@ -272,15 +272,20 @@ def cmd_css_gen(args) -> int:
         repeated_measurement_layer,
     )
 
-    g_x = _read_matrix(args.gx)
-    g_z = _read_matrix(args.gz)
-    code = derive_logicals(g_x, g_z)
     if args.layer.startswith("rep:"):
-        layer = repeated_measurement_layer(int(args.layer.split(":", 1)[1]))
+        text = args.layer[len("rep:"):]
+        try:
+            cycles = int(text)
+        except ValueError:
+            cycles = 0
+        if not 1 <= cycles <= MAX_CYCLES:
+            raise UsageError(f"--layer rep:<m> needs m in 1..{MAX_CYCLES}, got {text!r}")
+        layer = repeated_measurement_layer(cycles)
     elif args.layer == "cnot":
         layer = logical_cnot_layer()
     else:
         raise UsageError(f"unknown layer {args.layer!r} (use rep:<m> or cnot)")
+    code = derive_logicals(_read_matrix(args.gx), _read_matrix(args.gz))
     asm = assemble_physical(code, layer)
     # each check's dual is the lowest bit its column of D selects
     dual = {
@@ -316,6 +321,9 @@ class UsageError(ValueError):
 
 # the most random input states `verify` prepares per codeword
 MAX_STATES = 1000
+# the most measurement cycles `css-gen --layer rep:<m>` assembles; assembly
+# time grows as the square of the cycle count
+MAX_CYCLES = 100
 
 
 def _int_in(low: int, high: int | None, what: str):

@@ -30,14 +30,7 @@ def sigma_at_layer(g: TannerGraph, c: BitVector, t: int) -> PauliOperator:
     """The Pauli operator carried by a codeword at time t, with +1 phase."""
     if g.n_qubits is None:
         raise ValueError("graph has no layer structure")
-    x = z = 0
-    for i in g.layer_bits(t):
-        if c[i]:
-            lab = g.bits[i]
-            if lab.kind == "x":
-                x |= 1 << (lab.q - 1)
-            else:
-                z |= 1 << (lab.q - 1)
+    x, z = g.wire_masks(c)[t]
     return PauliOperator(g.n_qubits, x, z)
 
 

@@ -115,11 +115,10 @@ def repeated_measurement_layer(m: int) -> LogicalLayer:
     """m cycles of stabiliser-generator measurement: repetition-code checks."""
     if m < 1:
         raise ValueError("need at least one cycle")
-    rows = [[1 if j in (i, i + 1) else 0 for j in range(m + 1)] for i in range(m)]
-    a = BitMatrix.from_rows(rows)
+    a = BitMatrix(m, m + 1, [3 << i for i in range(m)])
     d_x = BitMatrix.identity(m).stack(BitMatrix.zeros(1, m))
     d_z = BitMatrix.zeros(1, m).stack(BitMatrix.identity(m))
-    gen = BitMatrix.from_rows([[1] * (m + 1)])
+    gen = BitMatrix(1, m + 1, [(1 << (m + 1)) - 1])
     layer = LogicalLayer(a, a, d_x, d_z, gen, gen)
     layer.validate()
     return layer

@@ -74,7 +74,13 @@ class BitVector:
         return (self.bits & other.bits).bit_count() & 1
 
     def support(self) -> list[int]:
-        return [j for j in range(self.n) if (self.bits >> j) & 1]
+        out = []
+        r = self.bits
+        while r:
+            low = r & -r
+            out.append(low.bit_length() - 1)
+            r ^= low
+        return out
 
     def is_zero(self) -> bool:
         return self.bits == 0

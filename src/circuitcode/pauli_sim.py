@@ -230,42 +230,21 @@ def random_tableau(n: int, rng: random.Random) -> Tableau:
     return t
 
 
-_STATE_TRIES = 200  # random states drawn before state_containing gives up
+def state_containing(p: PauliOperator, n: int, rng: random.Random) -> Tableau:
+    """A random stabiliser state whose group contains the Pauli p.
 
-
-def state_containing(paulis: list[PauliOperator], n: int, rng: random.Random) -> Tableau:
-    """A random stabiliser state whose group contains each given Pauli.
-
-    Measures each operator on a random state; a -1 outcome is corrected with
-    an anticommuting Pauli flip, which moves the state into the +1 eigenspace
-    without disturbing previously fixed (commuting) operators.
+    Measures p on a random state; a -1 outcome is corrected with a Pauli
+    that anticommutes with p on the lowest qubit p acts on (Z where p has an
+    X part, else X), which moves the state into the +1 eigenspace.
     """
-    for _ in range(_STATE_TRIES):
-        t = random_tableau(n, rng)
-        ok = True
-        for p in paulis:
-            if p.sign() != 1:
-                raise ValueError("only +1 phases can be fixed")
-            outcome = t.measure_pauli(p, rng=rng)
-            if outcome == -1:
-                flip = _anticommuting_pauli(p, t.n)
-                t.apply_pauli(flip.x, flip.z)
-            if t.stabilizes(p) != 1:
-                ok = False
-                break
-        # a correction flip may have disturbed an earlier operator: recheck
-        if ok and all(t.stabilizes(p) == 1 for p in paulis):
-            return t
-    raise RuntimeError("could not prepare a state containing the requested operators")
-
-
-def _anticommuting_pauli(p: PauliOperator, n: int) -> PauliOperator:
-    for q in range(n):
-        if (p.x >> q) & 1:
-            return PauliOperator(n, 0, 1 << q)
-        if (p.z >> q) & 1:
-            return PauliOperator(n, 1 << q, 0)
-    raise ValueError("identity has no anticommuting partner")
+    if p.sign() != 1:
+        raise ValueError("only +1 phases can be fixed")
+    t = random_tableau(n, rng)
+    if t.measure_pauli(p, rng=rng) == -1:
+        low = (p.x | p.z) & -(p.x | p.z)
+        flip = (0, low) if p.x & low else (low, 0)
+        t.apply_pauli(*flip)
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -299,26 +278,16 @@ def run(
     for layer_no, layer in enumerate(circuit.layers, start=1):
         for op in layer:
             kind = op.kind
-            if kind in MEAS_KINDS:
+            if kind in MEAS_KINDS or kind in INIT_KINDS:
+                # an initialisation is a measurement whose -1 outcome is
+                # flipped back by the anticommuting single-qubit Pauli
                 q = op.qubits[0]
-                p = (
-                    PauliOperator(t.n, 0, 1 << (q - 1))
-                    if kind is OpKind.MEAS_Z
-                    else PauliOperator(t.n, 1 << (q - 1), 0)
-                )
-                outcomes[(q, layer_no)] = t.measure_pauli(p, rng)
-            elif kind in INIT_KINDS:
-                q = op.qubits[0]
-                if kind is OpKind.INIT_Z:
-                    p = PauliOperator(t.n, 0, 1 << (q - 1))
-                    flip = (1 << (q - 1), 0)
-                else:
-                    p = PauliOperator(t.n, 1 << (q - 1), 0)
-                    flip = (0, 1 << (q - 1))
-                branch = t.measure_pauli(p, rng)
-                outcomes[(q, layer_no)] = branch
-                if branch == -1:
-                    t.apply_pauli(*flip)
+                b = 1 << (q - 1)
+                z_basis = kind is OpKind.MEAS_Z or kind is OpKind.INIT_Z
+                p = PauliOperator(t.n, 0, b) if z_basis else PauliOperator(t.n, b, 0)
+                outcome = outcomes[(q, layer_no)] = t.measure_pauli(p, rng)
+                if outcome == -1 and kind in INIT_KINDS:
+                    t.apply_pauli(p.z, p.x)
             else:
                 t.apply_operation(op)
         if error_layers and layer_no in error_layers:
@@ -372,14 +341,7 @@ def nu(circuit: Circuit, g: TannerGraph, c: BitVector) -> int:
     if c.n != g.n_bits or not a.mul_vec(c).is_zero():
         raise ValueError("nu needs a codeword of the circuit graph")
     n = circuit.n_qubits
-    xs = [0] * (circuit.depth + 1)
-    zs = [0] * (circuit.depth + 1)
-    for i in c.support():
-        lab = g.bits[i]
-        if lab.kind == "x":
-            xs[lab.t] |= 1 << (lab.q - 1)
-        elif lab.kind == "z":
-            zs[lab.t] |= 1 << (lab.q - 1)
+    masks = g.wire_masks(c)
     sign = 1
     for t, layer in enumerate(circuit.layers, start=1):
         keep = (1 << n) - 1
@@ -389,9 +351,9 @@ def nu(circuit: Circuit, g: TannerGraph, c: BitVector) -> int:
                 keep &= ~(1 << (op.qubits[0] - 1))
             else:
                 gates.append(op)
-        p = PauliOperator(n, xs[t - 1] & keep, zs[t - 1] & keep)
-        out = conjugate_pauli(Circuit(n, [gates]), p)
-        if out.x != xs[t] & keep or out.z != zs[t] & keep:
+        (x0, z0), (x1, z1) = masks[t - 1], masks[t]
+        out = conjugate_pauli(Circuit(n, [gates]), PauliOperator(n, x0 & keep, z0 & keep))
+        if out.x != x1 & keep or out.z != z1 & keep:
             raise AssertionError(
                 f"conjugated codeword operator does not match layer {t}"
             )
@@ -440,22 +402,11 @@ class Verdict:
         return "\n".join(lines)
 
 
-def error_layer_masks(
-    g: TannerGraph, e: BitVector, n_qubits: int
-) -> dict[int, tuple[int, int]]:
+def error_layer_masks(g: TannerGraph, e: BitVector) -> dict[int, tuple[int, int]]:
     """Spacetime error as per-time Pauli masks: x bits flip Z, z bits flip X."""
-    layers: dict[int, tuple[int, int]] = {}
-    for i in e.support():
-        lab = g.bits[i]
-        if lab.kind == "x":
-            x, z = layers.get(lab.t, (0, 0))
-            layers[lab.t] = (x, z | (1 << (lab.q - 1)))
-        elif lab.kind == "z":
-            x, z = layers.get(lab.t, (0, 0))
-            layers[lab.t] = (x | (1 << (lab.q - 1)), z)
-        else:
-            raise ValueError("spacetime errors live on wire bits")
-    return layers
+    if any(g.bits[i].kind not in ("x", "z") for i in e.support()):
+        raise ValueError("spacetime errors live on wire bits")
+    return {t: (z, x) for t, (x, z) in enumerate(g.wire_masks(e)) if x or z}
 
 
 def verify_codeword_equation(
@@ -479,7 +430,7 @@ def verify_codeword_equation(
     cls = cw.classify(g, c)
     sign_nu = nu(circuit, g, c)
     parity = c.dot(e) if e is not None else 0
-    error_layers = error_layer_masks(g, e, n) if e is not None else None
+    error_layers = error_layer_masks(g, e) if e is not None else None
 
     sigma_in = cw.sigma_at_layer(g, c, 0)
     sigma_out = cw.sigma_at_layer(g, c, circuit.depth)
@@ -491,7 +442,7 @@ def verify_codeword_equation(
         if sigma_in.is_identity_kind():
             initial = random_tableau(n, rng)
         else:
-            initial = state_containing([sigma_in], n, rng)
+            initial = state_containing(sigma_in, n, rng)
         result = run(circuit, initial, rng, error_layers=error_layers)
         mu_r = 1
         for key in relevant_keys:

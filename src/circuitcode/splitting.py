@@ -50,23 +50,30 @@ class SplitPlan:
             r = pp.order
             if len(pp.tree) != r - 1:
                 raise ValueError(f"template of pair {a} is not a tree")
-            if r > 1:
-                adj = {i: set() for i in range(r)}
-                for i, j in pp.tree:
-                    if not (0 <= i < r and 0 <= j < r) or i == j:
-                        raise ValueError(f"bad template edge ({i},{j})")
-                    adj[i].add(j)
-                    adj[j].add(i)
-                seen_v = {0}
-                stack = [0]
-                while stack:
-                    x = stack.pop()
-                    for y in adj[x]:
-                        if y not in seen_v:
-                            seen_v.add(y)
-                            stack.append(y)
-                if len(seen_v) != r:
-                    raise ValueError(f"template of pair {a} is disconnected")
+            for i, j in pp.tree:
+                if not (0 <= i < r and 0 <= j < r) or i == j:
+                    raise ValueError(f"bad template edge ({i},{j})")
+            if len(_tree_order(pp)[0]) != r:
+                raise ValueError(f"template of pair {a} is disconnected")
+
+
+def _tree_order(pp: PairPlan) -> tuple[dict[int, int | None], list[int]]:
+    """Parent map and visiting order of a search of the template tree from 0."""
+    adj: dict[int, list[int]] = {i: [] for i in range(pp.order)}
+    for i, j in pp.tree:
+        adj[i].append(j)
+        adj[j].append(i)
+    parent: dict[int, int | None] = {0: None}
+    order = [0]
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+                stack.append(y)
+    return parent, order
 
 
 def trivial_plan(g: TannerGraph, w: SymmetryWitness) -> SplitPlan:
@@ -120,39 +127,15 @@ def symmetric_split(
 
     # subtree loads: value carried by a check-tree edge bit, over old coords
     def edge_vectors(pp: PairPlan) -> dict[tuple[int, int], int]:
-        r = pp.order
-        loads = []
-        for sub in pp.subsets:
-            vec = 0
-            for u in sub:
-                vec ^= 1 << u
-            loads.append(vec)
-        adj = {i: [] for i in range(r)}
-        for i, j in pp.tree:
-            adj[i].append(j)
-            adj[j].append(i)
-        parent = {0: None}
-        order = [0]
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in parent:
-                    parent[y] = x
-                    order.append(y)
-                    stack.append(y)
+        total = [sum(1 << u for u in sub) for sub in pp.subsets]  # distinct bits
+        parent, order = _tree_order(pp)
         # accumulate subtree loads bottom-up: an edge bit carries the sum of
         # every leaf value hanging below it
-        total = [loads[i] for i in range(r)]
         for x in reversed(order):
             p = parent[x]
             if p is not None:
                 total[p] ^= total[x]
-        out = {}
-        for i, j in pp.tree:
-            child = j if parent.get(j) == i else i
-            out[(i, j)] = total[child]
-        return out
+        return {(i, j): total[j if parent[j] == i else i] for i, j in pp.tree}
 
     for pp in pair_order:
         v = pp.bit
@@ -178,23 +161,24 @@ def symmetric_split(
     checks: list[tuple[int, ...]] = []
     dual: dict[int, int] = {}
 
-    def subset_index(pp: PairPlan, member: int) -> int:
-        for i, sub in enumerate(pp.subsets):
-            if member in sub:
-                return i
-        raise AssertionError("member not found in plan subsets")
-
+    # (check, bit) -> index of the plan subset of the check that holds the bit
+    subset_of = {
+        (pp.check, u): i
+        for pp in pair_order
+        for i, sub in enumerate(pp.subsets)
+        for u in sub
+    }
     for pp in pair_order:
         a, v = pp.check, pp.bit
         members_by_vertex: dict[int, list[int]] = {i: [] for i in range(pp.order)}
         for u in g.checks[a]:
-            i = subset_index(pp, u)
+            i = subset_of[(a, u)]
             if u in long_set:
                 members_by_vertex[i].append(long_pos[u])
             else:
                 # inter-tree edge: the bit tree of u attaches at the subset of
                 # u's own partition that contains the dual bit of this check
-                j = _bit_side_index(plan, check_of_bit, u, v)
+                j = subset_of[(check_of_bit[u], v)]
                 members_by_vertex[i].append(bit_tree_pos[(u, j)])
         for i in range(pp.order):
             cid = len(checks)
@@ -219,15 +203,6 @@ def symmetric_split(
         BitMatrix(len(new_bits), g.n_bits, err_rows),
     )
     return g2, w2, maps
-
-
-def _bit_side_index(plan: SplitPlan, check_of_bit: dict[int, int], u: int, v: int) -> int:
-    """Subset index of bit u's partition that contains the dual bit v."""
-    u_pair = plan.pairs[check_of_bit[u]]
-    for i, sub in enumerate(u_pair.subsets):
-        if v in sub:
-            return i
-    raise AssertionError("dual bit missing from the partner plan")
 
 
 @dataclass

@@ -131,6 +131,18 @@ class TannerGraph:
             if lab.kind in ("x", "z") and lab.t == t
         ]
 
+    def wire_masks(self, v: BitVector) -> list[tuple[int, int]]:
+        """(x, z) qubit masks of the wire bits set in v, one pair per time 0..depth."""
+        xs = [0] * (self.depth + 1)
+        zs = [0] * (self.depth + 1)
+        for i in v.support():
+            lab = self.bits[i]
+            if lab.kind == "x":
+                xs[lab.t] |= 1 << (lab.q - 1)
+            elif lab.kind == "z":
+                zs[lab.t] |= 1 << (lab.q - 1)
+        return list(zip(xs, zs))
+
     def max_degree(self) -> int:
         deg: dict[int, int] = {}
         best = 0
@@ -294,15 +306,15 @@ def build_plain(circuit: Circuit) -> TannerGraph:
     n, T = circuit.n_qubits, circuit.depth
     if T == 0:
         return TannerGraph([], [], n, 0, [])
-    on = [{q: op for op in layer for q in op.qubits} for layer in circuit.layers]
+    on = circuit.ops_by_qubit()
 
     # one walk per live segment: its times, the gadget of each (q, layer) and
     # the short input kind of each identity or Pauli gadget
     live: set[tuple[int, int]] = set()
     gadget: dict[tuple[int, int], Operation] = {}
     orient: dict[tuple[int, int], str] = {}
-    for q in range(1, n + 1):
-        for t0, t1, opened, closed in circuit.live_spans(q):
+    for q, spans in enumerate(circuit.live_spans(), start=1):
+        for t0, t1, opened, closed in spans:
             live.update((q, t) for t in range(t0, t1 + 1))
             inner = {
                 t: on[t - 1].get(q) or Operation(OpKind.I, (q,))
@@ -445,8 +457,7 @@ def symmetrize(
         partner = g.bit_index(_other(lab.kind), lab.q, lab.t)
         dual[early.pair_check] = v
         dual[late.pair_check] = v2
-        if partner is not None:
-            dual[len(checks)] = partner
+        dual[len(checks)] = partner
         checks.append((v, v2))
         fwd.append(1 << v)
         err.append(0)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -75,6 +76,15 @@ def test_parse_rejects_init_after_gates():
         parse_circuit("qubits 1\nh 1\ntick\nrz 1\n")
 
 
+def test_parse_is_linear_in_layer_width():
+    width = 20_000
+    text = "qubits %d\n" % width + "".join(f"h {q}\n" for q in range(1, width + 1))
+    start = time.perf_counter()
+    c = parse_circuit(text)
+    assert time.perf_counter() - start < 5
+    assert c.depth == 1 and len(c.layers[0]) == width
+
+
 def test_serialize_empty():
     assert serialize(Circuit(0, [])) == "qubits 0\n"
 
@@ -98,14 +108,35 @@ def test_validate_programmatic():
     assert bad.validate()
     bad2 = Circuit(1, [[Operation(OpKind.MEAS_Z, (1,))], [Operation(OpKind.H, (1,))]])
     assert any("after measurement" in p for p in bad2.validate())
+    # both layer rules and all three wire rules: layer problems come first,
+    # then the wire problems qubit by qubit
+    h, s, rz, mz = OpKind.H, OpKind.S, OpKind.INIT_Z, OpKind.MEAS_Z
+    every_rule = Circuit(
+        2,
+        [
+            [Operation(h, (1,)), Operation(s, (1,)), Operation(mz, (2,)), Operation(h, (3,))],
+            [Operation(rz, (1,)), Operation(h, (2,))],
+            [Operation(mz, (1,))],
+            [Operation(mz, (1,))],
+            [Operation(h, (1,))],
+        ],
+    )
+    assert every_rule.validate() == [
+        "layer 1: qubit 1 used twice",
+        "layer 1: qubit 3 out of range 1..2",
+        "layer 2: qubit 1 reinitialised after gates without a measurement",
+        "layer 4: qubit 1 measured while not carrying a state",
+        "layer 5: gate on qubit 1 after measurement without reinitialisation",
+        "layer 2: gate on qubit 2 after measurement without reinitialisation",
+    ]
 
 
 def test_live_spans():
     c = zz_circuit()
     # data qubits live across the whole circuit
-    assert c.live_spans(1) == [(0, 8, False, False)]
+    assert c.live_spans()[0] == [(0, 8, False, False)]
     # the ancilla has two measured spans starting at its initialisations
-    assert c.live_spans(3) == [(1, 3, True, True), (5, 7, True, True)]
+    assert c.live_spans()[2] == [(1, 3, True, True), (5, 7, True, True)]
 
 
 def test_random_circuits_are_valid():

@@ -411,6 +411,21 @@ def test_verify_states_must_be_positive(zz_file, capsys, states):
     assert out == "" and "--states" in err
 
 
+@pytest.mark.parametrize("cycles", ["101", "0", "x", "100000"])
+def test_css_gen_bounds_the_cycle_count(tmp_path, capsys, cycles):
+    gx = tmp_path / "gx.txt"
+    gx.write_text(STEANE_H)
+    prefix = tmp_path / "steane"
+    code, out, err = run_cli(
+        ["css-gen", "--gx", gx, "--gz", gx, "--layer", f"rep:{cycles}", "--out-prefix", prefix],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"usage error: --layer rep:<m> needs m in 1..100, got {cycles!r}\n"
+    assert not (tmp_path / "steane.A.txt").exists()
+
+
 def test_synthesize_greedy_takes_no_seed(zz_file, tmp_path, capsys):
     prefix = symmetric_bundle(zz_file, tmp_path, capsys)
     code, out, _ = run_cli(

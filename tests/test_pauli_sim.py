@@ -50,9 +50,7 @@ def test_zz_outcomes_agree_on_stabilised_input():
     c = parse_circuit(ZZ_TEXT)
     rng = random.Random(3)
     for _ in range(20):
-        initial = sim.state_containing(
-            [PauliOperator.from_label("Z1Z2", 3)], 3, rng
-        )
+        initial = sim.state_containing(PauliOperator.from_label("Z1Z2", 3), 3, rng)
         result = sim.run(c, initial, rng)
         assert result.outcomes[(3, 4)] == result.outcomes[(3, 8)]
 
@@ -71,7 +69,7 @@ def test_random_state_containing():
     rng = random.Random(13)
     p = PauliOperator.from_label("X1Z3", 3)
     for _ in range(10):
-        t = sim.state_containing([p], 3, rng)
+        t = sim.state_containing(p, 3, rng)
         assert t.stabilizes(p) == 1
 
 
@@ -140,7 +138,7 @@ def test_verify_zz_checker_with_data_error():
         c,
         sim.random_tableau(3, rng),
         rng,
-        error_layers=sim.error_layer_masks(g, e, 3),
+        error_layers=sim.error_layer_masks(g, e),
     )
     assert res.outcomes[(3, 4)] * res.outcomes[(3, 8)] == -1
 
@@ -243,7 +241,7 @@ def test_nu_pinned_on_circuits_that_reuse_qubits():
     while len(got) < len(PINNED_NU["reused"]):
         c = random_circuit(rng.randrange(2, 5), rng.randrange(3, 9), rng)
         # a qubit with two live spans is measured and then reinitialised
-        if any(len(c.live_spans(q)) > 1 for q in range(1, c.n_qubits + 1)):
+        if any(len(spans) > 1 for spans in c.live_spans()):
             got.append(_nu_string(c))
     assert got == PINNED_NU["reused"]
 
