@@ -55,14 +55,30 @@ def test_zz_outcomes_agree_on_stabilised_input():
         assert result.outcomes[(3, 4)] == result.outcomes[(3, 8)]
 
 
+def invariants_ok(t):
+    """Read off the columns: stabiliser j anticommutes with destabiliser j
+    and commutes with every other row."""
+    n = t.n
+    for j in range(n):
+        anti = 0  # the rows that anticommute with stabiliser j
+        for q in range(n):
+            if t.z[q] >> (n + j) & 1:
+                anti ^= t.x[q]
+            if t.x[q] >> (n + j) & 1:
+                anti ^= t.z[q]
+        if anti != 1 << j:
+            return False
+    return True
+
+
 def test_tableau_invariants_preserved():
     rng = random.Random(9)
     for _ in range(20):
         c = random_circuit(rng.randrange(1, 5), rng.randrange(1, 8), rng)
         t = sim.random_tableau(c.n_qubits, rng)
-        assert t.invariants_ok()
+        assert invariants_ok(t)
         out = sim.run(c, t, rng)
-        assert out.tableau.invariants_ok()
+        assert invariants_ok(out.tableau)
 
 
 def test_random_state_containing():
@@ -268,3 +284,227 @@ def test_apply_swap_is_three_cnots():
         ]
         for p in [p for ps in singles.values() for p in ps] + products:
             assert swapped.stabilizes(p) == cnots.stabilizes(p)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the row-major Aaronson-Gottesman tableau the column-major one replaced
+
+
+def _phase_product(x1, z1, x2, z2):
+    """Exponent of i in sigma(x1,z1) sigma(x2,z2) relative to sigma(x3,z3)."""
+    x3, z3 = x1 ^ x2, z1 ^ z2
+    return (
+        (x1 & z1).bit_count()
+        + (x2 & z2).bit_count()
+        + 2 * (z1 & x2).bit_count()
+        - (x3 & z3).bit_count()
+    ) % 4
+
+
+class RowMajorTableau:
+    """Destabiliser and stabiliser rows [x, z, r], each gate a loop over rows."""
+
+    def __init__(self, n):
+        self.n = n
+        self.destab = [[1 << i, 0, 0] for i in range(n)]  # X_i
+        self.stab = [[0, 1 << i, 0] for i in range(n)]  # Z_i
+
+    def _rows(self):
+        yield from self.destab
+        yield from self.stab
+
+    def apply_h(self, q):
+        bit = 1 << q
+        for row in self._rows():
+            x, z, r = row
+            if x & z & bit:
+                row[2] = r ^ 1
+            xb, zb = x & bit, z & bit
+            row[0] = (x & ~bit) | (bit if zb else 0)
+            row[1] = (z & ~bit) | (bit if xb else 0)
+
+    def apply_s(self, q):
+        bit = 1 << q
+        for row in self._rows():
+            x, z, r = row
+            if x & z & bit:
+                row[2] = r ^ 1
+            if x & bit:
+                row[1] = z ^ bit
+
+    def apply_cnot(self, control, target):
+        cb, tb = 1 << control, 1 << target
+        for row in self._rows():
+            x, z, r = row
+            if (x & cb) and (z & tb):
+                xt = 1 if x & tb else 0
+                zc = 1 if z & cb else 0
+                if xt ^ zc ^ 1:
+                    row[2] = r ^ 1
+            if x & cb:
+                row[0] = x ^ tb
+            if z & tb:
+                row[1] = z ^ cb
+
+    def apply_swap(self, a, b):
+        ab, bb = 1 << a, 1 << b
+        for row in self._rows():
+            for idx in (0, 1):
+                v = row[idx]
+                va, vb = v & ab, v & bb
+                v &= ~(ab | bb)
+                if va:
+                    v |= bb
+                if vb:
+                    v |= ab
+                row[idx] = v
+
+    def apply_pauli(self, x_mask, z_mask):
+        for row in self._rows():
+            x, z, r = row
+            if ((x & z_mask).bit_count() + (z & x_mask).bit_count()) & 1:
+                row[2] = r ^ 1
+
+    @staticmethod
+    def _mul_rows(a, b):
+        x1, z1, r1 = a
+        x2, z2, r2 = b
+        m = _phase_product(x1, z1, x2, z2)
+        total = (2 * r1 + 2 * r2 + m) % 4
+        if total & 1:
+            raise AssertionError("row product acquired an imaginary phase")
+        return [x1 ^ x2, z1 ^ z2, total // 2]
+
+    @staticmethod
+    def _anticommute(row, x, z):
+        return bool(((row[0] & z).bit_count() + (row[1] & x).bit_count()) & 1)
+
+    def measure_pauli(self, p, rng=None):
+        sign = p.sign()
+        s = 0 if sign == 1 else 1
+        x, z = p.x, p.z
+        pivot = None
+        for i in range(self.n):
+            if self._anticommute(self.stab[i], x, z):
+                pivot = i
+                break
+        if pivot is not None:
+            if rng is None:
+                raise ValueError("random outcome needs an rng")
+            outcome = 1 if rng.random() < 0.5 else -1
+            old = self.stab[pivot][:]
+            for i in range(self.n):
+                if i != pivot and self._anticommute(self.stab[i], x, z):
+                    self.stab[i] = self._mul_rows(self.stab[i], old)
+                if self._anticommute(self.destab[i], x, z) and i != pivot:
+                    self.destab[i] = self._mul_rows(self.destab[i], old)
+            self.destab[pivot] = old
+            m = 0 if outcome == 1 else 1
+            self.stab[pivot] = [x, z, (m + s) & 1]
+            return outcome
+        return self._group_sign(x, z, s)
+
+    def measure_z(self, q, rng=None):
+        return self.measure_pauli(PauliOperator(self.n, 0, 1 << q), rng)
+
+    def stabilizes(self, p):
+        s = 0 if p.sign() == 1 else 1
+        for i in range(self.n):
+            if self._anticommute(self.stab[i], p.x, p.z):
+                return None
+        return self._group_sign(p.x, p.z, s)
+
+    def _group_sign(self, x, z, s):
+        acc = [0, 0, 0]
+        for i in range(self.n):
+            if self._anticommute(self.destab[i], x, z):
+                acc = self._mul_rows(acc, self.stab[i])
+        if acc[0] != x or acc[1] != z:
+            raise AssertionError("operator commutes with the group but is not in it")
+        return 1 if ((acc[2] + s) & 1) == 0 else -1
+
+
+def _transposed(t):
+    """The rows of a column-major tableau, as RowMajorTableau holds them."""
+    n = t.n
+
+    def row(k):
+        x = sum((t.x[q] >> k & 1) << q for q in range(n))
+        z = sum((t.z[q] >> k & 1) << q for q in range(n))
+        return [x, z, t.r >> k & 1]
+
+    return [row(i) for i in range(n)], [row(n + i) for i in range(n)]
+
+
+def _random_moves(n, count, gen):
+    """A seeded mix of gates, measurements and stabilizes queries on n qubits.
+
+    Measured operators are remembered and asked again, so that deterministic
+    outcomes and stabilizes hits occur as well as random outcomes.
+    """
+    seen = [PauliOperator(n, 0, 1 << gen.randrange(n))]
+    moves = []
+    for _ in range(count):
+        r = gen.random()
+        q = gen.randrange(n)
+        if r < 0.15:
+            moves.append(("apply_h", (q,)))
+        elif r < 0.25:
+            moves.append(("apply_s", (q,)))
+        elif r < 0.4 and n >= 2:
+            moves.append(("apply_cnot", tuple(gen.sample(range(n), 2))))
+        elif r < 0.45 and n >= 2:
+            moves.append(("apply_swap", tuple(gen.sample(range(n), 2))))
+        elif r < 0.55:
+            moves.append(("apply_pauli", (gen.getrandbits(n), gen.getrandbits(n))))
+        elif r < 0.6:
+            moves.append(("measure_z", (q, gen.random() < 0.9)))
+        elif r < 0.8:
+            if gen.random() < 0.5:
+                p = gen.choice(seen)
+            else:
+                # mostly +-1 phases; an imaginary one must raise
+                phase = gen.choice((0, 0, 0, 2, 2, 1, 3))
+                p = PauliOperator(n, gen.getrandbits(n), gen.getrandbits(n), phase)
+                if phase % 2 == 0:
+                    seen.append(p)
+            moves.append(("measure_pauli", (p, gen.random() < 0.9)))
+        else:
+            p = gen.choice(seen)
+            if gen.random() < 0.3:
+                p = p * gen.choice(seen)
+            moves.append(("stabilizes", (p,)))
+    return moves
+
+
+def _play(t, moves, seed):
+    """Results of the moves on t: values, or the (type, message) raised."""
+    rng = random.Random(seed)
+    results = []
+    for name, args in moves:
+        if name in ("measure_pauli", "measure_z"):
+            args = (args[0], rng if args[1] else None)
+        try:
+            results.append(getattr(t, name)(*args))
+        except (ValueError, AssertionError) as err:
+            results.append((type(err), str(err)))
+    return results, rng.getstate()
+
+
+def _assert_matches_row_major(n, moves, seed):
+    col, row = sim.Tableau(n), RowMajorTableau(n)
+    assert _play(col, moves, seed) == _play(row, moves, seed)
+    assert _transposed(col) == (row.destab, row.stab)
+
+
+def test_column_tableau_matches_row_major_oracle():
+    gen = random.Random(61)
+    for n in range(1, 9):
+        for _ in range(40):
+            _assert_matches_row_major(n, _random_moves(n, 60, gen), gen.randrange(10**6))
+
+
+def test_column_tableau_matches_row_major_oracle_wide():
+    gen = random.Random(67)
+    for _ in range(3):
+        _assert_matches_row_major(40, _random_moves(40, 400, gen), gen.randrange(10**6))
