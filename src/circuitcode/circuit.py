@@ -13,22 +13,32 @@ from dataclasses import dataclass, field
 
 
 class OpKind(enum.Enum):
-    INIT_Z = "rz"
-    INIT_X = "rx"
-    MEAS_Z = "mz"
-    MEAS_X = "mx"
-    CNOT = "cnot"
-    H = "h"
-    S = "s"
-    I = "i"
-    PAULI_X = "x"
-    PAULI_Y = "y"
-    PAULI_Z = "z"
+    """Operation kinds. ``value`` is the text token; the other attributes say
+    how many qubits the kind acts on, whether it initialises or measures, and
+    whether it is a wire: an identity up to sign (``i``, ``x``, ``y``, ``z``).
+    """
 
+    # (token, arity, is_init, is_measurement, is_wire)
+    INIT_Z = ("rz", 1, True, False, False)
+    INIT_X = ("rx", 1, True, False, False)
+    MEAS_Z = ("mz", 1, False, True, False)
+    MEAS_X = ("mx", 1, False, True, False)
+    CNOT = ("cnot", 2, False, False, False)
+    H = ("h", 1, False, False, False)
+    S = ("s", 1, False, False, False)
+    I = ("i", 1, False, False, True)
+    PAULI_X = ("x", 1, False, False, True)
+    PAULI_Y = ("y", 1, False, False, True)
+    PAULI_Z = ("z", 1, False, False, True)
 
-PAULI_KINDS = {OpKind.PAULI_X, OpKind.PAULI_Y, OpKind.PAULI_Z}
-INIT_KINDS = {OpKind.INIT_Z, OpKind.INIT_X}
-MEAS_KINDS = {OpKind.MEAS_Z, OpKind.MEAS_X}
+    def __new__(cls, token, arity, is_init, is_measurement, is_wire):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.arity = arity
+        member.is_init = is_init
+        member.is_measurement = is_measurement
+        member.is_wire = is_wire
+        return member
 
 
 @dataclass(frozen=True)
@@ -37,7 +47,7 @@ class Operation:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        want = 2 if self.kind is OpKind.CNOT else 1
+        want = self.kind.arity
         if len(self.qubits) != want:
             raise ValueError(f"{self.kind.value} takes {want} qubit(s)")
         if want == 2 and self.qubits[0] == self.qubits[1]:
@@ -57,6 +67,10 @@ class CircuitError(ValueError):
         super().__init__(message)
 
 
+# a live wire segment: (t_start, t_end, opened, closed), see Circuit.wires
+Span = tuple[int, int, bool, bool]
+
+
 @dataclass
 class Circuit:
     n_qubits: int
@@ -66,72 +80,71 @@ class Circuit:
     def depth(self) -> int:
         return len(self.layers)
 
-    def ops_by_qubit(self) -> list[dict[int, Operation]]:
-        """Per layer, the operation on each qubit (the first, if there are two)."""
-        return [{q: op for op in reversed(layer) for q in op.qubits} for layer in self.layers]
-
     def validate(self) -> list[str]:
         """All rule violations, empty when the circuit is well formed."""
-        problems = []
-        for t, layer in enumerate(self.layers, start=1):
-            seen: set[int] = set()
-            for op in layer:
-                for q in op.qubits:
-                    if not 1 <= q <= self.n_qubits:
-                        problems.append(f"layer {t}: qubit {q} out of range 1..{self.n_qubits}")
-                    if q in seen:
-                        problems.append(f"layer {t}: qubit {q} used twice")
-                    seen.add(q)
-        return problems + self._walk_wires()[0]
+        return self._walk_wires()[0]
 
     def check_valid(self) -> "Circuit":
-        problems = self.validate()
-        if problems:
-            raise CircuitError("; ".join(problems))
+        self.wires()
         return self
 
-    def live_spans(self) -> list[list[tuple[int, int, bool, bool]]]:
-        """Maximal live wire segments of every qubit (entry q - 1).
+    def wires(self) -> tuple[list[dict[int, Operation]], list[list[Span]]]:
+        """The per-layer ``{qubit: operation}`` index and every qubit's live
+        wire segments (entry q - 1), from one walk.
 
         A segment is (t_start, t_end, opened, closed) in bit-layer indices
         0..T. ``opened`` means the segment starts at an initialisation;
         ``closed`` means it ends at a measurement. Bits outside live segments
         never receive graph gadgets: a wire between a measurement and the next
-        initialisation carries no state.
+        initialisation carries no state. A circuit that breaks any rule raises
+        ``CircuitError`` with every problem ``validate()`` reports.
         """
-        problems, spans = self._walk_wires()
+        problems, on, spans = self._walk_wires()
         if problems:
             raise CircuitError("; ".join(problems))
-        return spans
+        return on, spans
 
-    def _walk_wires(self) -> tuple[list[str], list[list[tuple[int, int, bool, bool]]]]:
-        """One walk per qubit: wire-discipline violations and live segments.
+    def _walk_wires(self) -> tuple[list[str], list[dict[int, Operation]], list[list[Span]]]:
+        """One walk: rule violations, the per-layer index and live segments.
 
-        Gates may not follow a measurement before the next initialisation, and
-        an initialisation may not follow gates unless a measurement closed the
-        wire first. Identity and Pauli operations are transparent for both
-        rules.
+        Each layer is indexed once, where qubit range and reuse are checked;
+        the first operation on a qubit wins. Then one walk per qubit checks
+        the wire rules: gates may not follow a measurement before the next
+        initialisation, and an initialisation may not follow gates unless a
+        measurement closed the wire first. Wire operations (identity and
+        Paulis) are transparent for both rules.
         """
-        layers = self.ops_by_qubit()
         problems = []
+        on: list[dict[int, Operation]] = []
+        for t, layer in enumerate(self.layers, start=1):
+            index: dict[int, Operation] = {}
+            for op in layer:
+                for q in op.qubits:
+                    if not 1 <= q <= self.n_qubits:
+                        problems.append(f"layer {t}: qubit {q} out of range 1..{self.n_qubits}")
+                    if q in index:
+                        problems.append(f"layer {t}: qubit {q} used twice")
+                    else:
+                        index[q] = op
+            on.append(index)
         all_spans = []
         for q in range(1, self.n_qubits + 1):
             spans = []
             state = "open"  # open wire from t=0
             start = 0
             opened = False
-            for t, on in enumerate(layers, start=1):
-                op = on.get(q)
-                if op is None or op.kind is OpKind.I or op.kind in PAULI_KINDS:
+            for t, index in enumerate(on, start=1):
+                op = index.get(q)
+                if op is None or op.kind.is_wire:
                     continue
-                if op.kind in MEAS_KINDS:
+                if op.kind.is_measurement:
                     if state == "dead":
                         problems.append(
                             f"layer {t}: qubit {q} measured while not carrying a state"
                         )
                     spans.append((start, t - 1, opened, True))
                     state = "dead"
-                elif op.kind in INIT_KINDS:
+                elif op.kind.is_init:
                     if state == "live":
                         problems.append(
                             f"layer {t}: qubit {q} reinitialised after gates without a measurement"
@@ -148,7 +161,7 @@ class Circuit:
             if state != "dead":
                 spans.append((start, self.depth, opened, False))
             all_spans.append(spans)
-        return problems, all_spans
+        return problems, on, all_spans
 
     def canonical(self) -> "Circuit":
         layers = [
@@ -205,7 +218,7 @@ def parse_circuit(text: str) -> Circuit:
         kind = _TEXT_KINDS.get(head)
         if kind is None:
             raise CircuitError(f"unknown operation {head!r}", lineno)
-        want = 2 if kind is OpKind.CNOT else 1
+        want = kind.arity
         if len(fields) != 1 + want:
             raise CircuitError(f"{head} takes {want} qubit argument(s)", lineno)
         try:

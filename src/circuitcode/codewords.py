@@ -8,6 +8,7 @@ measurement bits with value one mark the outcomes entering the sign factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .gf2 import BitMatrix, BitVector, extend_span, span_union, stack_kernel
 from .pauli import PauliOperator
@@ -121,28 +122,31 @@ class EcStructure:
     l_out: list[PauliOperator]
 
     def validate(self, g: TannerGraph) -> None:
-        if not self.a.matmul(self.b.transpose()).is_zero():
-            raise ValueError("A B^T must vanish")
-        if not self.a.matmul(self.l.transpose()).is_zero():
-            raise ValueError("A L^T must vanish")
-        combined = self.b.stack(self.l)
-        if combined.rank() != self.b.n_rows + self.l.n_rows:
-            raise ValueError("rows of B and L must be independent")
-        for t in (0, g.depth):
-            ops = [sigma_at_layer(g, c, t) for c in self.b.row_vectors()]
-            for i in range(len(ops)):
-                for j in range(i + 1, len(ops)):
-                    if not ops[i].commutes_with(ops[j]):
-                        raise ValueError(
-                            "error-detecting codewords must have commuting boundary operators"
-                        )
+        boundaries = [lambda c: sigma_at_layer(g, c, 0), lambda c: sigma_at_layer(g, c, g.depth)]
+        validate_b_l(self.a, self.b, self.l, boundaries)
 
 
-def _check_generators(paulis: list[PauliOperator], who: str) -> None:
+def _require_commuting(paulis: list[PauliOperator], message: str) -> None:
+    """Raise ValueError(message) unless the operators pairwise commute."""
     for i in range(len(paulis)):
         for j in range(i + 1, len(paulis)):
             if not paulis[i].commutes_with(paulis[j]):
-                raise ValueError(f"{who} generators must commute")
+                raise ValueError(message)
+
+
+def validate_b_l(a: BitMatrix, b: BitMatrix, l: BitMatrix, boundaries: list[Callable]) -> None:
+    """Rows of B and L are independent codewords of A, and the operators that
+    each function in ``boundaries`` reads off the rows of B pairwise commute.
+    """
+    if not a.matmul(b.transpose()).is_zero():
+        raise ValueError("A B^T must vanish")
+    if not a.matmul(l.transpose()).is_zero():
+        raise ValueError("A L^T must vanish")
+    if b.stack(l).rank() != b.n_rows + l.n_rows:
+        raise ValueError("rows of B and L must be independent")
+    rows = list(b.row_vectors())
+    for boundary in boundaries:
+        _require_commuting([boundary(c) for c in rows], "B boundary operators must commute")
 
 
 def build_ec_structure(
@@ -156,8 +160,8 @@ def build_ec_structure(
     groups (up to sign); L extends B inside the subspace of codewords whose
     boundary operators commute with those groups.
     """
-    _check_generators(s_in, "input")
-    _check_generators(s_out, "output")
+    _require_commuting(s_in, "input generators must commute")
+    _require_commuting(s_out, "output generators must commute")
     n = g.n_qubits
     spaces = code_spaces(g)
     k = spaces.kernel

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .codewords import validate_b_l
 from .gf2 import BitMatrix, BitVector, extend_span, hstack, kron
 from .pauli import PauliOperator
 
@@ -258,18 +259,6 @@ def assemble_physical(code: CssCode, layer: LogicalLayer) -> CssAssembly:
 
 
 def _validate_assembly(asm: CssAssembly) -> None:
-    if not asm.a.matmul(asm.b.transpose()).is_zero():
-        raise ValueError("A B^T must vanish")
-    if not asm.a.matmul(asm.l.transpose()).is_zero():
-        raise ValueError("A L^T must vanish")
     if asm.a_x.matmul(asm.d_x) != asm.a_z.matmul(asm.d_z).transpose():
         raise ValueError("A_X D_X must equal (A_Z D_Z)^T")
-    combined = asm.b.stack(asm.l)
-    if combined.rank() != asm.b.n_rows + asm.l.n_rows:
-        raise ValueError("B and L rows must be independent")
-    rows = list(asm.b.row_vectors())
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            for extract in (asm.sigma_in, asm.sigma_out):
-                if not extract(rows[i]).commutes_with(extract(rows[j])):
-                    raise ValueError("B boundary operators must commute")
+    validate_b_l(asm.a, asm.b, asm.l, [asm.sigma_in, asm.sigma_out])

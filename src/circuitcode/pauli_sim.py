@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, INIT_KINDS, MEAS_KINDS, OpKind
+from .circuit import Circuit, OpKind
 from .gf2 import BitVector
 from .pauli import (
     PauliOperator,
@@ -276,7 +276,7 @@ def run(
     for layer_no, layer in enumerate(circuit.layers, start=1):
         for op in layer:
             kind = op.kind
-            if kind in MEAS_KINDS or kind in INIT_KINDS:
+            if kind.is_measurement or kind.is_init:
                 # an initialisation is a measurement whose -1 outcome is
                 # flipped back by the anticommuting single-qubit Pauli
                 q = op.qubits[0]
@@ -284,7 +284,7 @@ def run(
                 z_basis = kind is OpKind.MEAS_Z or kind is OpKind.INIT_Z
                 p = PauliOperator(t.n, 0, b) if z_basis else PauliOperator(t.n, b, 0)
                 outcome = outcomes[(q, layer_no)] = t.measure_pauli(p, rng)
-                if outcome == -1 and kind in INIT_KINDS:
+                if outcome == -1 and kind.is_init:
                     t.apply_pauli(p.z, p.x)
             else:
                 t.apply_operation(op)
@@ -345,7 +345,7 @@ def nu(circuit: Circuit, g: TannerGraph, c: BitVector) -> int:
         keep = (1 << n) - 1
         gates = []
         for op in layer:
-            if op.kind in INIT_KINDS or op.kind in MEAS_KINDS:
+            if op.kind.is_init or op.kind.is_measurement:
                 keep &= ~(1 << (op.qubits[0] - 1))
             else:
                 gates.append(op)

@@ -12,9 +12,9 @@ bit i equals the masked sum of input bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .circuit import INIT_KINDS, MEAS_KINDS, PAULI_KINDS, Circuit, OpKind, Operation
+from .circuit import Circuit, OpKind
 from .gf2 import BitMatrix, BitVector
 
 
@@ -196,96 +196,88 @@ class SymmetryWitness:
 
 
 # ---------------------------------------------------------------------------
-# Gadget tables
+# Gadget table
 
-# operations whose gadget is a plain wire: an identity up to sign
-_IDENTITY_KINDS = PAULI_KINDS | {OpKind.I}
+# One gadget per operation kind, and one per short input kind ("x" or "z") of
+# a wire kind. A row lists (bit kind, qubit slot, time offset) references:
+# slot i is the operation's i-th qubit, offset 0 the layer's input time t - 1
+# and offset 1 its output time t. A gate row of (M | 1) says that its output
+# bit equals the masked sum of its input bits. The last reference of every
+# row is the output bit it constrains, and names the row. A side is (slot,
+# side, short kind, kind of the paired row): the short terminal of one qubit
+# side, and the row on the same qubit whose check the side pairs with. The
+# pairings make the deleted check matrix A.D symmetric for every composition
+# of gadgets, including across bit splits at asymmetric merges.
+_WIRE_ROWS = ((("x", 0, 0), ("x", 0, 1)), (("z", 0, 0), ("z", 0, 1)))
+_WIRE_SIDES = {
+    "x": ((0, "in", "x", "z"), (0, "out", "z", "x")),
+    "z": ((0, "in", "z", "x"), (0, "out", "x", "z")),
+}
 
+GADGETS = {
+    (OpKind.CNOT, None): (
+        (
+            (("x", 0, 0), ("x", 0, 1)),
+            (("x", 0, 0), ("x", 1, 0), ("x", 1, 1)),
+            (("z", 0, 0), ("z", 1, 0), ("z", 0, 1)),
+            (("z", 1, 0), ("z", 1, 1)),
+        ),
+        ((0, "in", "x", "z"), (0, "out", "z", "x"), (1, "in", "z", "x"), (1, "out", "x", "z")),
+    ),
+    (OpKind.H, None): (
+        ((("z", 0, 0), ("x", 0, 1)), (("x", 0, 0), ("z", 0, 1))),
+        ((0, "in", "z", "z"), (0, "out", "z", "x")),
+    ),
+    (OpKind.S, None): (
+        ((("x", 0, 0), ("x", 0, 1)), (("x", 0, 0), ("z", 0, 0), ("z", 0, 1))),
+        ((0, "in", "x", "z"), (0, "out", "z", "x")),
+    ),
+    (OpKind.INIT_Z, None): (((("x", 0, 1),),), ((0, "out", "z", "x"),)),
+    (OpKind.INIT_X, None): (((("z", 0, 1),),), ((0, "out", "x", "z"),)),
+    (OpKind.MEAS_Z, None): (((("x", 0, 0),),), ((0, "in", "z", "x"),)),
+    (OpKind.MEAS_X, None): (((("z", 0, 0),),), ((0, "in", "x", "z"),)),
+    **{
+        (kind, orient): (_WIRE_ROWS, sides)
+        for kind in OpKind
+        if kind.is_wire
+        for orient, sides in _WIRE_SIDES.items()
+    },
+}
 
-def _gate_rows(op: Operation, t: int):
-    """Check rows of a one-layer operation: (edges, row_owner) pairs.
-
-    ``edges`` lists (kind, q, time) references; ``row_owner`` is the (kind, q)
-    output coordinate the row constrains, used by the pairing tables.
-    """
-    tin, tout = t - 1, t
-    k = op.kind
-    if k is OpKind.CNOT:
-        c, g = op.qubits
-        return [
-            ([("x", c, tin), ("x", c, tout)], ("x", c)),
-            ([("x", c, tin), ("x", g, tin), ("x", g, tout)], ("x", g)),
-            ([("z", c, tin), ("z", g, tin), ("z", c, tout)], ("z", c)),
-            ([("z", g, tin), ("z", g, tout)], ("z", g)),
-        ]
-    (q,) = op.qubits
-    if k is OpKind.H:
-        return [
-            ([("z", q, tin), ("x", q, tout)], ("x", q)),
-            ([("x", q, tin), ("z", q, tout)], ("z", q)),
-        ]
-    if k is OpKind.S:
-        return [
-            ([("x", q, tin), ("x", q, tout)], ("x", q)),
-            ([("x", q, tin), ("z", q, tin), ("z", q, tout)], ("z", q)),
-        ]
-    if k in _IDENTITY_KINDS:
-        return [
-            ([("x", q, tin), ("x", q, tout)], ("x", q)),
-            ([("z", q, tin), ("z", q, tout)], ("z", q)),
-        ]
-    if k is OpKind.INIT_Z:
-        return [([("x", q, tout)], ("x", q))]
-    if k is OpKind.INIT_X:
-        return [([("z", q, tout)], ("z", q))]
-    if k is OpKind.MEAS_Z:
-        return [([("x", q, tin)], ("x", q))]
-    if k is OpKind.MEAS_X:
-        return [([("z", q, tin)], ("z", q))]
-    raise ValueError(f"no gadget for {k}")
+# short terminal kind of each (kind, slot, side) of a non-wire gadget
+_SHORT = {
+    (kind, slot, side): short
+    for (kind, orient), (_, sides) in GADGETS.items()
+    if orient is None
+    for slot, side, short, _ in sides
+}
 
 
 def _other(kind: str) -> str:
     return "z" if kind == "x" else "x"
 
 
-def _side_table(op: Operation, q: int, orient: str | None = None):
-    """Short-terminal kinds and pairing row owners per side of a gadget.
+def _compile(rows, sides):
+    """A gadget as build_plain reads it, its references resolved to positions.
 
-    Returns a list of (side, short_kind, pair_row_owner) for qubit ``q``;
-    ``orient`` is the short input kind of an identity or Pauli gadget. The
-    pairing rows were chosen so that the deleted check matrix A.D is symmetric
-    for every composition of gadgets, including across bit splits at
-    asymmetric merges.
+    A reference becomes (position, slot), where position 2 * offset + (kind
+    is z) picks one of the four bit kinds of a layer. A side becomes (slot,
+    side, short position, long position, index of the paired row).
     """
-    k = op.kind
-    if k is OpKind.CNOT:
-        c, g = op.qubits
-        if q == c:
-            return [("in", "x", ("z", c)), ("out", "z", ("x", c))]
-        return [("in", "z", ("x", g)), ("out", "x", ("z", g))]
-    if k is OpKind.H:
-        return [("in", "z", ("z", q)), ("out", "z", ("x", q))]
-    if k is OpKind.S:
-        return [("in", "x", ("z", q)), ("out", "z", ("x", q))]
-    if k in _IDENTITY_KINDS:
-        if orient == "x":  # x-in short
-            return [("in", "x", ("z", q)), ("out", "z", ("x", q))]
-        return [("in", "z", ("x", q)), ("out", "x", ("z", q))]
-    if k is OpKind.INIT_Z:
-        return [("out", "z", ("x", q))]
-    if k is OpKind.INIT_X:
-        return [("out", "x", ("z", q))]
-    if k is OpKind.MEAS_Z:
-        return [("in", "z", ("x", q))]
-    if k is OpKind.MEAS_X:
-        return [("in", "x", ("z", q))]
-    raise ValueError(f"no side table for {k}")
+    names = [row[-1][:2] for row in rows]
+    emit_sides = []
+    for slot, side, short, pair in sides:
+        dt = 2 * (side == "out")
+        emit_sides.append(
+            (slot, side, dt + (short == "z"), dt + (short == "x"), names.index((pair, slot)))
+        )
+    return (
+        tuple(tuple((2 * dt + (kind == "z"), slot) for kind, slot, dt in row) for row in rows),
+        tuple(emit_sides),
+    )
 
 
-def _short_kind(op: Operation, q: int, side: str) -> str:
-    """The short terminal kind of one side of a gate, init or measurement."""
-    return next(short for s, short, _ in _side_table(op, q) if s == side)
+_EMIT = {key: _compile(*gadget) for key, gadget in GADGETS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -302,79 +294,72 @@ def build_plain(circuit: Circuit) -> TannerGraph:
     lies on a gadget row or is a flagged initialisation or measurement bit,
     so a circuit with at least one layer has no isolated bit.
     """
-    circuit.check_valid()
+    on, spans = circuit.wires()
     n, T = circuit.n_qubits, circuit.depth
     if T == 0:
         return TannerGraph([], [], n, 0, [])
-    on = circuit.ops_by_qubit()
 
-    # one walk per live segment: its times, the gadget of each (q, layer) and
-    # the short input kind of each identity or Pauli gadget
-    live: set[tuple[int, int]] = set()
-    gadget: dict[tuple[int, int], Operation] = {}
-    orient: dict[tuple[int, int], str] = {}
-    for q, spans in enumerate(circuit.live_spans(), start=1):
-        for t0, t1, opened, closed in spans:
-            live.update((q, t) for t in range(t0, t1 + 1))
-            inner = {
-                t: on[t - 1].get(q) or Operation(OpKind.I, (q,))
-                for t in range(t0 + 1, t1 + 1)
-            }
+    # one walk per live segment: the live qubits of each time, the gadgets of
+    # each layer, and the initialised and measured bits. Qubits are walked in
+    # increasing order, so each layer's gadgets come in the order their checks
+    # are numbered. A wire gadget is short on the other kind to the short
+    # output before it; with no opener, the segment's first gate or closer
+    # decides.
+    live: list[list[int]] = [[] for _ in range(T + 1)]
+    gadget: list[list[tuple]] = [[] for _ in range(T + 1)]
+    initialised: set[tuple[str, int, int]] = set()
+    measured: set[tuple[str, int, int]] = set()
+    for q, q_spans in enumerate(spans, start=1):
+        for t0, t1, opened, closed in q_spans:
+            for t in range(t0, t1 + 1):
+                live[t].append(q)
             opener = on[t0 - 1][q] if opened else None
             closer = on[t1][q] if closed else None
-            # an identity is short on the other kind to the short output before
-            # it; with no opener, the segment's first gate or closer decides
-            first = next(
-                (op for op in inner.values() if op.kind not in _IDENTITY_KINDS), closer
-            )
-            lead = _short_kind(first, q, "in") if first else "x"
-            out = _short_kind(opener, q, "out") if opener else _other(lead)
-            for t, op in inner.items():
-                if op.kind in _IDENTITY_KINDS:
-                    orient[(q, t)] = _other(out)
-                else:
-                    out = _short_kind(op, q, "out")
-                gadget[(q, t)] = op
             if opener:
-                gadget[(q, t0)] = opener
+                out = _SHORT[opener.kind, 0, "out"]
+                initialised.add((out, q, t0))
+                gadget[t0].append(((q,), _EMIT[opener.kind, None]))
+            else:
+                inner = (on[t - 1].get(q) for t in range(t0 + 1, t1 + 1))
+                first = next((op for op in inner if op and not op.kind.is_wire), closer)
+                out = _other(_SHORT[first.kind, first.qubits.index(q), "in"] if first else "x")
+            for t in range(t0 + 1, t1 + 1):
+                op = on[t - 1].get(q)
+                if op is None or op.kind.is_wire:
+                    gadget[t].append(((q,), _EMIT[op.kind if op else OpKind.I, _other(out)]))
+                else:
+                    out = _SHORT[op.kind, op.qubits.index(q), "out"]
+                    if q == min(op.qubits):  # a CNOT is emitted at its lower qubit
+                        gadget[t].append((op.qubits, _EMIT[op.kind, None]))
             if closer:
-                gadget[(q, t1 + 1)] = closer
+                measured.add((_SHORT[closer.kind, 0, "in"], q, t1))
+                gadget[t1 + 1].append(((q,), _EMIT[closer.kind, None]))
 
-    # wire bits, ordered by (t, kind, q): per layer x1..xn then z1..zn
-    bits = [
-        VertexLabel(kind, q, t)
-        for t in range(T + 1)
-        for kind in ("x", "z")
-        for q in range(1, n + 1)
-        if (q, t) in live
-    ]
-    index = {(lab.kind, lab.q, lab.t): i for i, lab in enumerate(bits)}
+    # wire bits, ordered by (t, kind, q): per layer x1..xn then z1..zn;
+    # index[2 * t + k][q] is the bit of kind "xz"[k] on qubit q at time t
+    bits: list[VertexLabel] = []
+    index: list[list[int | None]] = []
+    for t in range(T + 1):
+        for kind in ("x", "z"):
+            at: list[int | None] = [None] * (n + 1)
+            for q in live[t]:
+                at[q] = len(bits)
+                key = (kind, q, t)
+                bits.append(VertexLabel(kind, q, t, 0, key in measured, key in initialised))
+            index.append(at)
 
     checks: list[tuple[int, ...]] = []
     gadgets: list[GadgetRec] = []
     for t in range(1, T + 1):
-        for q in range(1, n + 1):
-            op = gadget.get((q, t))
-            if op is None or q != min(op.qubits):
-                continue  # no gadget here, or a CNOT emitted at its lower qubit
+        at = index[2 * t - 2 : 2 * t + 2]
+        for qubits, (rows, sides) in gadget[t]:
             first_check = len(checks)
-            owner_to_check: dict[tuple, int] = {}
-            for edges, owner in _gate_rows(op, t):
-                owner_to_check[owner] = len(checks)
-                checks.append(tuple(index[e] for e in edges))
-            sides: list[SideInfo] = []
-            for p in op.qubits:
-                for side, short_kind, owner in _side_table(op, p, orient.get((p, t))):
-                    tt = t - 1 if side == "in" else t
-                    short_bit = index[(short_kind, p, tt)]
-                    # an initialised or measured bit is its gadget's short terminal
-                    if op.kind in MEAS_KINDS:
-                        bits[short_bit] = replace(bits[short_bit], is_measurement=True)
-                    elif op.kind in INIT_KINDS:
-                        bits[short_bit] = replace(bits[short_bit], is_initialisation=True)
-                    long_bit = index[(_other(short_kind), p, tt)]
-                    sides.append(SideInfo(side, short_bit, long_bit, owner_to_check[owner]))
-            gadgets.append(GadgetRec(list(range(first_check, len(checks))), sides))
+            for row in rows:
+                checks.append(tuple([at[off][qubits[slot]] for off, slot in row]))
+            gadgets.append(GadgetRec(list(range(first_check, len(checks))), [
+                SideInfo(side, at[short][qubits[slot]], at[long][qubits[slot]], first_check + pair)
+                for slot, side, short, long, pair in sides
+            ]))
     return TannerGraph(bits, checks, n, T, gadgets)
 
 

@@ -12,6 +12,7 @@ from circuitcode.circuit import (
     random_circuit,
     serialize,
 )
+from circuitcode.tanner import build_plain
 
 ZZ_TEXT = """\
 # repeated two-qubit parity measurement via an ancilla
@@ -131,12 +132,34 @@ def test_validate_programmatic():
     ]
 
 
+def test_wire_walk_raises_every_validate_problem():
+    h, mz = OpKind.H, OpKind.MEAS_Z
+    c = Circuit(
+        2,
+        [
+            [Operation(h, (1,)), Operation(h, (1,)), Operation(h, (3,))],
+            [Operation(mz, (2,))],
+            [Operation(h, (2,))],
+        ],
+    )
+    problems = [
+        "layer 1: qubit 1 used twice",
+        "layer 1: qubit 3 out of range 1..2",
+        "layer 3: gate on qubit 2 after measurement without reinitialisation",
+    ]
+    assert c.validate() == problems
+    for call in (c.wires, c.check_valid, lambda: build_plain(c)):
+        with pytest.raises(CircuitError) as exc:
+            call()
+        assert str(exc.value) == "; ".join(problems)
+
+
 def test_live_spans():
-    c = zz_circuit()
+    spans = zz_circuit().wires()[1]
     # data qubits live across the whole circuit
-    assert c.live_spans()[0] == [(0, 8, False, False)]
+    assert spans[0] == [(0, 8, False, False)]
     # the ancilla has two measured spans starting at its initialisations
-    assert c.live_spans()[2] == [(1, 3, True, True), (5, 7, True, True)]
+    assert spans[2] == [(1, 3, True, True), (5, 7, True, True)]
 
 
 def test_random_circuits_are_valid():

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from dataclasses import replace
 
 import pytest
 
@@ -131,6 +133,24 @@ def test_build_ec_structure_rejects_noncommuting():
     _, g = zz_graph()
     with pytest.raises(ValueError):
         cw.build_ec_structure(g, [pauli("X1", 3), pauli("Z1", 3)], [])
+
+
+def test_validate_b_l_trips_each_condition():
+    _, g = zz_graph()
+    zz = [pauli("Z1Z2", 3)]
+    ec = cw.build_ec_structure(g, zz, zz)  # validates; L carries X1X2 and Z1
+    j = next(i for i in range(g.n_bits) if g.bit_degree(i))
+    not_codeword = BitMatrix(1, g.n_bits, [1 << j])
+    no_rows = BitMatrix(0, g.n_bits, [])
+    broken = {
+        "A B^T must vanish": replace(ec, b=not_codeword),
+        "A L^T must vanish": replace(ec, l=not_codeword),
+        "rows of B and L must be independent": replace(ec, l=ec.b),
+        "B boundary operators must commute": replace(ec, b=ec.l, l=no_rows),
+    }
+    for message, structure in broken.items():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            structure.validate(g)
 
 
 def test_ec_structure_unitary_circuit():

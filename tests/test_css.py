@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from circuitcode.css import (
+    _validate_assembly,
     assemble_physical,
     derive_logicals,
     logical_cnot_layer,
@@ -120,6 +123,17 @@ def test_assembly_invariants_corpus():
     # closed forms still hold per block pair on the trivial one-qubit code
     trivial = derive_logicals(BitMatrix.zeros(0, 1), BitMatrix.zeros(0, 1))
     assemble_physical(trivial, logical_cnot_layer())
+
+
+def test_assembly_validation_trips():
+    asm = assemble_physical(code_211(), repeated_measurement_layer(1))
+    zero_d_x = BitMatrix.zeros(asm.d_x.n_rows, asm.d_x.n_cols)
+    with pytest.raises(ValueError, match=r"A_X D_X must equal \(A_Z D_Z\)\^T"):
+        _validate_assembly(replace(asm, d_x=zero_d_x))
+    # the X and Z logicals of the [[2,1]] code anticommute at both boundaries
+    no_rows = BitMatrix.zeros(0, asm.l.n_cols)
+    with pytest.raises(ValueError, match="B boundary operators must commute"):
+        _validate_assembly(replace(asm, b=asm.l, l=no_rows))
 
 
 def test_css_distance_steane_exhaustive_oracle():

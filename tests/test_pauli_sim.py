@@ -5,12 +5,12 @@ import pytest
 
 from circuitcode import codewords as cw
 from circuitcode import pauli_sim as sim
-from circuitcode.circuit import parse_circuit, random_circuit
+from circuitcode.circuit import OpKind, parse_circuit, random_circuit
 from circuitcode.gf2 import BitVector
 from circuitcode.pauli import PauliOperator
-from circuitcode.tanner import build_plain
+from circuitcode.tanner import build_plain, symmetrize, verify_symmetry
 from tests.test_circuit import ZZ_TEXT
-from tests.test_tanner import rep_memory_text
+from tests.test_tanner import rep_memory_text, with_i_and_y
 
 
 def test_conjugate_pauli_through_circuit():
@@ -212,6 +212,26 @@ def test_verify_fuzz_with_errors_small():
             assert verdict.ok, verdict.report(c, v, e)
 
 
+def test_i_and_y_codeword_equations_and_symmetry():
+    rng, swap_rng = random.Random(47), random.Random(48)
+    checked = 0
+    kinds = set()
+    for _ in range(250):
+        c = with_i_and_y(random_circuit(rng.randrange(1, 6), rng.randrange(1, 10), rng), swap_rng)
+        kinds.update(op.kind for layer in c.layers for op in layer)
+        g = build_plain(c)
+        for v in g.check_matrix().kernel_basis().row_vectors():
+            verdict = sim.verify_codeword_equation(
+                c, g, v, None, seed=rng.randrange(1 << 30), trials=2
+            )
+            assert verdict.ok, verdict.report(c, v, None)
+            checked += 1
+        sym, w, _ = symmetrize(g, c)
+        assert verify_symmetry(sym, w) == []
+    assert {OpKind.I, OpKind.PAULI_Y} <= kinds
+    assert checked > 1000
+
+
 def test_pauli_gates_share_graph_but_flip_signs():
     # circuits differing by Pauli gates share one code; nu absorbs the signs
     plain = parse_circuit("qubits 1\ni 1\n")
@@ -257,7 +277,7 @@ def test_nu_pinned_on_circuits_that_reuse_qubits():
     while len(got) < len(PINNED_NU["reused"]):
         c = random_circuit(rng.randrange(2, 5), rng.randrange(3, 9), rng)
         # a qubit with two live spans is measured and then reinitialised
-        if any(len(spans) > 1 for spans in c.live_spans()):
+        if any(len(spans) > 1 for spans in c.wires()[1]):
             got.append(_nu_string(c))
     assert got == PINNED_NU["reused"]
 

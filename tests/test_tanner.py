@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
-from circuitcode.circuit import parse_circuit, random_circuit
+from circuitcode.circuit import Circuit, OpKind, Operation, parse_circuit, random_circuit
 from circuitcode.gf2 import BitMatrix, BitVector
 from circuitcode.tanner import (
+    GADGETS,
     SymmetryWitness,
     _junctions,
     bit_split,
@@ -285,3 +287,197 @@ def test_witness_roundtrip():
     w2 = read_witness(write_witness(g2, w))
     assert w2.dual == w.dual
     assert w2.long_terminals == w.long_terminals
+
+
+# ---------------------------------------------------------------------------
+# The gadget table against its specification
+
+# The per-kind ladders that the gadget table replaced, kept as the
+# specification the table must reproduce.
+_IDENTITY_KINDS = {OpKind.I, OpKind.PAULI_X, OpKind.PAULI_Y, OpKind.PAULI_Z}
+
+
+def _gate_rows(op, t):
+    """Check rows of a one-layer operation: (edges, row_owner) pairs.
+
+    ``edges`` lists (kind, q, time) references; ``row_owner`` is the (kind, q)
+    output coordinate the row constrains, used by the pairing tables.
+    """
+    tin, tout = t - 1, t
+    k = op.kind
+    if k is OpKind.CNOT:
+        c, g = op.qubits
+        return [
+            ([("x", c, tin), ("x", c, tout)], ("x", c)),
+            ([("x", c, tin), ("x", g, tin), ("x", g, tout)], ("x", g)),
+            ([("z", c, tin), ("z", g, tin), ("z", c, tout)], ("z", c)),
+            ([("z", g, tin), ("z", g, tout)], ("z", g)),
+        ]
+    (q,) = op.qubits
+    if k is OpKind.H:
+        return [
+            ([("z", q, tin), ("x", q, tout)], ("x", q)),
+            ([("x", q, tin), ("z", q, tout)], ("z", q)),
+        ]
+    if k is OpKind.S:
+        return [
+            ([("x", q, tin), ("x", q, tout)], ("x", q)),
+            ([("x", q, tin), ("z", q, tin), ("z", q, tout)], ("z", q)),
+        ]
+    if k in _IDENTITY_KINDS:
+        return [
+            ([("x", q, tin), ("x", q, tout)], ("x", q)),
+            ([("z", q, tin), ("z", q, tout)], ("z", q)),
+        ]
+    if k is OpKind.INIT_Z:
+        return [([("x", q, tout)], ("x", q))]
+    if k is OpKind.INIT_X:
+        return [([("z", q, tout)], ("z", q))]
+    if k is OpKind.MEAS_Z:
+        return [([("x", q, tin)], ("x", q))]
+    if k is OpKind.MEAS_X:
+        return [([("z", q, tin)], ("z", q))]
+    raise ValueError(f"no gadget for {k}")
+
+
+def _side_table(op, q, orient=None):
+    """Short-terminal kinds and pairing row owners per side of a gadget.
+
+    Returns a list of (side, short_kind, pair_row_owner) for qubit ``q``;
+    ``orient`` is the short input kind of an identity or Pauli gadget.
+    """
+    k = op.kind
+    if k is OpKind.CNOT:
+        c, g = op.qubits
+        if q == c:
+            return [("in", "x", ("z", c)), ("out", "z", ("x", c))]
+        return [("in", "z", ("x", g)), ("out", "x", ("z", g))]
+    if k is OpKind.H:
+        return [("in", "z", ("z", q)), ("out", "z", ("x", q))]
+    if k is OpKind.S:
+        return [("in", "x", ("z", q)), ("out", "z", ("x", q))]
+    if k in _IDENTITY_KINDS:
+        if orient == "x":  # x-in short
+            return [("in", "x", ("z", q)), ("out", "z", ("x", q))]
+        return [("in", "z", ("x", q)), ("out", "x", ("z", q))]
+    if k is OpKind.INIT_Z:
+        return [("out", "z", ("x", q))]
+    if k is OpKind.INIT_X:
+        return [("out", "x", ("z", q))]
+    if k is OpKind.MEAS_Z:
+        return [("in", "z", ("x", q))]
+    if k is OpKind.MEAS_X:
+        return [("in", "x", ("z", q))]
+    raise ValueError(f"no side table for {k}")
+
+
+def test_gadget_table_reproduces_the_ladders():
+    t = 4
+    keys = set()
+    for kind in OpKind:
+        assert kind.is_wire == (kind in _IDENTITY_KINDS)
+        for qubits in [(2, 5), (5, 2)] if kind.arity == 2 else [(3,)]:
+            op = Operation(kind, qubits)
+            for orient in ("x", "z") if kind.is_wire else (None,):
+                keys.add((kind, orient))
+                rows, sides = GADGETS[kind, orient]
+                assert [
+                    (
+                        [(k, qubits[slot], t - 1 + dt) for k, slot, dt in row],
+                        (row[-1][0], qubits[row[-1][1]]),
+                    )
+                    for row in rows
+                ] == _gate_rows(op, t)
+                for slot, q in enumerate(qubits):
+                    assert [
+                        (side, short, (pair, q))
+                        for s, side, short, pair in sides
+                        if s == slot
+                    ] == _side_table(op, q, orient)
+    assert set(GADGETS) == keys
+
+
+# ---------------------------------------------------------------------------
+# A seeded corpus of graphs, pinned by digest
+
+# SHA-256 of graph_digest(graph_corpus()), computed with the ladder-based
+# build_plain (commit 208779f): every bit label and flag, check, gadget record
+# and symmetrize output of the corpus must stay the same.
+GRAPH_CORPUS_SHA256 = "befc1716166efc9804c538609fb12c2e3ae8a30afda3c5d12273b60aebaff818"
+
+_SWAPPABLE = (OpKind.H, OpKind.S, OpKind.PAULI_X, OpKind.PAULI_Z)
+
+
+def with_i_and_y(c, rng):
+    """c with about half of its h, s, x and z replaced by i or y.
+
+    ``random_circuit`` never draws i or y; this leaves its draws alone and
+    takes its own from ``rng``. Wire rules treat i and y as transparent, so
+    the result is valid whenever c is.
+    """
+    layers = [
+        [
+            Operation(rng.choice((OpKind.I, OpKind.PAULI_Y)), op.qubits)
+            if op.kind in _SWAPPABLE and rng.random() < 0.5
+            else op
+            for op in layer
+        ]
+        for layer in c.layers
+    ]
+    return Circuit(c.n_qubits, layers).canonical().check_valid()
+
+
+def parity_text(k):
+    """One round of a weight-k Z parity measurement onto ancilla k + 1."""
+    a = k + 1
+    layers = [f"rz {a}"] + [f"cnot {i} {a}" for i in range(1, k + 1)] + [f"mz {a}"]
+    return f"qubits {a}\n" + "\ntick\n".join(layers) + "\n"
+
+
+def graph_corpus():
+    """806 circuits: repetition memory, parity rounds, 400 seeded random
+    circuits and the same 400 with i and y substituted."""
+    circuits = [parse_circuit(rep_memory_text(d)) for d in (3, 5, 7)]
+    circuits += [parse_circuit(parity_text(k)) for k in (1, 2, 3)]
+    rng, swap_rng = random.Random(2024), random.Random(2025)
+    drawn = [random_circuit(rng.randrange(1, 9), rng.randrange(1, 17), rng) for _ in range(400)]
+    return circuits + drawn + [with_i_and_y(c, swap_rng) for c in drawn]
+
+
+def graph_digest(circuits):
+    h = hashlib.sha256()
+    for c in circuits:
+        g = build_plain(c)
+        sym, w, maps = symmetrize(g, c)
+        record = (
+            [(b.kind, b.q, b.t, b.serial, b.is_measurement, b.is_initialisation) for b in sym.bits],
+            g.checks,
+            [
+                (r.checks, [(s.side, s.short_bit, s.long_bit, s.pair_check) for s in r.sides])
+                for r in g.gadgets
+            ],
+            sym.checks,
+            list(w.dual.items()),
+            sorted(w.long_terminals),
+            maps.codeword.rows,
+            maps.error.rows,
+        )
+        h.update(repr(record).encode())
+    return h.hexdigest()
+
+
+def test_graph_corpus_digest_is_pinned():
+    circuits = graph_corpus()
+    assert len(circuits) == 806
+    kinds = {op.kind for c in circuits for layer in c.layers for op in layer}
+    assert kinds == set(OpKind)
+    assert graph_digest(circuits) == GRAPH_CORPUS_SHA256
+
+
+def test_build_plain_walks_each_wire_once(monkeypatch):
+    c = parse_circuit(rep_memory_text(3))
+    walks = []
+    walk = Circuit._walk_wires
+    monkeypatch.setattr(Circuit, "_walk_wires", lambda self: walks.append(1) or walk(self))
+    build_plain(c)
+    assert len(walks) == 1
