@@ -40,6 +40,10 @@ class OpKind(enum.Enum):
         member.is_wire = is_wire
         return member
 
+    # members are singletons compared by identity; the C identity hash keeps
+    # lookups keyed by kind (the gadget tables) out of Enum's Python __hash__
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class Operation:

@@ -13,13 +13,13 @@ bit i equals the masked sum of input bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .circuit import Circuit, OpKind
 from .gf2 import BitMatrix, BitVector
 
 
-@dataclass(frozen=True)
-class VertexLabel:
+class VertexLabel(NamedTuple):
     kind: str  # 'x', 'z' wire bits; 's' split-auxiliary bits
     q: int
     t: int

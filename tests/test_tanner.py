@@ -1,4 +1,6 @@
+import cProfile
 import hashlib
+import pstats
 import random
 
 import pytest
@@ -481,3 +483,10 @@ def test_build_plain_walks_each_wire_once(monkeypatch):
     monkeypatch.setattr(Circuit, "_walk_wires", lambda self: walks.append(1) or walk(self))
     build_plain(c)
     assert len(walks) == 1
+
+
+def test_build_plain_hashes_no_kind_in_python():
+    # the gadget tables are keyed by OpKind; its hash must stay in C
+    prof = cProfile.Profile()
+    prof.runcall(build_plain, parse_circuit(rep_memory_text(3)))
+    assert [f for f in pstats.Stats(prof).stats if f[2] == "__hash__"] == []
