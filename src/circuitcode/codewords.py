@@ -1,8 +1,10 @@
-"""Codeword analysis: layer projections, classification, EC structure.
+"""Codeword analysis: kernel-coordinate code spaces, classification, EC structure.
 
 Codewords of a circuit graph are kernel vectors of its check matrix. Their
-layer-0 and layer-T projections give the input and output Pauli operators;
+layer-0 and layer-T wire bits give the input and output Pauli operators;
 measurement bits with value one mark the outcomes entering the sign factor.
+Every subspace of the code is carved out of the kernel basis, so the check
+matrix is eliminated once per graph.
 """
 
 from __future__ import annotations
@@ -21,16 +23,8 @@ PSEUDO_PROPAGATOR = "pseudo-propagator"
 GENUINE_PROPAGATOR = "genuine-propagator"
 
 
-def layer_projection(g: TannerGraph, t: int) -> BitMatrix:
-    """Selector rows for the bits of layer t (removed bits contribute none)."""
-    rows = [1 << i for i in g.layer_bits(t)]
-    return BitMatrix(len(rows), g.n_bits, rows)
-
-
 def sigma_at_layer(g: TannerGraph, c: BitVector, t: int) -> PauliOperator:
     """The Pauli operator carried by a codeword at time t, with +1 phase."""
-    if g.n_qubits is None:
-        raise ValueError("graph has no layer structure")
     x, z = g.wire_masks(c)[t]
     return PauliOperator(g.n_qubits, x, z)
 
@@ -44,17 +38,28 @@ class CodeSpaces:
     incoherent: BitMatrix  # span of the two above
 
 
+def _carve(kernel: BitMatrix, conditions: list[BitMatrix]) -> BitMatrix:
+    """Basis of the codewords alpha . kernel with alpha . C = 0 for every C.
+
+    Each C has one row per kernel row: the linear functionals of the
+    codeword that must vanish, evaluated on that basis vector.
+    """
+    return stack_kernel([c.transpose() for c in conditions]).matmul(kernel)
+
+
 def code_spaces(g: TannerGraph) -> CodeSpaces:
     cached = getattr(g, "_code_spaces", None)
     if cached is not None:
         return cached
-    a = g.check_matrix()
-    p0 = layer_projection(g, 0)
-    pt = layer_projection(g, g.depth)
+    if g.depth is None:
+        raise ValueError("graph has no layer structure")
     kernel = g.kernel_basis()
-    with_detectors = stack_kernel([a, pt])
-    with_emitters = stack_kernel([a, p0])
-    checkers = stack_kernel([a, p0, pt])
+    # a codeword's layer-t bits vanish iff its operator at time t does
+    m0 = _xz_matrix(g, kernel, 0)
+    mt = _xz_matrix(g, kernel, g.depth)
+    with_detectors = _carve(kernel, [mt]).rref()
+    with_emitters = _carve(kernel, [m0]).rref()
+    checkers = _carve(kernel, [m0, mt]).rref()
     incoherent = span_union(with_detectors, with_emitters)
     spaces = CodeSpaces(kernel, checkers, with_detectors, with_emitters, incoherent)
     g._code_spaces = spaces
@@ -63,11 +68,11 @@ def code_spaces(g: TannerGraph) -> CodeSpaces:
 
 def classify(g: TannerGraph, c: BitVector) -> str:
     """Codeword class by its boundary layers and coherence."""
-    a = g.check_matrix()
-    if not a.mul_vec(c).is_zero():
+    if g.syndrome(c):
         raise ValueError("not a codeword of the graph")
-    zero_in = all(c[i] == 0 for i in g.layer_bits(0))
-    zero_out = all(c[i] == 0 for i in g.layer_bits(g.depth))
+    masks = g.wire_masks(c)
+    zero_in = masks[0] == (0, 0)
+    zero_out = masks[g.depth] == (0, 0)
     if zero_in and zero_out:
         return CHECKER
     if zero_out:
@@ -82,7 +87,7 @@ def classify(g: TannerGraph, c: BitVector) -> str:
 
 def relevant_measurements(g: TannerGraph, c: BitVector) -> list[int]:
     """Measurement bits whose outcomes enter the codeword's sign factor."""
-    return [i for i in g.measurement_bits() if c[i]]
+    return [i for i in c.support() if g.bits[i].is_measurement]
 
 
 def errors_equivalent(a: BitMatrix, e1: BitVector, e2: BitVector) -> bool:
@@ -91,9 +96,7 @@ def errors_equivalent(a: BitMatrix, e1: BitVector, e2: BitVector) -> bool:
 
 
 def _xz_matrix(g: TannerGraph, basis: BitMatrix, t: int) -> BitMatrix:
-    rows = []
-    for c in basis.row_vectors():
-        rows.append(sigma_at_layer(g, c, t).xz_vector().bits)
+    rows = [sigma_at_layer(g, c, t).xz_vector().bits for c in basis.row_vectors()]
     return BitMatrix(basis.n_rows, 2 * g.n_qubits, rows)
 
 
@@ -149,6 +152,28 @@ def validate_b_l(a: BitMatrix, b: BitMatrix, l: BitMatrix, boundaries: list[Call
         _require_commuting([boundary(c) for c in rows], "B boundary operators must commute")
 
 
+def _ec_structure(
+    g: TannerGraph,
+    b: BitMatrix,
+    l: BitMatrix,
+    s_in: list[PauliOperator],
+    s_out: list[PauliOperator],
+) -> EcStructure:
+    structure = EcStructure(
+        a=g.check_matrix(),
+        b=b,
+        l=l,
+        v_m=tuple(g.measurement_bits()),
+        v_i=tuple(g.initialisation_bits()),
+        s_in=s_in,
+        s_out=s_out,
+        l_in=[sigma_at_layer(g, c, 0) for c in l.row_vectors()],
+        l_out=[sigma_at_layer(g, c, g.depth) for c in l.row_vectors()],
+    )
+    structure.validate(g)
+    return structure
+
+
 def build_ec_structure(
     g: TannerGraph,
     s_in: list[PauliOperator],
@@ -175,59 +200,30 @@ def build_ec_structure(
     w_out = g_out.kernel_basis()
     n_in = m0.matmul(w_in.transpose())
     n_out = mt.matmul(w_out.transpose())
-    alpha_b = stack_kernel([n_in.transpose(), n_out.transpose()])
-    b = alpha_b.matmul(k).rref()
+    b = _carve(k, [n_in, n_out]).rref()
 
     # logical condition: boundary operators commute with the stabilisers
     c_in = m0.matmul(_swap_halves(g_in, n).transpose())
     c_out = mt.matmul(_swap_halves(g_out, n).transpose())
-    alpha_w = stack_kernel([c_in.transpose(), c_out.transpose()])
-    w = alpha_w.matmul(k)
+    w = _carve(k, [c_in, c_out])
 
     l = extend_span(b, w).rref()
-
-    structure = EcStructure(
-        a=g.check_matrix(),
-        b=b,
-        l=l,
-        v_m=tuple(g.measurement_bits()),
-        v_i=tuple(g.initialisation_bits()),
-        s_in=s_in,
-        s_out=s_out,
-        l_in=[sigma_at_layer(g, c, 0) for c in l.row_vectors()],
-        l_out=[sigma_at_layer(g, c, g.depth) for c in l.row_vectors()],
-    )
-    structure.validate(g)
-    return structure
+    return _ec_structure(g, b, l, s_in, s_out)
 
 
 def complete_ec_structure(g: TannerGraph) -> EcStructure:
     """The maximal compatible pair: B spans every incoherent codeword and L
     completes it to the whole code with genuine propagators."""
     spaces = code_spaces(g)
-    b = spaces.incoherent.rref()
+    b = spaces.incoherent
     l = extend_span(b, spaces.kernel).rref()
-    s_in, s_out = derive_codes_from_b(g, b)
-    structure = EcStructure(
-        a=g.check_matrix(),
-        b=b,
-        l=l,
-        v_m=tuple(g.measurement_bits()),
-        v_i=tuple(g.initialisation_bits()),
-        s_in=s_in,
-        s_out=s_out,
-        l_in=[sigma_at_layer(g, c, 0) for c in l.row_vectors()],
-        l_out=[sigma_at_layer(g, c, g.depth) for c in l.row_vectors()],
-    )
-    structure.validate(g)
-    return structure
+    return _ec_structure(g, b, l, *derive_codes_from_b(g, b))
 
 
 def derive_codes_from_b(
     g: TannerGraph, b: BitMatrix
 ) -> tuple[list[PauliOperator], list[PauliOperator]]:
     """Stabiliser generators spanned by the boundary operators of B's rows."""
-    n = g.n_qubits
     gens = []
     for t in (0, g.depth):
         m = _xz_matrix(g, b, t).rref()
@@ -277,28 +273,18 @@ def find_anticommuting_partner(
     """
     if classify(g, c) != GENUINE_PROPAGATOR:
         raise ValueError("partner search needs a genuine propagator")
-    n = g.n_qubits
-    spaces = code_spaces(g)
-    k = spaces.kernel
-    m0 = _xz_matrix(g, k, 0)
-    mt = _xz_matrix(g, k, g.depth)
-    target_in = sigma_at_layer(g, c, 0).xz_vector()
-    target_out = sigma_at_layer(g, c, g.depth).xz_vector()
-    swapped_in = BitVector(
-        2 * n, (target_in.bits >> n) | ((target_in.bits & ((1 << n) - 1)) << n)
-    )
-    swapped_out = BitVector(
-        2 * n, (target_out.bits >> n) | ((target_out.bits & ((1 << n) - 1)) << n)
-    )
-    u_in = m0.mul_vec(swapped_in)
-    u_out = mt.mul_vec(swapped_out)
-    sys = BitMatrix(2, k.n_rows, [u_in.bits, u_out.bits])
-    alpha = sys.solve(BitVector.from_bits([1, 1]))
+    k = code_spaces(g).kernel
+    target = BitMatrix(1, g.n_bits, [c.bits])
+    # one equation per boundary: the symplectic product of each kernel row's
+    # operator with c's operator there
+    system = [
+        _xz_matrix(g, k, t).mul_vec(_swap_halves(_xz_matrix(g, target, t), g.n_qubits).row(0))
+        for t in (0, g.depth)
+    ]
+    alpha = BitMatrix.from_vectors(system).solve(BitVector.from_bits([1, 1]))
     if alpha is None:
         raise AssertionError("no anticommuting partner exists; classification is broken")
-    partner = BitVector(g.n_bits, 0)
-    for i in alpha.support():
-        partner ^= k.row(i)
+    partner = BitMatrix(1, k.n_rows, [alpha.bits]).matmul(k).row(0)
     if classify(g, partner) != GENUINE_PROPAGATOR:
         raise AssertionError("partner is not a genuine propagator")
     return partner

@@ -333,23 +333,25 @@ def nu(circuit: Circuit, g: TannerGraph, c: BitVector) -> int:
     operations of one layer act on disjoint qubits, so nu is the product over
     layers of the sign picked up by conjugating the operator at t - 1 through
     the layer's gates, with the qubits the layer measures or initialises left
-    out. Each conjugate is checked against the operator at t.
+    out. Each conjugate is checked against the operator at t. A gate on
+    qubits where the operator is the identity leaves it the identity with
+    sign +1, so only the gates that touch its support are conjugated.
     """
-    a = g.check_matrix()
-    if c.n != g.n_bits or not a.mul_vec(c).is_zero():
+    if c.n != g.n_bits or g.syndrome(c):
         raise ValueError("nu needs a codeword of the circuit graph")
     n = circuit.n_qubits
     masks = g.wire_masks(c)
     sign = 1
     for t, layer in enumerate(circuit.layers, start=1):
+        (x0, z0), (x1, z1) = masks[t - 1], masks[t]
+        support = x0 | z0
         keep = (1 << n) - 1
         gates = []
         for op in layer:
             if op.kind.is_init or op.kind.is_measurement:
                 keep &= ~(1 << (op.qubits[0] - 1))
-            else:
+            elif any(support >> (q - 1) & 1 for q in op.qubits):
                 gates.append(op)
-        (x0, z0), (x1, z1) = masks[t - 1], masks[t]
         out = conjugate_pauli(Circuit(n, [gates]), PauliOperator(n, x0 & keep, z0 & keep))
         if out.x != x1 & keep or out.z != z1 & keep:
             raise AssertionError(

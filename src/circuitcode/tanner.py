@@ -118,6 +118,17 @@ class TannerGraph:
     def bit_neighbors(self, i: int) -> list[int]:
         return list(self._adjacency()[i])
 
+    def syndrome(self, v: BitVector) -> int:
+        """A v^T as a mask over the checks: the checks with an odd number of
+        bits in v's support, read from the bit->checks adjacency."""
+        if v.n != self.n_bits:
+            raise ValueError("length mismatch")
+        adjacency = self._adjacency()
+        odd: set[int] = set()
+        for i in v.support():
+            odd.symmetric_difference_update(adjacency[i])
+        return sum(1 << k for k in odd)
+
     def measurement_bits(self) -> list[int]:
         return [i for i, lab in enumerate(self.bits) if lab.is_measurement]
 
@@ -133,6 +144,8 @@ class TannerGraph:
 
     def wire_masks(self, v: BitVector) -> list[tuple[int, int]]:
         """(x, z) qubit masks of the wire bits set in v, one pair per time 0..depth."""
+        if self.depth is None:
+            raise ValueError("graph has no layer structure")
         xs = [0] * (self.depth + 1)
         zs = [0] * (self.depth + 1)
         for i in v.support():
@@ -144,15 +157,8 @@ class TannerGraph:
         return list(zip(xs, zs))
 
     def max_degree(self) -> int:
-        deg: dict[int, int] = {}
-        best = 0
-        for c in self.checks:
-            best = max(best, len(c))
-            for j in c:
-                deg[j] = deg.get(j, 0) + 1
-        if deg:
-            best = max(best, max(deg.values()))
-        return best
+        degrees = [len(c) for c in self.checks] + [len(c) for c in self._adjacency()]
+        return max(degrees, default=0)
 
 
 @dataclass

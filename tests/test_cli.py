@@ -462,3 +462,53 @@ def test_split_rejects_bad_plan(zz_file, tmp_path, capsys, edit, named):
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: plan ") and named in err
+
+
+def shifted_greedy_partition(zz_file, tmp_path, capsys, shift):
+    """The ZZ example's greedy partition with every time label moved by ``shift``."""
+    prefix = symmetric_bundle(zz_file, tmp_path, capsys)
+    part = tmp_path / "greedy.part"
+    code, _, _ = run_cli(
+        ["synthesize", "--graph", prefix, "--greedy", "--out", tmp_path / "g.qc",
+         "--emit-partition", part],
+        capsys,
+    )
+    assert code == 0
+    text = re.sub(
+        r"^(tau \S+) (\d+)$",
+        lambda m: f"{m.group(1)} {int(m.group(2)) + shift}",
+        part.read_text(),
+        flags=re.M,
+    )
+    shifted = tmp_path / "shifted.part"
+    shifted.write_text(text)
+    return prefix, shifted
+
+
+@pytest.mark.parametrize("shift", [-1, -3, -10])
+def test_synthesize_rejects_time_labels_below_one(zz_file, tmp_path, capsys, shift):
+    prefix, part = shifted_greedy_partition(zz_file, tmp_path, capsys, shift)
+    code, out, err = run_cli(
+        ["synthesize", "--graph", prefix, "--partition", part, "--out", tmp_path / "s.qc"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: invalid partition: time labels must be at least 1\n"
+    assert not (tmp_path / "s.qc").exists()
+
+
+def test_synthesize_rejects_a_circuit_over_the_wire_bit_limit(zz_file, tmp_path, capsys):
+    # the shifted labels still form a valid partition, so only the size check stops it
+    prefix, part = shifted_greedy_partition(zz_file, tmp_path, capsys, 10**7)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["synthesize", "--graph", prefix, "--partition", part, "--out", tmp_path / "s.qc"],
+        capsys,
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert f"limit of {MAX_WIRE_BITS} wire bits" in err
+    assert not (tmp_path / "s.qc").exists()

@@ -6,11 +6,14 @@ from dataclasses import replace
 import pytest
 
 from circuitcode import codewords as cw
+from circuitcode import pauli_sim as sim
 from circuitcode.circuit import parse_circuit, random_circuit
-from circuitcode.gf2 import BitMatrix, BitVector
+from circuitcode.gf2 import BitMatrix, BitVector, span_union, stack_kernel
 from circuitcode.pauli import PauliOperator
-from circuitcode.tanner import build_plain, symmetrize
+from circuitcode.synthesis import roundtrip_check, synthesize, trivial_partition
+from circuitcode.tanner import build_plain, graph_from_matrix, symmetrize
 from tests.test_circuit import ZZ_TEXT
+from tests.test_tanner import rep_memory_text
 
 
 def zz_graph():
@@ -259,3 +262,150 @@ def test_b_and_l_dimension_bound():
         ec = cw.complete_ec_structure(g)
         k = cw.code_spaces(g).kernel
         assert ec.b.n_rows + ec.l.n_rows <= k.n_rows
+
+
+# ---------------------------------------------------------------------------
+# The code spaces in bit coordinates: the formulation code_spaces replaced,
+# kept as the oracle for the kernel-coordinate one
+
+
+def layer_projection(g, t):
+    """Selector rows for the bits of layer t (removed bits contribute none)."""
+    rows = [1 << i for i in g.layer_bits(t)]
+    return BitMatrix(len(rows), g.n_bits, rows)
+
+
+def code_spaces_by_projection(g):
+    a = g.check_matrix()
+    p0 = layer_projection(g, 0)
+    pt = layer_projection(g, g.depth)
+    with_detectors = stack_kernel([a, pt])
+    with_emitters = stack_kernel([a, p0])
+    checkers = stack_kernel([a, p0, pt])
+    incoherent = span_union(with_detectors, with_emitters)
+    return cw.CodeSpaces(a.kernel_basis(), checkers, with_detectors, with_emitters, incoherent)
+
+
+def ec_b_l_by_stack_kernel(g, s_in, s_out):
+    """B and L as build_ec_structure wrote them out before sharing _carve."""
+    n = g.n_qubits
+    k = g.check_matrix().kernel_basis()
+    m0 = cw._xz_matrix(g, k, 0)
+    mt = cw._xz_matrix(g, k, g.depth)
+    g_in = cw._pauli_matrix(s_in, n)
+    g_out = cw._pauli_matrix(s_out, n)
+    n_in = m0.matmul(g_in.kernel_basis().transpose())
+    n_out = mt.matmul(g_out.kernel_basis().transpose())
+    b = stack_kernel([n_in.transpose(), n_out.transpose()]).matmul(k).rref()
+    c_in = m0.matmul(cw._swap_halves(g_in, n).transpose())
+    c_out = mt.matmul(cw._swap_halves(g_out, n).transpose())
+    w = stack_kernel([c_in.transpose(), c_out.transpose()]).matmul(k)
+    return b, cw.extend_span(b, w).rref()
+
+
+def b_by_bit_conditions(g, s_in, s_out):
+    """B from conditions on the boundary bits: each dual vector of a group
+    is one parity of the layer's bits that must vanish."""
+    rows = []
+    for t, gens in ((0, s_in), (g.depth, s_out)):
+        duals = cw._pauli_matrix(gens, g.n_qubits).kernel_basis()
+        for d in duals.rows:
+            row = 0
+            for i in g.layer_bits(t):
+                lab = g.bits[i]
+                offset = 0 if lab.kind == "x" else g.n_qubits
+                if d >> (offset + lab.q - 1) & 1:
+                    row |= 1 << i
+            rows.append(row)
+    return stack_kernel([g.check_matrix(), BitMatrix(len(rows), g.n_bits, rows)]).rref()
+
+
+def seeded_circuits(count, seed):
+    rng = random.Random(seed)
+    return [
+        random_circuit(rng.randrange(1, 5), rng.randrange(1, 7), rng, p_meas=0.15)
+        for _ in range(count)
+    ]
+
+
+def test_code_spaces_match_the_projection_oracle():
+    circuits = seeded_circuits(200, 31)
+    circuits += [parse_circuit(rep_memory_text(d)) for d in (3, 5, 7)]
+    circuits.append(parse_circuit(ZZ_TEXT))
+    for c in circuits:
+        g = build_plain(c)
+        assert cw.code_spaces(g) == code_spaces_by_projection(g)
+
+
+def test_ec_structure_matches_the_stack_kernel_oracle():
+    z1z2, x1x2 = pauli("Z1Z2", 3), pauli("X1X2", 3)
+    cases = [(build_plain(parse_circuit(ZZ_TEXT)), s_in, s_out) for s_in, s_out in (
+        ([z1z2], [z1z2]), ([z1z2], []), ([], [z1z2]), ([z1z2, x1x2], [z1z2]), ([], []),
+    )]
+    for c in seeded_circuits(60, 37):
+        g = build_plain(c)
+        if c.depth == 0:
+            continue
+        s_in, s_out = cw.derive_codes_from_b(g, cw.complete_ec_structure(g).b)
+        cases += [(g, s_in, s_out), (g, s_in[:1], []), (g, [], s_out[1:])]
+    for g, s_in, s_out in cases:
+        ec = cw.build_ec_structure(g, s_in, s_out)
+        assert (ec.b, ec.l) == ec_b_l_by_stack_kernel(g, s_in, s_out)
+        assert ec.b == b_by_bit_conditions(g, s_in, s_out)
+
+
+# ---------------------------------------------------------------------------
+# Per-codeword readers never build the dense check matrix
+
+
+def _forbid_check_matrix(g):
+    g.kernel_basis()  # the one elimination of A, memoised on the graph
+
+    def dense(*_):
+        raise AssertionError("a per-codeword reader built the dense check matrix")
+
+    g.check_matrix = dense
+
+
+@pytest.mark.parametrize("text", [ZZ_TEXT, rep_memory_text(3)], ids=["zz", "rep3"])
+def test_codeword_readers_use_no_dense_matrix(text):
+    c = parse_circuit(text)
+    g = build_plain(c)
+    _forbid_check_matrix(g)
+    for i, v in enumerate(g.kernel_basis().row_vectors()):
+        cw.classify(g, v)
+        cw.relevant_measurements(g, v)
+        sim.nu(c, g, v)
+        assert sim.verify_codeword_equation(c, g, v, None, seed=i, trials=2).ok
+    with pytest.raises(ValueError, match="not a codeword"):
+        cw.classify(g, BitVector(g.n_bits, 1))
+
+
+@pytest.mark.parametrize("text", [ZZ_TEXT, rep_memory_text(3)], ids=["zz", "rep3"])
+def test_roundtrip_codeword_test_uses_no_dense_matrix(text):
+    c = parse_circuit(text)
+    g, w, _ = symmetrize(build_plain(c), c)
+    ec = cw.complete_ec_structure(g)
+    _forbid_check_matrix(g)
+    result = synthesize(g, w, trivial_partition(g, w))
+    assert roundtrip_check(g, result, ec.b, ec.l, max_weight=2).pairing_ok
+    with pytest.raises(ValueError, match="rows of L are not codewords"):
+        roundtrip_check(g, result, ec.b, BitMatrix(1, g.n_bits, [1]), max_weight=2)
+
+
+def test_graph_without_layers_is_a_value_error():
+    g0 = build_plain(parse_circuit(ZZ_TEXT))
+    g = graph_from_matrix(g0.check_matrix())
+    assert g.depth is None
+    v = g.kernel_basis().row(0)
+    for call in (
+        lambda: cw.classify(g, v),
+        lambda: cw.code_spaces(g),
+        lambda: cw.sigma_at_layer(g, v, 0),
+    ):
+        with pytest.raises(ValueError, match="graph has no layer structure"):
+            call()
+    # no kernel at all still raises the same error
+    empty = graph_from_matrix(BitMatrix.identity(3))
+    with pytest.raises(ValueError, match="graph has no layer structure"):
+        cw.code_spaces(empty)

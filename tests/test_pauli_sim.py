@@ -5,7 +5,7 @@ import pytest
 
 from circuitcode import codewords as cw
 from circuitcode import pauli_sim as sim
-from circuitcode.circuit import OpKind, parse_circuit, random_circuit
+from circuitcode.circuit import Circuit, OpKind, parse_circuit, random_circuit
 from circuitcode.gf2 import BitVector
 from circuitcode.pauli import PauliOperator
 from circuitcode.tanner import build_plain, symmetrize, verify_symmetry
@@ -110,6 +110,50 @@ def test_nu_rejects_non_codeword():
     g = build_plain(c)
     with pytest.raises(ValueError):
         sim.nu(c, g, BitVector.from_bits([1, 0, 0, 0]))
+
+
+def nu_conjugating_every_gate(circuit, g, c):
+    """nu as written before it skipped the gates off the operator's support."""
+    n = circuit.n_qubits
+    masks = g.wire_masks(c)
+    sign = 1
+    for t, layer in enumerate(circuit.layers, start=1):
+        keep = (1 << n) - 1
+        gates = []
+        for op in layer:
+            if op.kind.is_init or op.kind.is_measurement:
+                keep &= ~(1 << (op.qubits[0] - 1))
+            else:
+                gates.append(op)
+        (x0, z0), (x1, z1) = masks[t - 1], masks[t]
+        out = sim.conjugate_pauli(Circuit(n, [gates]), PauliOperator(n, x0 & keep, z0 & keep))
+        assert (out.x, out.z) == (x1 & keep, z1 & keep)
+        sign *= out.sign()
+    return sign
+
+
+def test_nu_matches_conjugating_every_gate():
+    rng = random.Random(19)
+    circuits = [parse_circuit(ZZ_TEXT), parse_circuit(rep_memory_text(3))]
+    for _ in range(150):
+        c = random_circuit(rng.randrange(1, 6), rng.randrange(1, 8), rng, p_meas=0.15)
+        circuits.append(with_i_and_y(c, rng))
+    signs = set()
+    for c in circuits:
+        g = build_plain(c)
+        kernel = g.kernel_basis().rows
+        vectors = list(kernel)
+        for _ in range(5):
+            combination = 0
+            for row in kernel:
+                combination ^= row * rng.randrange(2)
+            vectors.append(combination)
+        for bits in vectors:
+            v = BitVector(g.n_bits, bits)
+            sign = sim.nu(c, g, v)
+            assert sign == nu_conjugating_every_gate(c, g, v)
+            signs.add(sign)
+    assert signs == {1, -1}
 
 
 def test_clifford_codewords_match_conjugation():

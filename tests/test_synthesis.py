@@ -1,8 +1,10 @@
 import random
 from dataclasses import replace
 
+import pytest
+
 from circuitcode import codewords as cw
-from circuitcode.circuit import parse_circuit, random_circuit
+from circuitcode.circuit import MAX_WIRE_BITS, parse_circuit, random_circuit
 from circuitcode.gf2 import BitMatrix, BitVector
 from circuitcode.synthesis import (
     PathPartition,
@@ -70,6 +72,26 @@ def test_validate_partition_catches_tau_mismatch():
     bad_tau[("c", a)] = 2
     problems = validate_partition(g, w, PathPartition(p.paths, bad_tau))
     assert problems
+
+
+@pytest.mark.parametrize("shift", [-1, -3, -10])
+def test_validate_partition_rejects_time_labels_below_one(shift):
+    _, _, g, w, _ = symmetric_graph(ZZ_TEXT)
+    p = greedy_partition(g, w)
+    assert min(p.tau.values()) == 1
+    low = PathPartition(p.paths, {v: t + shift for v, t in p.tau.items()})
+    assert "time labels must be at least 1" in validate_partition(g, w, low)
+    with pytest.raises(ValueError, match="time labels must be at least 1"):
+        synthesize(g, w, low)
+
+
+def test_synthesize_checks_the_wire_bit_limit_before_allocating():
+    _, _, g, w, _ = symmetric_graph(ZZ_TEXT)
+    p = greedy_partition(g, w)
+    high = PathPartition(p.paths, {v: t + 10**7 for v, t in p.tau.items()})
+    assert validate_partition(g, w, high) == []
+    with pytest.raises(ValueError, match=f"limit of {MAX_WIRE_BITS} wire bits"):
+        synthesize(g, w, high)
 
 
 def test_synthesize_cnot_gadget():

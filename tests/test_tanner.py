@@ -7,6 +7,7 @@ import pytest
 
 from circuitcode.circuit import Circuit, OpKind, Operation, parse_circuit, random_circuit
 from circuitcode.gf2 import BitMatrix, BitVector
+from circuitcode.splitting import random_plan, symmetric_split
 from circuitcode.tanner import (
     GADGETS,
     SymmetryWitness,
@@ -490,3 +491,37 @@ def test_build_plain_hashes_no_kind_in_python():
     prof = cProfile.Profile()
     prof.runcall(build_plain, parse_circuit(rep_memory_text(3)))
     assert [f for f in pstats.Stats(prof).stats if f[2] == "__hash__"] == []
+
+
+def test_syndrome_matches_the_dense_product():
+    rng = random.Random(13)
+    graphs = []
+    for _ in range(30):
+        c = random_circuit(rng.randrange(1, 5), rng.randrange(1, 7), rng, p_meas=0.15)
+        g = build_plain(c)
+        sym, w, _ = symmetrize(g, c)
+        split, _, _ = symmetric_split(sym, w, random_plan(sym, w, rng))
+        graphs += [g, sym, split, graph_from_matrix(split.check_matrix(), split.bits)]
+    for _ in range(30):
+        n_rows, n_cols = rng.randrange(0, 9), rng.randrange(0, 13)
+        rows = [rng.getrandbits(n_cols) for _ in range(n_rows)]
+        graphs.append(graph_from_matrix(BitMatrix(n_rows, n_cols, rows)))
+    codewords = non_codewords = 0
+    for g in graphs:
+        a = g.check_matrix()
+        kernel = g.kernel_basis().rows
+        vectors = [BitVector(g.n_bits, 1 << j) for j in range(g.n_bits)]
+        for _ in range(10):
+            vectors.append(BitVector(g.n_bits, rng.getrandbits(g.n_bits)))
+            combination = 0
+            for row in kernel:
+                combination ^= row * rng.randrange(2)
+            vectors.append(BitVector(g.n_bits, combination))
+        for v in vectors:
+            dense = a.mul_vec(v).bits
+            assert g.syndrome(v) == dense
+            codewords += dense == 0
+            non_codewords += dense != 0
+        with pytest.raises(ValueError, match="length mismatch"):
+            g.syndrome(BitVector(g.n_bits + 1))
+    assert codewords > 1000 and non_codewords > 1000
