@@ -131,14 +131,13 @@ def cmd_symmetrize(args) -> int:
 def cmd_classify(args) -> int:
     circuit = _read_circuit(args.circuit)
     g = build_plain(circuit)
-    basis = g.kernel_basis()
-    for i, v in enumerate(basis.row_vectors()):
+    spaces = cw.code_spaces(g)
+    for i, v in enumerate(spaces.kernel.row_vectors()):
         kind = cw.classify(g, v)
-        s_in = cw.sigma_at_layer(g, v, 0).label()
-        s_out = cw.sigma_at_layer(g, v, g.depth).label()
+        s_in = PauliOperator.from_xz_vector(spaces.xz_in.row(i)).label()
+        s_out = PauliOperator.from_xz_vector(spaces.xz_out.row(i)).label()
         rel = len(cw.relevant_measurements(g, v))
         print(f"{i} {kind} in={s_in} out={s_out} measurements={rel}")
-    spaces = cw.code_spaces(g)
     print(
         f"dimensions codewords={spaces.kernel.n_rows}"
         f" checkers={spaces.checkers.n_rows}"
@@ -150,6 +149,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_ec_matrices(args) -> int:
+    if args.complete and (args.s_in is not None or args.s_out is not None):
+        raise UsageError("--complete takes no --s-in or --s-out")
     circuit = _read_circuit(args.circuit)
     g = build_plain(circuit)
     if args.complete:
@@ -230,6 +231,12 @@ def cmd_split(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    if (args.b is None) != (args.l is None):
+        raise UsageError("--b and --l go together")
+    if args.b is not None and not args.check:
+        raise UsageError("--b and --l need --check")
+    if args.partition and args.greedy:
+        raise UsageError("--partition and --greedy exclude each other")
     g, w = _load_graph(args.graph)
     if w is None:
         raise ValueError("synthesis needs a witness file")
@@ -242,20 +249,17 @@ def cmd_synthesize(args) -> int:
         partition = greedy_partition(g, w)
     else:
         partition = trivial_partition(g, w)
+    if args.check and args.b is not None:
+        b, l = _read_matrix(args.b), _read_matrix(args.l)
+    elif args.check:
+        ec = cw.complete_ec_structure(g)
+        b, l = ec.b, ec.l
     result = synthesize(g, w, partition)
     Path(args.out).write_text(serialize(result.circuit))
     if args.emit_partition:
         Path(args.emit_partition).write_text(write_partition(g, w, partition))
     print(f"qubits {result.circuit.n_qubits} layers {result.circuit.depth}")
     if args.check:
-        from . import codewords
-
-        if args.b and args.l:
-            b = _read_matrix(args.b)
-            l = _read_matrix(args.l)
-        else:
-            ec = codewords.complete_ec_structure(g)
-            b, l = ec.b, ec.l
         report = roundtrip_check(g, result, b, l, args.max_weight)
         print(f"roundtrip {'ok' if report.ok else 'FAILED'}")
         print(f"distance {report.distance_before} -> {report.distance_after}")
@@ -303,6 +307,8 @@ def cmd_css_gen(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    if args.graph and args.symmetric:
+        raise UsageError("--symmetric needs --circuit; a --graph bundle is drawn as it is")
     if args.circuit:
         circuit = _read_circuit(args.circuit)
         g = build_plain(circuit)

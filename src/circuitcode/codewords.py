@@ -36,6 +36,8 @@ class CodeSpaces:
     with_detectors: BitMatrix  # ker A . ker PT
     with_emitters: BitMatrix  # ker A . ker P0
     incoherent: BitMatrix  # span of the two above
+    xz_in: BitMatrix  # (x|z) operator of each kernel row at t = 0
+    xz_out: BitMatrix  # (x|z) operator of each kernel row at t = depth
 
 
 def _carve(kernel: BitMatrix, conditions: list[BitMatrix]) -> BitMatrix:
@@ -61,7 +63,7 @@ def code_spaces(g: TannerGraph) -> CodeSpaces:
     with_emitters = _carve(kernel, [m0]).rref()
     checkers = _carve(kernel, [m0, mt]).rref()
     incoherent = span_union(with_detectors, with_emitters)
-    spaces = CodeSpaces(kernel, checkers, with_detectors, with_emitters, incoherent)
+    spaces = CodeSpaces(kernel, checkers, with_detectors, with_emitters, incoherent, m0, mt)
     g._code_spaces = spaces
     return spaces
 
@@ -189,9 +191,7 @@ def build_ec_structure(
     _require_commuting(s_out, "output generators must commute")
     n = g.n_qubits
     spaces = code_spaces(g)
-    k = spaces.kernel
-    m0 = _xz_matrix(g, k, 0)
-    mt = _xz_matrix(g, k, g.depth)
+    k, m0, mt = spaces.kernel, spaces.xz_in, spaces.xz_out
     g_in = _pauli_matrix(s_in, n)
     g_out = _pauli_matrix(s_out, n)
 
@@ -273,17 +273,18 @@ def find_anticommuting_partner(
     """
     if classify(g, c) != GENUINE_PROPAGATOR:
         raise ValueError("partner search needs a genuine propagator")
-    k = code_spaces(g).kernel
-    target = BitMatrix(1, g.n_bits, [c.bits])
+    spaces = code_spaces(g)
+    n, masks = g.n_qubits, g.wire_masks(c)
     # one equation per boundary: the symplectic product of each kernel row's
-    # operator with c's operator there
+    # operator with c's operator there, (x|z) against c's (z|x)
     system = [
-        _xz_matrix(g, k, t).mul_vec(_swap_halves(_xz_matrix(g, target, t), g.n_qubits).row(0))
-        for t in (0, g.depth)
+        m.mul_vec(BitVector(2 * n, z | x << n))
+        for m, (x, z) in ((spaces.xz_in, masks[0]), (spaces.xz_out, masks[g.depth]))
     ]
     alpha = BitMatrix.from_vectors(system).solve(BitVector.from_bits([1, 1]))
     if alpha is None:
         raise AssertionError("no anticommuting partner exists; classification is broken")
+    k = spaces.kernel
     partner = BitMatrix(1, k.n_rows, [alpha.bits]).matmul(k).row(0)
     if classify(g, partner) != GENUINE_PROPAGATOR:
         raise AssertionError("partner is not a genuine propagator")

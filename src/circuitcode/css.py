@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codewords import validate_b_l
-from .gf2 import BitMatrix, BitVector, extend_span, hstack, kron
+from .gf2 import BitMatrix, BitVector, block, extend_span, kron
 from .pauli import PauliOperator
 
 
@@ -117,8 +117,8 @@ def repeated_measurement_layer(m: int) -> LogicalLayer:
     if m < 1:
         raise ValueError("need at least one cycle")
     a = BitMatrix(m, m + 1, [3 << i for i in range(m)])
-    d_x = BitMatrix.identity(m).stack(BitMatrix.zeros(1, m))
-    d_z = BitMatrix.zeros(1, m).stack(BitMatrix.identity(m))
+    eye, zero_row = BitMatrix.identity(m), BitMatrix(1, m)
+    d_x, d_z = block([[eye], [zero_row]]), block([[zero_row], [eye]])
     gen = BitMatrix(1, m + 1, [(1 << (m + 1)) - 1])
     layer = LogicalLayer(a, a, d_x, d_z, gen, gen)
     layer.validate()
@@ -182,76 +182,28 @@ def assemble_physical(code: CssCode, layer: LogicalLayer) -> CssAssembly:
     code.validate()
     layer.validate()
     n, r_x, r_z = code.n, code.r_x, code.r_z
-    eye_n = BitMatrix.identity(n)
+    eye = BitMatrix.identity
+    t = BitMatrix.transpose
 
-    a_x = hstack(
-        kron(layer.a_x, eye_n),
-        kron(BitMatrix.identity(layer.m_x_checks), code.g_x.transpose()),
-    ).stack(
-        hstack(
-            kron(layer.d_x.transpose(), code.g_z),
-            BitMatrix.zeros(layer.m_z_checks * r_z, layer.m_x_checks * r_x),
-        )
-    )
-    a_z = hstack(
-        kron(layer.a_z, eye_n),
-        kron(BitMatrix.identity(layer.m_z_checks), code.g_z.transpose()),
-    ).stack(
-        hstack(
-            kron(layer.d_z.transpose(), code.g_x),
-            BitMatrix.zeros(layer.m_x_checks * r_x, layer.m_z_checks * r_z),
-        )
-    )
-    d_x = hstack(
-        kron(layer.d_x, eye_n),
-        BitMatrix.zeros(layer.m_x_bits * n, layer.m_x_checks * r_x),
-    ).stack(
-        hstack(
-            BitMatrix.zeros(layer.m_x_checks * r_x, layer.m_z_checks * n),
-            BitMatrix.identity(layer.m_x_checks * r_x),
-        )
-    )
-    d_z = hstack(
-        kron(layer.d_z, eye_n),
-        BitMatrix.zeros(layer.m_z_bits * n, layer.m_z_checks * r_z),
-    ).stack(
-        hstack(
-            BitMatrix.zeros(layer.m_z_checks * r_z, layer.m_x_checks * n),
-            BitMatrix.identity(layer.m_z_checks * r_z),
-        )
-    )
-
-    x_cols, z_cols = a_x.n_cols, a_z.n_cols
-    x_rows, z_rows = a_x.n_rows, a_z.n_rows
-    a = hstack(BitMatrix.zeros(z_rows, x_cols), a_z).stack(
-        hstack(a_x, BitMatrix.zeros(x_rows, z_cols))
-    )
-    d = hstack(d_x, BitMatrix.zeros(x_cols, x_rows)).stack(
-        hstack(BitMatrix.zeros(z_cols, z_rows), d_z)
-    )
-
-    b_x = hstack(
-        kron(BitMatrix.identity(layer.m_x_bits), code.g_x),
-        kron(layer.a_x.transpose(), BitMatrix.identity(r_x)),
-    )
-    b_z = hstack(
-        kron(BitMatrix.identity(layer.m_z_bits), code.g_z),
-        kron(layer.a_z.transpose(), BitMatrix.identity(r_z)),
-    )
-    b = hstack(b_x, BitMatrix.zeros(b_x.n_rows, z_cols)).stack(
-        hstack(BitMatrix.zeros(b_z.n_rows, x_cols), b_z)
-    )
-    l_x = hstack(
-        kron(layer.gen_x, code.j_x),
-        BitMatrix.zeros(layer.gen_x.n_rows * code.k, layer.m_x_checks * r_x),
-    )
-    l_z = hstack(
-        kron(layer.gen_z, code.j_z),
-        BitMatrix.zeros(layer.gen_z.n_rows * code.k, layer.m_z_checks * r_z),
-    )
-    l = hstack(l_x, BitMatrix.zeros(l_x.n_rows, z_cols)).stack(
-        hstack(BitMatrix.zeros(l_z.n_rows, x_cols), l_z)
-    )
+    a_x = block([[kron(layer.a_x, eye(n)), kron(eye(layer.m_x_checks), t(code.g_x))],
+                 [kron(t(layer.d_x), code.g_z), None]])
+    a_z = block([[kron(layer.a_z, eye(n)), kron(eye(layer.m_z_checks), t(code.g_z))],
+                 [kron(t(layer.d_z), code.g_x), None]])
+    d_x = block([[kron(layer.d_x, eye(n)), None],
+                 [None, eye(layer.m_x_checks * r_x)]])
+    d_z = block([[kron(layer.d_z, eye(n)), None],
+                 [None, eye(layer.m_z_checks * r_z)]])
+    a = block([[None, a_z],
+               [a_x, None]])
+    d = block([[d_x, None],
+               [None, d_z]])
+    b = block([[kron(eye(layer.m_x_bits), code.g_x), kron(t(layer.a_x), eye(r_x)), None, None],
+               [None, None, kron(eye(layer.m_z_bits), code.g_z), kron(t(layer.a_z), eye(r_z))]])
+    # the logical blocks vanish on the measurement columns, so they are
+    # widened to the full X or Z block width
+    l_x, l_z = kron(layer.gen_x, code.j_x), kron(layer.gen_z, code.j_z)
+    l = block([[BitMatrix(l_x.n_rows, a_x.n_cols, l_x.rows), None],
+               [None, BitMatrix(l_z.n_rows, a_z.n_cols, l_z.rows)]])
 
     assembly = CssAssembly(code, layer, a_x, a_z, d_x, d_z, a, d, b, l)
     _validate_assembly(assembly)

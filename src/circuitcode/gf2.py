@@ -257,10 +257,7 @@ class BitMatrix:
         if self.n_rows != self.n_cols:
             raise ValueError("only square matrices invert")
         n = self.n_rows
-        aug = BitMatrix(
-            n, 2 * n, [r | (1 << (n + i)) for i, r in enumerate(self.rows)]
-        )
-        work, pivots = aug._elimination()
+        work, pivots = block([[self, BitMatrix.identity(n)]])._elimination()
         if pivots[:n] != list(range(n)) or len(pivots) < n:
             raise ValueError("matrix is singular")
         mask = (1 << n) - 1
@@ -361,20 +358,33 @@ def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     return BitMatrix(a.n_rows * b.n_rows, a.n_cols * b.n_cols, rows)
 
 
-def hstack(*ms: BitMatrix) -> BitMatrix:
-    """Concatenate matrices left to right; all must share the row count."""
-    if not ms:
-        raise ValueError("need at least one matrix")
-    n_rows = ms[0].n_rows
-    rows = [0] * n_rows
-    shift = 0
-    for m in ms:
-        if m.n_rows != n_rows:
-            raise ValueError("row count mismatch")
-        for i, r in enumerate(m.rows):
-            rows[i] |= r << shift
-        shift += m.n_cols
-    return BitMatrix(n_rows, shift, rows)
+def block(grid: Sequence[Sequence[BitMatrix | None]]) -> BitMatrix:
+    """The block matrix whose block rows are the rows of grid.
+
+    ``None`` is a zero block: its height is that of the other blocks in its
+    block row and its width that of the other blocks in its block column.
+    """
+    if not grid or any(len(row) != len(grid[0]) for row in grid):
+        raise ValueError("a block grid must be a non-empty rectangle")
+    heights = [_extent(row, "n_rows") for row in grid]
+    widths = [_extent(col, "n_cols") for col in zip(*grid)]
+    rows = []
+    for blocks, height in zip(grid, heights):
+        out, shift = [0] * height, 0
+        for m, width in zip(blocks, widths):
+            for i, r in enumerate(m.rows if m is not None else ()):
+                out[i] |= r << shift
+            shift += width
+        rows += out
+    return BitMatrix(len(rows), sum(widths), rows)
+
+
+def _extent(blocks: Sequence[BitMatrix | None], shape: str) -> int:
+    """The one n_rows of a block row, or n_cols of a block column."""
+    sizes = {getattr(m, shape) for m in blocks if m is not None}
+    if len(sizes) != 1:
+        raise ValueError(f"a block row or column needs one {shape}, found {sorted(sizes)}")
+    return sizes.pop()
 
 
 def extend_span(base: BitMatrix, candidates: BitMatrix) -> BitMatrix:

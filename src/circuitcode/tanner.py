@@ -505,7 +505,6 @@ def _junctions(
 def verify_symmetry(g: TannerGraph, w: SymmetryWitness) -> list[str]:
     """Check the bit-check symmetry conditions; empty list means ok."""
     problems: list[str] = []
-    a = g.check_matrix()
     bits_in_dual = set(w.dual.values())
     if len(w.dual) != g.n_checks:
         problems.append("dual pairing must cover every check")
@@ -519,20 +518,20 @@ def verify_symmetry(g: TannerGraph, w: SymmetryWitness) -> list[str]:
     if problems:
         return problems
 
-    d = w.deleting_matrix(g)
-    ad = a.matmul(d)
-    adt = ad.transpose()
-    if ad != adt:
-        for i in range(ad.n_rows):
-            for j in range(ad.n_cols):
-                if ad.get(i, j) != adt.get(i, j):
-                    problems.append(
-                        f"A.D not symmetric at checks ({i},{j}): "
-                        f"duals {g.bits[w.dual[j]].name}, {g.bits[w.dual[i]].name}"
-                    )
-                    break
-            if problems:
-                break
+    # (A.D)[i][j] = 1 iff check i holds the dual bit of check j, so row i
+    # of A.D equals column i iff those j are the checks of i's dual bit
+    check_of = w.check_of_bit()
+    adjacency = g._adjacency()
+    for i, check in enumerate(g.checks):
+        row = {check_of[b] for b in check if b in check_of}
+        asymmetric = row ^ set(adjacency[w.dual[i]])
+        if asymmetric:
+            j = min(asymmetric)
+            problems.append(
+                f"A.D not symmetric at checks ({i},{j}): "
+                f"duals {g.bits[w.dual[j]].name}, {g.bits[w.dual[i]].name}"
+            )
+            break
     for v in sorted(w.long_terminals):
         deg = g.bit_degree(v)
         if deg != 1:

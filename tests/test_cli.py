@@ -512,3 +512,74 @@ def test_synthesize_rejects_a_circuit_over_the_wire_bit_limit(zz_file, tmp_path,
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert f"limit of {MAX_WIRE_BITS} wire bits" in err
     assert not (tmp_path / "s.qc").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--check", "--b", "/nonexistent/b.txt"], "--b and --l"),
+        (["--check", "--l", "/nonexistent/l.txt"], "--b and --l"),
+        (["--b", "B", "--l", "L"], "--check"),
+        (["--b", "B"], "--b and --l"),
+        (["--partition", "P", "--greedy"], "--greedy"),
+    ],
+    ids=["lone-b", "lone-l", "b-l-without-check", "lone-b-without-check", "partition-greedy"],
+)
+def test_synthesize_rejects_flags_it_would_ignore(zz_file, tmp_path, capsys, flags, named):
+    prefix = symmetric_bundle(zz_file, tmp_path, capsys)
+    flags = [tmp_path / f if f in ("B", "L", "P") else f for f in flags]
+    code, out, err = run_cli(
+        ["synthesize", "--graph", prefix, "--out", tmp_path / "s.qc", *flags], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: ") and named in err
+    assert not (tmp_path / "s.qc").exists()
+
+
+@pytest.mark.parametrize("flag", ["--s-in", "--s-out"])
+def test_ec_matrices_complete_takes_no_stabilisers(zz_file, tmp_path, capsys, flag):
+    prefix = tmp_path / "ec"
+    code, out, err = run_cli(
+        ["ec-matrices", "--circuit", zz_file, "--complete", flag, "Q9", "--out-prefix", prefix],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: --complete takes no --s-in or --s-out\n"
+    assert not (tmp_path / "ec.B.txt").exists()
+
+
+def test_export_dot_of_a_bundle_takes_no_symmetric(zz_file, tmp_path, capsys):
+    prefix = symmetric_bundle(zz_file, tmp_path, capsys)
+    code, out, err = run_cli(
+        ["export-dot", "--graph", prefix, "--symmetric", "--out", tmp_path / "g.dot"], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("usage error: --symmetric")
+    assert not (tmp_path / "g.dot").exists()
+
+
+def test_synthesize_check_without_layers_fails_before_writing(tmp_path, capsys):
+    gx = tmp_path / "gx.txt"
+    gx.write_text(STEANE_H)
+    prefix = tmp_path / "steane"
+    args = ["css-gen", "--gx", gx, "--gz", gx, "--layer", "rep:1", "--out-prefix", prefix]
+    assert run_cli(args, capsys)[0] == 0
+    out_file = tmp_path / "s.qc"
+    code, out, err = run_cli(
+        ["synthesize", "--graph", prefix, "--out", out_file, "--check"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: graph has no layer structure\n"
+    assert not out_file.exists()
+    # without --check the bundle synthesises, and with B and L given it checks them
+    assert run_cli(["synthesize", "--graph", prefix, "--out", out_file], capsys)[0] == 0
+    code, out, _ = run_cli(
+        ["synthesize", "--graph", prefix, "--out", out_file, "--check",
+         "--b", f"{prefix}.B.txt", "--l", f"{prefix}.L.txt", "--max-weight", "2"],
+        capsys,
+    )
+    assert code == 0 and "roundtrip ok" in out

@@ -283,7 +283,23 @@ def code_spaces_by_projection(g):
     with_emitters = stack_kernel([a, p0])
     checkers = stack_kernel([a, p0, pt])
     incoherent = span_union(with_detectors, with_emitters)
-    return cw.CodeSpaces(a.kernel_basis(), checkers, with_detectors, with_emitters, incoherent)
+    k = a.kernel_basis()
+    xz_in, xz_out = (layer_xz(g, k, t) for t in (0, g.depth))
+    return cw.CodeSpaces(k, checkers, with_detectors, with_emitters, incoherent, xz_in, xz_out)
+
+
+def layer_xz(g, basis, t):
+    """The (x|z) vector of each row's layer-t bits, read bit by bit."""
+    n = g.n_qubits
+    rows = []
+    for r in basis.rows:
+        row = 0
+        for i in g.layer_bits(t):
+            lab = g.bits[i]
+            if r >> i & 1:
+                row |= 1 << ((0 if lab.kind == "x" else n) + lab.q - 1)
+        rows.append(row)
+    return BitMatrix(basis.n_rows, 2 * n, rows)
 
 
 def ec_b_l_by_stack_kernel(g, s_in, s_out):

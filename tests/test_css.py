@@ -10,7 +10,7 @@ from circuitcode.css import (
     repeated_measurement_layer,
 )
 from circuitcode.distance import circuit_distance, css_distance
-from circuitcode.gf2 import BitMatrix, BitVector
+from circuitcode.gf2 import BitMatrix, BitVector, kron
 
 STEANE_H = [
     [1, 0, 1, 0, 1, 0, 1],
@@ -134,6 +134,104 @@ def test_assembly_validation_trips():
     no_rows = BitMatrix.zeros(0, asm.l.n_cols)
     with pytest.raises(ValueError, match="B boundary operators must commute"):
         _validate_assembly(replace(asm, b=asm.l, l=no_rows))
+
+
+def hstack(*ms):
+    """Reference left-to-right concatenation of matrices with one row count."""
+    rows = [0] * ms[0].n_rows
+    shift = 0
+    for m in ms:
+        assert m.n_rows == len(rows)
+        for i, r in enumerate(m.rows):
+            rows[i] |= r << shift
+        shift += m.n_cols
+    return BitMatrix(len(rows), shift, rows)
+
+
+def reference_assembly(code, layer):
+    """A_X, A_Z, D_X, D_Z, A, D, B, L built by concatenation, every zero
+    block sized by hand."""
+    n, r_x, r_z = code.n, code.r_x, code.r_z
+    eye, zeros = BitMatrix.identity, BitMatrix.zeros
+    a_x = hstack(
+        kron(layer.a_x, eye(n)), kron(eye(layer.m_x_checks), code.g_x.transpose())
+    ).stack(
+        hstack(
+            kron(layer.d_x.transpose(), code.g_z),
+            zeros(layer.m_z_checks * r_z, layer.m_x_checks * r_x),
+        )
+    )
+    a_z = hstack(
+        kron(layer.a_z, eye(n)), kron(eye(layer.m_z_checks), code.g_z.transpose())
+    ).stack(
+        hstack(
+            kron(layer.d_z.transpose(), code.g_x),
+            zeros(layer.m_x_checks * r_x, layer.m_z_checks * r_z),
+        )
+    )
+    d_x = hstack(
+        kron(layer.d_x, eye(n)), zeros(layer.m_x_bits * n, layer.m_x_checks * r_x)
+    ).stack(
+        hstack(zeros(layer.m_x_checks * r_x, layer.m_z_checks * n), eye(layer.m_x_checks * r_x))
+    )
+    d_z = hstack(
+        kron(layer.d_z, eye(n)), zeros(layer.m_z_bits * n, layer.m_z_checks * r_z)
+    ).stack(
+        hstack(zeros(layer.m_z_checks * r_z, layer.m_x_checks * n), eye(layer.m_z_checks * r_z))
+    )
+    x_cols, z_cols = a_x.n_cols, a_z.n_cols
+    x_rows, z_rows = a_x.n_rows, a_z.n_rows
+    a = hstack(zeros(z_rows, x_cols), a_z).stack(hstack(a_x, zeros(x_rows, z_cols)))
+    d = hstack(d_x, zeros(x_cols, x_rows)).stack(hstack(zeros(z_cols, z_rows), d_z))
+    b_x = hstack(
+        kron(eye(layer.m_x_bits), code.g_x), kron(layer.a_x.transpose(), eye(r_x))
+    )
+    b_z = hstack(
+        kron(eye(layer.m_z_bits), code.g_z), kron(layer.a_z.transpose(), eye(r_z))
+    )
+    b = hstack(b_x, zeros(b_x.n_rows, z_cols)).stack(hstack(zeros(b_z.n_rows, x_cols), b_z))
+    l_x = hstack(
+        kron(layer.gen_x, code.j_x),
+        zeros(layer.gen_x.n_rows * code.k, layer.m_x_checks * r_x),
+    )
+    l_z = hstack(
+        kron(layer.gen_z, code.j_z),
+        zeros(layer.gen_z.n_rows * code.k, layer.m_z_checks * r_z),
+    )
+    l = hstack(l_x, zeros(l_x.n_rows, z_cols)).stack(hstack(zeros(l_z.n_rows, x_cols), l_z))
+    return a_x, a_z, d_x, d_z, a, d, b, l
+
+
+def hgp_rep(d):
+    """Hypergraph product of the length-d repetition code with itself."""
+    h = BitMatrix(d - 1, d, [3 << i for i in range(d - 1)])
+    eye = BitMatrix.identity
+    g_x = hstack(kron(h, eye(d)), kron(eye(d - 1), h.transpose()))
+    g_z = hstack(kron(eye(d), h), kron(h.transpose(), eye(d - 1)))
+    return derive_logicals(g_x, g_z)
+
+
+def test_repeated_measurement_deleting_blocks():
+    for m in range(1, 12):
+        layer = repeated_measurement_layer(m)
+        assert layer.d_x == BitMatrix.identity(m).stack(BitMatrix.zeros(1, m))
+        assert layer.d_z == BitMatrix.zeros(1, m).stack(BitMatrix.identity(m))
+
+
+def test_block_assembly_matches_concatenation_oracle():
+    codes = [hgp_rep(d) for d in range(2, 6)]
+    codes += [
+        steane(),
+        derive_logicals(BitMatrix.from_rows([[1, 1]]), BitMatrix.from_rows([[1, 1]])),  # k = 0
+        derive_logicals(BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 0)),  # n = 0
+    ]
+    assert [c.k for c in codes] == [1, 1, 1, 1, 1, 0, 0]
+    layers = [repeated_measurement_layer(m) for m in (1, 2, 3, 7)] + [logical_cnot_layer()]
+    for code in codes:
+        for layer in layers:
+            asm = assemble_physical(code, layer)
+            got = (asm.a_x, asm.a_z, asm.d_x, asm.d_z, asm.a, asm.d, asm.b, asm.l)
+            assert got == reference_assembly(code, layer), (code.n, layer.m_x_bits)
 
 
 def test_css_distance_steane_exhaustive_oracle():

@@ -5,6 +5,7 @@ import pytest
 from circuitcode.gf2 import (
     BitMatrix,
     BitVector,
+    block,
     extend_span,
     read_alist,
     read_matrix_text,
@@ -364,3 +365,75 @@ def test_read_alist_rejects_out_of_range_entries():
             read_alist(good.replace("1 2\n1\n2", f"1 2\n{bad_entry}\n2"))
     with pytest.raises(ValueError):
         read_alist("-3 2 1 1")
+
+
+def test_block_infers_zero_block_shapes():
+    a = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])  # 2 x 3
+    b = BitMatrix.from_rows([[1], [1], [0], [1]])  # 4 x 1
+    m = block([[a, None], [None, b]])
+    assert m.to_lists() == [
+        [1, 0, 1, 0],
+        [0, 1, 1, 0],
+        [0, 0, 0, 1],
+        [0, 0, 0, 1],
+        [0, 0, 0, 0],
+        [0, 0, 0, 1],
+    ]
+    # a zero block between two matrices takes its width from its column
+    c = BitMatrix.from_rows([[1, 1]])
+    m = block([[c, None, c], [None, BitMatrix.identity(3), None]])
+    assert m.to_lists() == [[1, 1, 0, 0, 0, 1, 1], [0, 0, 1, 0, 0, 0, 0],
+                            [0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0]]
+
+
+def test_block_of_one_matrix_is_that_matrix():
+    rng = random.Random(5)
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (4, 7)):
+        m = BitMatrix(rows, cols, [rng.getrandbits(cols) for _ in range(rows)])
+        assert block([[m]]) == m
+
+
+def test_block_matches_stack_of_concatenated_rows():
+    rng = random.Random(6)
+    for _ in range(50):
+        heights = [rng.randrange(4) for _ in range(rng.randrange(1, 4))]
+        widths = [rng.randrange(4) for _ in range(rng.randrange(1, 4))]
+        grid = [
+            [BitMatrix(h, w, [rng.getrandbits(w) for _ in range(h)]) for w in widths]
+            for h in heights
+        ]
+        want = [
+            sum(m.rows[i] << sum(widths[:j]) for j, m in enumerate(row))
+            for row, h in zip(grid, heights)
+            for i in range(h)
+        ]
+        # blank out every block whose row and column keep another matrix
+        holed = [list(row) for row in grid]
+        for i, row in enumerate(holed):
+            for j in range(len(row)):
+                if sum(x is not None for x in row) > 1 and sum(
+                    r[j] is not None for r in holed
+                ) > 1 and grid[i][j].is_zero():
+                    row[j] = None
+        for g in (grid, holed):
+            assert block(g) == BitMatrix(sum(heights), sum(widths), want)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        [[BitMatrix(2, 1), BitMatrix(3, 1)]],  # heights 2 and 3 in one block row
+        [[BitMatrix(1, 2)], [BitMatrix(1, 3)]],  # widths 2 and 3 in one block column
+        [[BitMatrix(1, 1), None], [None, None]],  # block row 1 holds no matrix
+        [[BitMatrix(1, 1), None], [BitMatrix(1, 1), None]],  # block column 1 holds none
+        [[None]],
+        [[BitMatrix(1, 1), BitMatrix(1, 1)], [BitMatrix(1, 1)]],  # ragged
+        [[]],
+        [],
+    ],
+    ids=["heights", "widths", "empty-row", "empty-column", "only-none", "ragged",
+         "empty-row-list", "empty-grid"],
+)
+def test_block_rejects_bad_grids(grid):
+    with pytest.raises(ValueError):
+        block(grid)

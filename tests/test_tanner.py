@@ -258,6 +258,81 @@ def test_verify_symmetry_reports_violations():
     assert problems
 
 
+def dense_verify_symmetry(g, w):
+    """Reference verify_symmetry: the A.D symmetry test on the dense product."""
+    problems = []
+    bits_in_dual = set(w.dual.values())
+    if len(w.dual) != g.n_checks:
+        problems.append("dual pairing must cover every check")
+    if len(bits_in_dual) != len(w.dual):
+        problems.append("dual pairing must be injective")
+    if bits_in_dual & set(w.long_terminals):
+        problems.append("a long terminal cannot be a dual bit")
+    if set(w.long_terminals) != set(range(g.n_bits)) - bits_in_dual:
+        problems.append("long terminals must be exactly the unpaired bits")
+    if problems:
+        return problems
+    ad = g.check_matrix().matmul(w.deleting_matrix(g))
+    adt = ad.transpose()
+    asymmetric = [
+        (i, j) for i in range(ad.n_rows) for j in range(ad.n_cols) if ad.get(i, j) != adt.get(i, j)
+    ]
+    if asymmetric:
+        i, j = asymmetric[0]
+        problems.append(
+            f"A.D not symmetric at checks ({i},{j}): "
+            f"duals {g.bits[w.dual[j]].name}, {g.bits[w.dual[i]].name}"
+        )
+    for v in sorted(w.long_terminals):
+        if g.bit_degree(v) != 1:
+            problems.append(f"long terminal {g.bits[v].name} has degree {g.bit_degree(v)}")
+    seen = {}
+    for v in sorted(w.long_terminals):
+        neigh = g.bit_neighbors(v)
+        if len(neigh) == 1:
+            if neigh[0] in seen:
+                problems.append(
+                    f"long terminals {g.bits[seen[neigh[0]]].name} and {g.bits[v].name}"
+                    " share a check"
+                )
+            seen[neigh[0]] = v
+    return problems
+
+
+def test_verify_symmetry_matches_dense_oracle():
+    rng = random.Random(2024)
+    violations = 0
+    for i in range(400):
+        c = random_circuit(rng.randrange(1, 6), rng.randrange(1, 9), rng)
+        g, w, _ = symmetrize(build_plain(c), c)
+        if i % 2:
+            g, w, _ = symmetric_split(g, w, random_plan(g, w, rng))
+        dual = dict(w.dual)
+        for _ in range(rng.randrange(3)):  # swap dual pairs
+            a, b = rng.sample(sorted(dual), 2) if len(dual) > 1 else (0, 0)
+            dual[a], dual[b] = dual[b], dual[a]
+        w = SymmetryWitness(dual, w.long_terminals)
+        problems = verify_symmetry(g, w)
+        assert problems == dense_verify_symmetry(g, w), serialize_for_debug(c)
+        violations += bool(problems)
+    assert 50 < violations < 350
+
+
+def test_verify_symmetry_builds_no_dense_matrix():
+    c = parse_circuit(ZZ_TEXT)
+    g, w, _ = symmetrize(build_plain(c), c)
+
+    def dense(*_):
+        raise AssertionError("verify_symmetry built a dense matrix")
+
+    g.check_matrix = dense
+    w.deleting_matrix = dense
+    assert verify_symmetry(g, w) == []
+    bad = dict(w.dual)
+    bad[0], bad[1] = bad[1], bad[0]
+    assert verify_symmetry(g, SymmetryWitness(bad, w.long_terminals))[0].startswith("A.D not")
+
+
 def test_gadget_graphs_have_symmetry():
     for text in ("h 1", "s 1", "i 1", "cnot 1 2", "rz 1", "mz 1", "rx 1", "mx 1"):
         n = 2 if "cnot" in text else 1
