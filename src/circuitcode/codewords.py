@@ -10,7 +10,6 @@ matrix is eliminated once per graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .gf2 import BitMatrix, BitVector, extend_span, span_union, stack_kernel
 from .pauli import PauliOperator
@@ -53,12 +52,9 @@ def code_spaces(g: TannerGraph) -> CodeSpaces:
     cached = getattr(g, "_code_spaces", None)
     if cached is not None:
         return cached
-    if g.depth is None:
-        raise ValueError("graph has no layer structure")
     kernel = g.kernel_basis()
     # a codeword's layer-t bits vanish iff its operator at time t does
-    m0 = _xz_matrix(g, kernel, 0)
-    mt = _xz_matrix(g, kernel, g.depth)
+    m0, mt = g.boundaries(kernel)
     with_detectors = _carve(kernel, [mt]).rref()
     with_emitters = _carve(kernel, [m0]).rref()
     checkers = _carve(kernel, [m0, mt]).rref()
@@ -97,11 +93,6 @@ def errors_equivalent(a: BitMatrix, e1: BitVector, e2: BitVector) -> bool:
     return a.row_space_member(e1 ^ e2)
 
 
-def _xz_matrix(g: TannerGraph, basis: BitMatrix, t: int) -> BitMatrix:
-    rows = [sigma_at_layer(g, c, t).xz_vector().bits for c in basis.row_vectors()]
-    return BitMatrix(basis.n_rows, 2 * g.n_qubits, rows)
-
-
 def _swap_halves(m: BitMatrix, n: int) -> BitMatrix:
     mask = (1 << n) - 1
     rows = [((r >> n) & mask) | ((r & mask) << n) for r in m.rows]
@@ -119,16 +110,11 @@ class EcStructure:
     a: BitMatrix
     b: BitMatrix
     l: BitMatrix
-    v_m: tuple[int, ...]
-    v_i: tuple[int, ...]
     s_in: list[PauliOperator]
     s_out: list[PauliOperator]
-    l_in: list[PauliOperator]
-    l_out: list[PauliOperator]
 
     def validate(self, g: TannerGraph) -> None:
-        boundaries = [lambda c: sigma_at_layer(g, c, 0), lambda c: sigma_at_layer(g, c, g.depth)]
-        validate_b_l(self.a, self.b, self.l, boundaries)
+        validate_b_l(self.a, self.b, self.l, g.boundaries(self.b))
 
 
 def _require_commuting(paulis: list[PauliOperator], message: str) -> None:
@@ -139,9 +125,12 @@ def _require_commuting(paulis: list[PauliOperator], message: str) -> None:
                 raise ValueError(message)
 
 
-def validate_b_l(a: BitMatrix, b: BitMatrix, l: BitMatrix, boundaries: list[Callable]) -> None:
-    """Rows of B and L are independent codewords of A, and the operators that
-    each function in ``boundaries`` reads off the rows of B pairwise commute.
+def validate_b_l(
+    a: BitMatrix, b: BitMatrix, l: BitMatrix, boundaries: tuple[BitMatrix, BitMatrix]
+) -> None:
+    """Rows of B and L are independent codewords of A, and the operators of
+    the rows of B pairwise commute at each boundary. ``boundaries`` holds
+    the (x|z) operator matrices of B's rows at the input and the output.
     """
     if not a.matmul(b.transpose()).is_zero():
         raise ValueError("A B^T must vanish")
@@ -149,9 +138,9 @@ def validate_b_l(a: BitMatrix, b: BitMatrix, l: BitMatrix, boundaries: list[Call
         raise ValueError("A L^T must vanish")
     if b.stack(l).rank() != b.n_rows + l.n_rows:
         raise ValueError("rows of B and L must be independent")
-    rows = list(b.row_vectors())
-    for boundary in boundaries:
-        _require_commuting([boundary(c) for c in rows], "B boundary operators must commute")
+    for m in boundaries:
+        paulis = [PauliOperator.from_xz_vector(v) for v in m.row_vectors()]
+        _require_commuting(paulis, "B boundary operators must commute")
 
 
 def _ec_structure(
@@ -161,17 +150,7 @@ def _ec_structure(
     s_in: list[PauliOperator],
     s_out: list[PauliOperator],
 ) -> EcStructure:
-    structure = EcStructure(
-        a=g.check_matrix(),
-        b=b,
-        l=l,
-        v_m=tuple(g.measurement_bits()),
-        v_i=tuple(g.initialisation_bits()),
-        s_in=s_in,
-        s_out=s_out,
-        l_in=[sigma_at_layer(g, c, 0) for c in l.row_vectors()],
-        l_out=[sigma_at_layer(g, c, g.depth) for c in l.row_vectors()],
-    )
+    structure = EcStructure(a=g.check_matrix(), b=b, l=l, s_in=s_in, s_out=s_out)
     structure.validate(g)
     return structure
 
@@ -224,11 +203,9 @@ def derive_codes_from_b(
     g: TannerGraph, b: BitMatrix
 ) -> tuple[list[PauliOperator], list[PauliOperator]]:
     """Stabiliser generators spanned by the boundary operators of B's rows."""
-    gens = []
-    for t in (0, g.depth):
-        m = _xz_matrix(g, b, t).rref()
-        gens.append([PauliOperator.from_xz_vector(v) for v in m.row_vectors()])
-    return gens[0], gens[1]
+    return tuple(
+        [PauliOperator.from_xz_vector(v) for v in m.rref().row_vectors()] for m in g.boundaries(b)
+    )
 
 
 def solve_codeword(

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .codewords import validate_b_l
-from .gf2 import BitMatrix, BitVector, block, extend_span, kron
-from .pauli import PauliOperator
+from .gf2 import BitMatrix, block, extend_span, kron
 
 
 @dataclass
@@ -161,20 +160,17 @@ class CssAssembly:
     def z_cols(self) -> int:
         return self.a_z.n_cols
 
-    def sigma_in(self, row: BitVector) -> PauliOperator:
-        return self._boundary(row, 0)
-
-    def sigma_out(self, row: BitVector) -> PauliOperator:
-        return self._boundary(row, -1)
-
-    def _boundary(self, row: BitVector, which: int) -> PauliOperator:
+    def boundaries(self, m: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
+        """The (x|z) operator matrices of the rows of m at the input and the
+        output: their first and last operator snapshots."""
         n = self.code.n
         mask = (1 << n) - 1
-        xi = 0 if which == 0 else self.layer.m_x_bits - 1
-        zi = 0 if which == 0 else self.layer.m_z_bits - 1
-        x = (row.bits >> (xi * n)) & mask
-        z = (row.bits >> (self.x_cols + zi * n)) & mask
-        return PauliOperator(n, x, z)
+        out = []
+        for xi, zi in ((0, 0), (self.layer.m_x_bits - 1, self.layer.m_z_bits - 1)):
+            x, z = xi * n, self.x_cols + zi * n
+            rows = [r >> x & mask | (r >> z & mask) << n for r in m.rows]
+            out.append(BitMatrix(m.n_rows, 2 * n, rows))
+        return out[0], out[1]
 
 
 def assemble_physical(code: CssCode, layer: LogicalLayer) -> CssAssembly:
@@ -213,4 +209,4 @@ def assemble_physical(code: CssCode, layer: LogicalLayer) -> CssAssembly:
 def _validate_assembly(asm: CssAssembly) -> None:
     if asm.a_x.matmul(asm.d_x) != asm.a_z.matmul(asm.d_z).transpose():
         raise ValueError("A_X D_X must equal (A_Z D_Z)^T")
-    validate_b_l(asm.a, asm.b, asm.l, [asm.sigma_in, asm.sigma_out])
+    validate_b_l(asm.a, asm.b, asm.l, asm.boundaries(asm.b))

@@ -136,10 +136,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, [1 << i for i in range(n)])
 
-    @classmethod
-    def zeros(cls, n_rows: int, n_cols: int) -> "BitMatrix":
-        return cls(n_rows, n_cols)
-
     def get(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
 

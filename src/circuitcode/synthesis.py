@@ -330,22 +330,29 @@ def _build_maps(g, w, p, circuit, qubits, role_of, dt):
     def window_exit(tau: int) -> int:
         return 1 + tau * dt
 
-    # bit k of values[i] is output bit i in the image of kernel row k. Each
-    # wire starts at the source bits it carries: an open input at its end bit
-    # and long terminal, an initialised qubit at the bit of its init basis.
+    # Each wire starts at the source bits it carries: an open input at its end
+    # bit and long terminal, an initialised qubit at the bit of its init basis.
+    # Source s is seeded with the unit vector 1 << s; seeds[s] is its value on
+    # each kernel row, so bit k of (values . seeds)[i] is output bit i in the
+    # image of kernel row k.
     columns = kernel.transpose().rows
     values: list[int | None] = [None] * g_out.n_bits
+    seeds: list[int] = []
     for line in qubits:
         role = role_of[("b", line.first_bit)][1]
         if line.open_in is None:
-            values[g_out.bit_index(role, line.qubit, 1)] = columns[line.first_bit]
+            starts = [(role, 1, line.first_bit)]
         else:
             other = "z" if role == "x" else "x"
-            values[g_out.bit_index(role, line.qubit, 0)] = columns[line.first_bit]
-            values[g_out.bit_index(other, line.qubit, 0)] = columns[line.open_in[1]]
+            starts = [(role, 0, line.first_bit), (other, 0, line.open_in[1])]
+        for kind, t, bit in starts:
+            values[g_out.bit_index(kind, line.qubit, t)] = 1 << len(seeds)
+            seeds.append(columns[bit])
     # build_plain emits its checks layer by layer and every gadget row has one
-    # output bit, so each row either fixes that bit or must already hold. A
-    # value is never changed once set, so the images satisfy every output check
+    # output bit, so each row either fixes that bit or finds every bit set. A
+    # value is never changed once set, so the output codewords are the source
+    # values on which every such closing row sums to zero.
+    closing_rows: list[int] = []
     for members in g_out.checks:
         unset = []
         acc = 0
@@ -356,15 +363,21 @@ def _build_maps(g, w, p, circuit, qubits, role_of, dt):
                 acc ^= values[j]
         if len(unset) == 1:
             values[unset[0]] = acc
-        elif unset or acc:
+        elif unset:
             raise AssertionError("codeword images violate an output check")
+        else:
+            closing_rows.append(acc)
     if None in values:
         raise AssertionError("an output bit carries no codeword image")
 
-    images = BitMatrix(g_out.n_bits, kernel.n_rows, values)
+    sources = BitMatrix(len(seeds), kernel.n_rows, seeds)
+    closing = BitMatrix(len(closing_rows), len(seeds), closing_rows)
+    if not closing.matmul(sources).is_zero():
+        raise AssertionError("codeword images violate an output check")
+    images = BitMatrix(g_out.n_bits, len(seeds), values).matmul(sources)
     if images.transpose().rank() != kernel.n_rows:
         raise AssertionError("codeword images are not injective")
-    if g_out.n_bits - g_out.check_matrix().rank() != kernel.n_rows:
+    if len(seeds) - closing.rank() != kernel.n_rows:
         raise AssertionError("synthesised code has a different dimension")
 
     # error carriers: boundary bits for long terminals, window-exit wire bits

@@ -156,6 +156,22 @@ class TannerGraph:
                 zs[lab.t] |= 1 << (lab.q - 1)
         return list(zip(xs, zs))
 
+    def boundaries(self, m: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
+        """The (x|z) operator matrices of the rows of m at t = 0 and t = depth,
+        one row per row of m: the columns of m at the layer's wire bits, zero
+        where a wire carries no bit."""
+        if self.depth is None:
+            raise ValueError("graph has no layer structure")
+        if m.n_cols != self.n_bits:
+            raise ValueError("length mismatch")
+        columns = m.transpose().rows
+        out = []
+        for t in (0, self.depth):
+            indices = (self.bit_index(k, q, t) for k in "xz" for q in range(1, self.n_qubits + 1))
+            gathered = [0 if i is None else columns[i] for i in indices]
+            out.append(BitMatrix(len(gathered), m.n_rows, gathered).transpose())
+        return out[0], out[1]
+
     def max_degree(self) -> int:
         degrees = [len(c) for c in self.checks] + [len(c) for c in self._adjacency()]
         return max(degrees, default=0)
@@ -190,12 +206,6 @@ class SymmetryWitness:
 
     dual: dict[int, int]
     long_terminals: frozenset[int]
-
-    def deleting_matrix(self, g: TannerGraph) -> BitMatrix:
-        rows = [0] * g.n_bits
-        for check, bit in self.dual.items():
-            rows[bit] |= 1 << check
-        return BitMatrix(g.n_bits, g.n_checks, rows)
 
     def check_of_bit(self) -> dict[int, int]:
         return {b: c for c, b in self.dual.items()}
@@ -591,6 +601,7 @@ def write_labels(g: TannerGraph) -> str:
 
 def read_labels(text: str) -> list[VertexLabel]:
     labels = []
+    keys: set[tuple] = set()
     serial = 0
     for raw in text.splitlines():
         line = raw.strip()
@@ -607,8 +618,15 @@ def read_labels(text: str) -> list[VertexLabel]:
         )
         if kind == "s":
             serial += 1
+        elif kind not in ("x", "z"):
+            raise ValueError(f"label kind must be x, z or s: {line!r}")
+        elif lab.q < 1 or lab.t < 0:
+            raise ValueError(f"wire label needs q >= 1 and t >= 0: {line!r}")
         if int(col) != len(labels):
             raise ValueError("label columns out of order")
+        if lab.key() in keys:
+            raise ValueError(f"repeated wire label: {line!r}")
+        keys.add(lab.key())
         labels.append(lab)
     return labels
 

@@ -238,7 +238,7 @@ def test_criterion_8_css_closed_forms():
 
 def test_criterion_9_parity_check_distances():
     gate = Deadline(9, 1.0)
-    code = derive_logicals(BitMatrix.zeros(0, 2), BitMatrix.from_rows([[1, 1]]))
+    code = derive_logicals(BitMatrix(0, 2), BitMatrix.from_rows([[1, 1]]))
     d_x, d_z, d_css = css_distance(code.g_x, code.g_z, max_weight=2)
     assert d_css.value == 1
 

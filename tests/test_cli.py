@@ -318,6 +318,29 @@ def test_synthesize_rejects_bad_witness(zz_file, tmp_path, capsys, edit):
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "witness" in err
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda text: text.replace("0 x 1 0 -", "0 x 1 -1 -"),  # a time before the input
+        lambda text: text.replace("1 x 2 0 -", "1 x 1 0 -"),  # column 0's label again
+        lambda text: text.replace("0 x 1 0 -", "0 q 1 0 -"),  # no such bit kind
+    ],
+    ids=["negative-time", "repeated-label", "unknown-kind"],
+)
+def test_synthesize_rejects_bad_labels(zz_file, tmp_path, capsys, edit):
+    prefix = symmetric_bundle(zz_file, tmp_path, capsys)
+    labels = tmp_path / "sym.labels"
+    text = labels.read_text()
+    assert text.startswith("0 x 1 0 -\n1 x 2 0 -\n")
+    labels.write_text(edit(text))
+    code, out, err = run_cli(
+        ["synthesize", "--graph", prefix, "--out", tmp_path / "s.qc", "--check"], capsys
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "label" in err
+
+
 @pytest.mark.parametrize("l_text", ["0 3\n", "2 3\n0 0 0\n0 0 0\n"], ids=["no-rows", "zero-rows"])
 def test_distance_without_a_logical_is_an_error(tmp_path, capsys, l_text):
     b = tmp_path / "b.txt"

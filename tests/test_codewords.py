@@ -5,15 +5,17 @@ from dataclasses import replace
 
 import pytest
 
+from circuitcode import cli
 from circuitcode import codewords as cw
 from circuitcode import pauli_sim as sim
 from circuitcode.circuit import parse_circuit, random_circuit
 from circuitcode.gf2 import BitMatrix, BitVector, span_union, stack_kernel
 from circuitcode.pauli import PauliOperator
+from circuitcode.splitting import random_plan, symmetric_split
 from circuitcode.synthesis import roundtrip_check, synthesize, trivial_partition
-from circuitcode.tanner import build_plain, graph_from_matrix, symmetrize
+from circuitcode.tanner import TannerGraph, build_plain, graph_from_matrix, symmetrize
 from tests.test_circuit import ZZ_TEXT
-from tests.test_tanner import rep_memory_text
+from tests.test_tanner import graph_corpus, rep_memory_text
 
 
 def zz_graph():
@@ -124,7 +126,7 @@ def test_build_ec_structure_zz():
     ec = cw.build_ec_structure(g, zz, zz)
     assert ec.b.n_rows == 3
     assert ec.l.n_rows == 2
-    ins = BitMatrix.from_vectors([p.xz_vector() for p in ec.l_in])
+    ins, _ = g.boundaries(ec.l)
     assert ins.row_space_member(pauli("X1X2", 3).xz_vector())
     assert ins.row_space_member(pauli("Z1", 3).xz_vector())
     # B rows are incoherent codewords of the expected kinds
@@ -183,7 +185,7 @@ def test_derive_codes_from_b():
     s_in, s_out = cw.derive_codes_from_b(g, ec.b)
     m = BitMatrix.from_vectors([p.xz_vector() for p in s_in], n_cols=6)
     assert m.row_space_equal(BitMatrix.from_vectors([pauli("Z1Z2", 3).xz_vector()]))
-    assert cw.derive_codes_from_b(g, BitMatrix.zeros(0, g.n_bits)) == ([], [])
+    assert cw.derive_codes_from_b(g, BitMatrix(0, g.n_bits)) == ([], [])
 
 
 def test_errors_equivalent():
@@ -306,8 +308,7 @@ def ec_b_l_by_stack_kernel(g, s_in, s_out):
     """B and L as build_ec_structure wrote them out before sharing _carve."""
     n = g.n_qubits
     k = g.check_matrix().kernel_basis()
-    m0 = cw._xz_matrix(g, k, 0)
-    mt = cw._xz_matrix(g, k, g.depth)
+    m0, mt = g.boundaries(k)
     g_in = cw._pauli_matrix(s_in, n)
     g_out = cw._pauli_matrix(s_out, n)
     n_in = m0.matmul(g_in.kernel_basis().transpose())
@@ -371,23 +372,77 @@ def test_ec_structure_matches_the_stack_kernel_oracle():
 
 
 # ---------------------------------------------------------------------------
+# Boundary operators of a whole matrix of codewords
+
+
+def xz_matrix_by_rows(g, basis, t):
+    """The (x|z) operator of each row at time t, read one row at a time: the
+    reader that TannerGraph.boundaries replaced, kept as its oracle."""
+    rows = [cw.sigma_at_layer(g, c, t).xz_vector().bits for c in basis.row_vectors()]
+    return BitMatrix(basis.n_rows, 2 * g.n_qubits, rows)
+
+
+def assert_boundaries_match_the_row_oracle(g, rng):
+    random_rows = [rng.getrandbits(g.n_bits) for _ in range(3)]
+    for m in (g.kernel_basis(), BitMatrix(3, g.n_bits, random_rows)):
+        oracle = tuple(xz_matrix_by_rows(g, m, t) for t in (0, g.depth))
+        assert g.boundaries(m) == oracle
+
+
+def test_boundaries_match_the_row_oracle_on_the_graph_corpus():
+    rng = random.Random(15)
+    for c in graph_corpus():
+        assert_boundaries_match_the_row_oracle(build_plain(c), rng)
+
+
+def test_boundaries_match_the_row_oracle_on_reloaded_bundles(tmp_path):
+    rng = random.Random(16)
+    circuits = [parse_circuit(text) for text in (ZZ_TEXT, rep_memory_text(3))]
+    circuits += [c for c in seeded_circuits(30, 17) if c.depth]
+    for i, c in enumerate(circuits):
+        sym, w, _ = symmetrize(build_plain(c), c)
+        split, w2, _ = symmetric_split(sym, w, random_plan(sym, w, rng))
+        for name, g, witness in (("sym", sym, w), ("split", split, w2)):
+            prefix = str(tmp_path / f"{name}{i}")
+            cli._save_graph(prefix, g, witness, alist=False)
+            loaded, _ = cli._load_graph(prefix)
+            assert loaded.bits == g.bits
+            assert_boundaries_match_the_row_oracle(loaded, rng)
+
+
+@pytest.mark.parametrize("text", [ZZ_TEXT, rep_memory_text(3)], ids=["zz", "rep3"])
+def test_whole_code_readers_walk_no_single_codeword(text, monkeypatch):
+    g = build_plain(parse_circuit(text))
+    calls = []
+    wire_masks = TannerGraph.wire_masks
+    monkeypatch.setattr(
+        TannerGraph, "wire_masks", lambda self, v: calls.append(v) or wire_masks(self, v)
+    )
+    spaces = cw.code_spaces(g)
+    ec = cw.complete_ec_structure(g)
+    cw.build_ec_structure(g, ec.s_in, ec.s_out)
+    cw.derive_codes_from_b(g, spaces.incoherent)
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
 # Per-codeword readers never build the dense check matrix
 
 
-def _forbid_check_matrix(g):
+def _forbid_check_matrix(g, monkeypatch):
     g.kernel_basis()  # the one elimination of A, memoised on the graph
 
     def dense(*_):
         raise AssertionError("a per-codeword reader built the dense check matrix")
 
-    g.check_matrix = dense
+    monkeypatch.setattr(TannerGraph, "check_matrix", dense)
 
 
 @pytest.mark.parametrize("text", [ZZ_TEXT, rep_memory_text(3)], ids=["zz", "rep3"])
-def test_codeword_readers_use_no_dense_matrix(text):
+def test_codeword_readers_use_no_dense_matrix(text, monkeypatch):
     c = parse_circuit(text)
     g = build_plain(c)
-    _forbid_check_matrix(g)
+    _forbid_check_matrix(g, monkeypatch)
     for i, v in enumerate(g.kernel_basis().row_vectors()):
         cw.classify(g, v)
         cw.relevant_measurements(g, v)
@@ -398,11 +453,12 @@ def test_codeword_readers_use_no_dense_matrix(text):
 
 
 @pytest.mark.parametrize("text", [ZZ_TEXT, rep_memory_text(3)], ids=["zz", "rep3"])
-def test_roundtrip_codeword_test_uses_no_dense_matrix(text):
+def test_roundtrip_codeword_test_uses_no_dense_matrix(text, monkeypatch):
+    # neither the input graph nor the synthesised circuit's graph may build it
     c = parse_circuit(text)
     g, w, _ = symmetrize(build_plain(c), c)
     ec = cw.complete_ec_structure(g)
-    _forbid_check_matrix(g)
+    _forbid_check_matrix(g, monkeypatch)
     result = synthesize(g, w, trivial_partition(g, w))
     assert roundtrip_check(g, result, ec.b, ec.l, max_weight=2).pairing_ok
     with pytest.raises(ValueError, match="rows of L are not codewords"):

@@ -1,3 +1,4 @@
+import random
 from dataclasses import replace
 
 import pytest
@@ -11,6 +12,7 @@ from circuitcode.css import (
 )
 from circuitcode.distance import circuit_distance, css_distance
 from circuitcode.gf2 import BitMatrix, BitVector, kron
+from circuitcode.pauli import PauliOperator
 
 STEANE_H = [
     [1, 0, 1, 0, 1, 0, 1],
@@ -25,7 +27,7 @@ def steane():
 
 
 def code_211():
-    return derive_logicals(BitMatrix.zeros(0, 2), BitMatrix.from_rows([[1, 1]]))
+    return derive_logicals(BitMatrix(0, 2), BitMatrix.from_rows([[1, 1]]))
 
 
 def test_derive_logicals_211():
@@ -42,7 +44,7 @@ def test_derive_logicals_steane():
 
 
 def test_derive_logicals_trivial():
-    code = derive_logicals(BitMatrix.zeros(0, 1), BitMatrix.zeros(0, 1))
+    code = derive_logicals(BitMatrix(0, 1), BitMatrix(0, 1))
     assert code.k == 1
     assert code.j_x.to_lists() == [[1]]
     assert code.j_z.to_lists() == [[1]]
@@ -93,8 +95,9 @@ def test_assembly_211_checker():
     checker = BitVector.from_indices(asm.a.n_cols, bits)
     assert asm.a.mul_vec(checker).is_zero()
     assert asm.b.row_space_member(checker)
-    assert asm.sigma_in(checker).is_identity_kind()
-    assert asm.sigma_out(checker).is_identity_kind()
+    m_in, m_out = asm.boundaries(BitMatrix.from_vectors([checker]))
+    assert m_in.is_zero()
+    assert m_out.is_zero()
 
 
 def test_assembly_zero_logical_code():
@@ -121,17 +124,17 @@ def test_assembly_invariants_corpus():
             assemble_physical(code, layer)  # raises on any violated invariant
     # the logical-CNOT layer applies to two blocks of k=1 codes jointly; the
     # closed forms still hold per block pair on the trivial one-qubit code
-    trivial = derive_logicals(BitMatrix.zeros(0, 1), BitMatrix.zeros(0, 1))
+    trivial = derive_logicals(BitMatrix(0, 1), BitMatrix(0, 1))
     assemble_physical(trivial, logical_cnot_layer())
 
 
 def test_assembly_validation_trips():
     asm = assemble_physical(code_211(), repeated_measurement_layer(1))
-    zero_d_x = BitMatrix.zeros(asm.d_x.n_rows, asm.d_x.n_cols)
+    zero_d_x = BitMatrix(asm.d_x.n_rows, asm.d_x.n_cols)
     with pytest.raises(ValueError, match=r"A_X D_X must equal \(A_Z D_Z\)\^T"):
         _validate_assembly(replace(asm, d_x=zero_d_x))
     # the X and Z logicals of the [[2,1]] code anticommute at both boundaries
-    no_rows = BitMatrix.zeros(0, asm.l.n_cols)
+    no_rows = BitMatrix(0, asm.l.n_cols)
     with pytest.raises(ValueError, match="B boundary operators must commute"):
         _validate_assembly(replace(asm, b=asm.l, l=no_rows))
 
@@ -152,7 +155,7 @@ def reference_assembly(code, layer):
     """A_X, A_Z, D_X, D_Z, A, D, B, L built by concatenation, every zero
     block sized by hand."""
     n, r_x, r_z = code.n, code.r_x, code.r_z
-    eye, zeros = BitMatrix.identity, BitMatrix.zeros
+    eye, zeros = BitMatrix.identity, BitMatrix
     a_x = hstack(
         kron(layer.a_x, eye(n)), kron(eye(layer.m_x_checks), code.g_x.transpose())
     ).stack(
@@ -214,8 +217,8 @@ def hgp_rep(d):
 def test_repeated_measurement_deleting_blocks():
     for m in range(1, 12):
         layer = repeated_measurement_layer(m)
-        assert layer.d_x == BitMatrix.identity(m).stack(BitMatrix.zeros(1, m))
-        assert layer.d_z == BitMatrix.zeros(1, m).stack(BitMatrix.identity(m))
+        assert layer.d_x == BitMatrix.identity(m).stack(BitMatrix(1, m))
+        assert layer.d_z == BitMatrix(1, m).stack(BitMatrix.identity(m))
 
 
 def test_block_assembly_matches_concatenation_oracle():
@@ -223,7 +226,7 @@ def test_block_assembly_matches_concatenation_oracle():
     codes += [
         steane(),
         derive_logicals(BitMatrix.from_rows([[1, 1]]), BitMatrix.from_rows([[1, 1]])),  # k = 0
-        derive_logicals(BitMatrix.zeros(0, 0), BitMatrix.zeros(0, 0)),  # n = 0
+        derive_logicals(BitMatrix(0, 0), BitMatrix(0, 0)),  # n = 0
     ]
     assert [c.k for c in codes] == [1, 1, 1, 1, 1, 0, 0]
     layers = [repeated_measurement_layer(m) for m in (1, 2, 3, 7)] + [logical_cnot_layer()]
@@ -232,6 +235,35 @@ def test_block_assembly_matches_concatenation_oracle():
             asm = assemble_physical(code, layer)
             got = (asm.a_x, asm.a_z, asm.d_x, asm.d_z, asm.a, asm.d, asm.b, asm.l)
             assert got == reference_assembly(code, layer), (code.n, layer.m_x_bits)
+
+
+def boundary_by_row(asm, row, which):
+    """The operator of one row at the first (0) or last (-1) snapshot: the
+    reader CssAssembly.boundaries replaced, kept as its oracle."""
+    n = asm.code.n
+    mask = (1 << n) - 1
+    xi = 0 if which == 0 else asm.layer.m_x_bits - 1
+    zi = 0 if which == 0 else asm.layer.m_z_bits - 1
+    x = (row.bits >> (xi * n)) & mask
+    z = (row.bits >> (asm.x_cols + zi * n)) & mask
+    return PauliOperator(n, x, z)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("layer", ["rep:1", "rep:2", "rep:3", "cnot"])
+def test_boundaries_match_the_row_oracle(d, layer):
+    if layer == "cnot":
+        asm = assemble_physical(hgp_rep(d), logical_cnot_layer())
+    else:
+        asm = assemble_physical(hgp_rep(d), repeated_measurement_layer(int(layer[4:])))
+    rng = random.Random(d)
+    noise = BitMatrix(5, asm.a.n_cols, [rng.getrandbits(asm.a.n_cols) for _ in range(5)])
+    m = asm.b.stack(asm.l, noise)
+    oracle = tuple(
+        BitMatrix.from_vectors([boundary_by_row(asm, r, w).xz_vector() for r in m.row_vectors()])
+        for w in (0, -1)
+    )
+    assert asm.boundaries(m) == oracle
 
 
 def test_css_distance_steane_exhaustive_oracle():
@@ -267,7 +299,7 @@ def test_css_distance_repetition_pattern():
     d_x, d_z, d_css = css_distance(g_x, g_z, max_weight=3)
     assert not d_x.exact and not d_z.exact
     # dropping the X check leaves the classic 3/1 split
-    d_x2, d_z2, _ = css_distance(BitMatrix.zeros(0, 3), g_z, max_weight=3)
+    d_x2, d_z2, _ = css_distance(BitMatrix(0, 3), g_z, max_weight=3)
     assert d_x2.value == 1
     assert d_z2.value == 3
 
@@ -307,7 +339,7 @@ def test_circuit_distance_monotonicity():
 
 def test_circuit_distance_caps_and_empty_l():
     b = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-    l_empty = BitMatrix.zeros(0, 3)
+    l_empty = BitMatrix(0, 3)
     assert not circuit_distance(b, l_empty, 3).exact
     l = BitMatrix.from_rows([[1, 0, 0]])
     capped = circuit_distance(b, l, max_weight=2)

@@ -28,7 +28,7 @@ def assembled_graph(code, layer):
 
 
 def code_211():
-    return derive_logicals(BitMatrix.zeros(0, 2), BitMatrix.from_rows([[1, 1]]))
+    return derive_logicals(BitMatrix(0, 2), BitMatrix.from_rows([[1, 1]]))
 
 
 @pytest.mark.parametrize("m", [1, 2])

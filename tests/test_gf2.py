@@ -37,7 +37,7 @@ def test_rank_cnot_map():
 
 
 def test_rank_zero_matrix():
-    assert BitMatrix.zeros(3, 5).rank() == 0
+    assert BitMatrix(3, 5).rank() == 0
 
 
 def test_kernel_single_pivot():
@@ -90,7 +90,7 @@ def test_stack_kernel_dimension_mismatch():
 
 
 def test_span_union():
-    u = span_union(BitMatrix.identity(2), BitMatrix.zeros(1, 2))
+    u = span_union(BitMatrix.identity(2), BitMatrix(1, 2))
     assert u.row_space_equal(BitMatrix.identity(2))
     u2 = span_union(BitMatrix.from_rows([[1, 0]]), BitMatrix.from_rows([[0, 1]]))
     assert u2.n_rows == 2

@@ -233,12 +233,20 @@ def serialize_for_debug(c):
     return serialize(c)
 
 
+def deleting_matrix(g, w):
+    """The deleting matrix D of a witness: column j selects check j's dual bit."""
+    rows = [0] * g.n_bits
+    for check, bit in w.dual.items():
+        rows[bit] |= 1 << check
+    return BitMatrix(g.n_bits, g.n_checks, rows)
+
+
 def test_dual_exchange_is_automorphism():
     c = parse_circuit(ZZ_TEXT)
     g = build_plain(c)
     g2, w, _ = symmetrize(g, c)
     a = g2.check_matrix()
-    d = w.deleting_matrix(g2)
+    d = deleting_matrix(g2, w)
     ad = a.matmul(d)
     # exchanging every dual pair maps the deleted subgraph to itself
     assert ad == ad.transpose()
@@ -272,7 +280,7 @@ def dense_verify_symmetry(g, w):
         problems.append("long terminals must be exactly the unpaired bits")
     if problems:
         return problems
-    ad = g.check_matrix().matmul(w.deleting_matrix(g))
+    ad = g.check_matrix().matmul(deleting_matrix(g, w))
     adt = ad.transpose()
     asymmetric = [
         (i, j) for i in range(ad.n_rows) for j in range(ad.n_cols) if ad.get(i, j) != adt.get(i, j)
@@ -326,7 +334,6 @@ def test_verify_symmetry_builds_no_dense_matrix():
         raise AssertionError("verify_symmetry built a dense matrix")
 
     g.check_matrix = dense
-    w.deleting_matrix = dense
     assert verify_symmetry(g, w) == []
     bad = dict(w.dual)
     bad[0], bad[1] = bad[1], bad[0]
@@ -348,7 +355,7 @@ def test_export_dot():
     assert dot.count("shape=ellipse") == 8
     assert dot.count("shape=box") == 4
     assert dot == export_dot(cnot_graph())
-    empty = graph_from_matrix(BitMatrix.zeros(0, 0))
+    empty = graph_from_matrix(BitMatrix(0, 0))
     assert export_dot(empty).startswith("graph tanner {")
 
 
