@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix, BitVector, extend_span, span_union, stack_kernel
+from .gf2 import BitMatrix, BitVector, block, extend_span
 from .pauli import PauliOperator
 from .tanner import TannerGraph
 
@@ -45,7 +45,7 @@ def _carve(kernel: BitMatrix, conditions: list[BitMatrix]) -> BitMatrix:
     Each C has one row per kernel row: the linear functionals of the
     codeword that must vanish, evaluated on that basis vector.
     """
-    return stack_kernel([c.transpose() for c in conditions]).matmul(kernel)
+    return block([[c.transpose()] for c in conditions]).kernel_basis().matmul(kernel)
 
 
 def code_spaces(g: TannerGraph) -> CodeSpaces:
@@ -58,7 +58,7 @@ def code_spaces(g: TannerGraph) -> CodeSpaces:
     with_detectors = _carve(kernel, [mt]).rref()
     with_emitters = _carve(kernel, [m0]).rref()
     checkers = _carve(kernel, [m0, mt]).rref()
-    incoherent = span_union(with_detectors, with_emitters)
+    incoherent = with_detectors.stack(with_emitters).rref()
     spaces = CodeSpaces(kernel, checkers, with_detectors, with_emitters, incoherent, m0, mt)
     g._code_spaces = spaces
     return spaces
@@ -86,11 +86,6 @@ def classify(g: TannerGraph, c: BitVector) -> str:
 def relevant_measurements(g: TannerGraph, c: BitVector) -> list[int]:
     """Measurement bits whose outcomes enter the codeword's sign factor."""
     return [i for i in c.support() if g.bits[i].is_measurement]
-
-
-def errors_equivalent(a: BitMatrix, e1: BitVector, e2: BitVector) -> bool:
-    """Two spacetime errors are equivalent iff their sum lies in rowsp(A)."""
-    return a.row_space_member(e1 ^ e2)
 
 
 def _swap_halves(m: BitMatrix, n: int) -> BitMatrix:

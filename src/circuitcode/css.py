@@ -156,10 +156,6 @@ class CssAssembly:
     def x_cols(self) -> int:
         return self.a_x.n_cols
 
-    @property
-    def z_cols(self) -> int:
-        return self.a_z.n_cols
-
     def boundaries(self, m: BitMatrix) -> tuple[BitMatrix, BitMatrix]:
         """The (x|z) operator matrices of the rows of m at the input and the
         output: their first and last operator snapshots."""

@@ -10,6 +10,16 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Sequence
 
 
+def _set_bits(r: int) -> list[int]:
+    """The set bit positions of r, ascending; every set-bit walk of this module is this one."""
+    out = []
+    while r:
+        low = r & -r
+        out.append(low.bit_length() - 1)
+        r ^= low
+    return out
+
+
 class BitVector:
     """A fixed-length vector over GF(2), packed into one integer."""
 
@@ -74,13 +84,7 @@ class BitVector:
         return (self.bits & other.bits).bit_count() & 1
 
     def support(self) -> list[int]:
-        out = []
-        r = self.bits
-        while r:
-            low = r & -r
-            out.append(low.bit_length() - 1)
-            r ^= low
-        return out
+        return _set_bits(self.bits)
 
     def is_zero(self) -> bool:
         return self.bits == 0
@@ -146,9 +150,6 @@ class BitMatrix:
         for r in self.rows:
             yield BitVector(self.n_cols, r)
 
-    def to_lists(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.n_cols)] for r in self.rows]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BitMatrix)
@@ -166,10 +167,8 @@ class BitMatrix:
     def transpose(self) -> "BitMatrix":
         out = [0] * self.n_cols
         for i, r in enumerate(self.rows):
-            while r:
-                j = (r & -r).bit_length() - 1
+            for j in _set_bits(r):
                 out[j] |= 1 << i
-                r &= r - 1
         return BitMatrix(self.n_cols, self.n_rows, out)
 
     def mul_vec(self, v: BitVector) -> BitVector:
@@ -188,11 +187,8 @@ class BitMatrix:
         out = []
         for r in self.rows:
             acc = 0
-            rr = r
-            while rr:
-                k = (rr & -rr).bit_length() - 1
+            for k in _set_bits(r):
                 acc ^= other.rows[k]
-                rr &= rr - 1
             out.append(acc)
         return BitMatrix(self.n_rows, other.n_cols, out)
 
@@ -210,12 +206,8 @@ class BitMatrix:
             ech.add(r)
         return ech
 
-    def _elimination(self) -> tuple[list[int], list[int]]:
-        """Reduced row echelon form as (rows, pivot columns)."""
-        return self._echelon().rref()
-
     def rref(self) -> "BitMatrix":
-        work, _ = self._elimination()
+        work, _ = self._echelon().rref()
         return BitMatrix(len(work), self.n_cols, work)
 
     def rank(self) -> int:
@@ -223,18 +215,15 @@ class BitMatrix:
 
     def kernel_basis(self) -> "BitMatrix":
         """Rows form an rref basis of ``{v : A v^T = 0}``."""
-        work, pivots = self._elimination()
+        work, pivots = self._echelon().rref()
         pivot_set = set(pivots)
         # one vector per free column j: e_j plus e_col for each pivot row
         # (pivot column col) that has bit j
         basis = {j: 1 << j for j in range(self.n_cols) if j not in pivot_set}
         free_mask = sum(basis.values())
         for p, col in zip(work, pivots):
-            x = p & free_mask
-            while x:
-                low = x & -x
-                basis[low.bit_length() - 1] |= 1 << col
-                x ^= low
+            for j in _set_bits(p & free_mask):
+                basis[j] |= 1 << col
         return BitMatrix(len(basis), self.n_cols, list(basis.values())).rref()
 
     def row_space_member(self, v: BitVector) -> bool:
@@ -242,18 +231,11 @@ class BitMatrix:
             raise ValueError("length mismatch")
         return self._echelon().reduce(v.bits) == 0
 
-    def row_space_equal(self, other: "BitMatrix") -> bool:
-        if self.n_cols != other.n_cols:
-            return False
-        a = self.rref()
-        b = other.rref()
-        return a.rows == b.rows
-
     def inverse(self) -> "BitMatrix":
         if self.n_rows != self.n_cols:
             raise ValueError("only square matrices invert")
         n = self.n_rows
-        work, pivots = block([[self, BitMatrix.identity(n)]])._elimination()
+        work, pivots = block([[self, BitMatrix.identity(n)]])._echelon().rref()
         if pivots[:n] != list(range(n)) or len(pivots) < n:
             raise ValueError("matrix is singular")
         mask = (1 << n) - 1
@@ -275,7 +257,7 @@ class BitMatrix:
             n + 1,
             [r | aug_bit if (rhs.bits >> i) & 1 else r for i, r in enumerate(self.rows)],
         )
-        work, pivots = aug._elimination()
+        work, pivots = aug._echelon().rref()
         if pivots and pivots[-1] == n:
             return None
         x = 0
@@ -329,11 +311,8 @@ class _Echelon:
             r = self.rows[c]
             # rows in done have no pivot bit but their own, so one pass
             # over r's bits in later pivot columns clears them all
-            x = r & above
-            while x:
-                low = x & -x
-                r ^= done[low.bit_length() - 1]
-                x ^= low
+            for j in _set_bits(r & above):
+                r ^= done[j]
             done[c] = r
             above |= 1 << c
         return [done[c] for c in pivots], pivots
@@ -345,11 +324,8 @@ def kron(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     for ra in a.rows:
         for rb in b.rows:
             bits = 0
-            r = ra
-            while r:
-                j1 = (r & -r).bit_length() - 1
+            for j1 in _set_bits(ra):
                 bits |= rb << (j1 * b.n_cols)
-                r &= r - 1
             rows.append(bits)
     return BitMatrix(a.n_rows * b.n_rows, a.n_cols * b.n_cols, rows)
 
@@ -395,21 +371,6 @@ def extend_span(base: BitMatrix, candidates: BitMatrix) -> BitMatrix:
     ech = base._echelon()
     kept = [r for r in candidates.rows if ech.add(r)]
     return BitMatrix(len(kept), candidates.n_cols, kept)
-
-
-def stack_kernel(ms: Sequence[BitMatrix]) -> BitMatrix:
-    """Basis of the intersection of the kernels of the given matrices."""
-    if not ms:
-        raise ValueError("need at least one matrix")
-    first = ms[0]
-    return first.stack(*ms[1:]).kernel_basis()
-
-
-def span_union(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """rref basis of rowsp(a) + rowsp(b)."""
-    if a.n_cols != b.n_cols:
-        raise ValueError("column count mismatch")
-    return a.stack(b).rref()
 
 
 def symplectic_product(b1: BitVector, b2: BitVector) -> int:
@@ -464,13 +425,9 @@ def write_alist(m: BitMatrix) -> str:
     col_supports = [[] for _ in range(n)]
     row_supports = []
     for i, r in enumerate(m.rows):
-        sup = []
-        rr = r
-        while rr:
-            j = (rr & -rr).bit_length() - 1
-            sup.append(j)
+        sup = _set_bits(r)
+        for j in sup:
             col_supports[j].append(i)
-            rr &= rr - 1
         row_supports.append(sup)
     max_col = max((len(s) for s in col_supports), default=0)
     max_row = max((len(s) for s in row_supports), default=0)

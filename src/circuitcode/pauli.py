@@ -23,10 +23,6 @@ class PauliOperator:
         self.phase_exp = phase_exp & 3
 
     @classmethod
-    def identity(cls, n: int) -> "PauliOperator":
-        return cls(n)
-
-    @classmethod
     def from_xz_vector(cls, b: BitVector, phase_exp: int = 0) -> "PauliOperator":
         """Build from a length-2n vector laid out as (x | z)."""
         if b.n % 2:

@@ -205,38 +205,6 @@ def symmetric_split(
     return g2, w2, maps
 
 
-@dataclass
-class DistanceBoundReport:
-    before: object
-    after: object
-    g_max: int
-    ok_lower: bool
-    ok_upper: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.ok_lower and self.ok_upper
-
-
-def check_distance_bound(
-    g: TannerGraph,
-    g2: TannerGraph,
-    b: BitMatrix,
-    l: BitMatrix,
-    maps: CodeMaps,
-    max_weight: int = 6,
-) -> DistanceBoundReport:
-    """Compare distances across a split: d' in [d / floor(g_max/2), d]."""
-    from .distance import circuit_distance
-
-    d1 = circuit_distance(b, l, max_weight)
-    b2 = maps.map_matrix(b)
-    l2 = maps.map_matrix(l)
-    d2 = circuit_distance(b2, l2, max_weight)
-    g_max = g.max_degree()
-    return DistanceBoundReport(d1, d2, g_max, *distance_bound_holds(d1, d2, g_max))
-
-
 def distance_bound_holds(before, after, g_max: int) -> tuple[bool, bool]:
     """(lower, upper) halves of d' in [d / floor(g_max/2), d].
 
@@ -291,7 +259,10 @@ def read_plan(g: TannerGraph, text: str) -> SplitPlan:
         if len(fields) != 3 or fields[0] != "pair":
             raise ValueError(f"bad plan line {line!r}")
         bit = bit_of(fields[1])
-        check = int(fields[2].lstrip("c"))
+        try:
+            check = int(fields[2].lstrip("c"))
+        except ValueError:
+            raise ValueError(f"bad plan line {line!r}") from None
         if check in pairs:
             raise ValueError(f"plan pairs check c{check} twice: {line!r}")
         # subset separators carry no spaces; " ; " separates the tree part
@@ -310,6 +281,9 @@ def read_plan(g: TannerGraph, text: str) -> SplitPlan:
         tree = []
         for tok in tree_tokens[1:]:
             i, _, j = tok.partition("-")
-            tree.append((int(i), int(j)))
+            try:
+                tree.append((int(i), int(j)))
+            except ValueError:
+                raise ValueError(f"bad plan line {line!r}") from None
         pairs[check] = PairPlan(bit, check, subsets, tree)
     return SplitPlan(pairs)

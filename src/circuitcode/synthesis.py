@@ -520,8 +520,12 @@ def read_partition(g: TannerGraph, text: str) -> PathPartition:
             _, _, names = rest.partition(":")
             paths.append([parse_vertex(nm) for nm in names.split()])
         elif line.startswith("tau "):
-            _, name, value = line.split()
-            tau[parse_vertex(name)] = int(value)
+            try:
+                _, name, value = line.split()
+                value = int(value)
+            except ValueError:
+                raise ValueError(f"bad partition line {line!r}") from None
+            tau[parse_vertex(name)] = value
         else:
             raise ValueError(f"bad partition line {line!r}")
     return PathPartition(paths, tau)

@@ -129,12 +129,6 @@ class TannerGraph:
             odd.symmetric_difference_update(adjacency[i])
         return sum(1 << k for k in odd)
 
-    def measurement_bits(self) -> list[int]:
-        return [i for i, lab in enumerate(self.bits) if lab.is_measurement]
-
-    def initialisation_bits(self) -> list[int]:
-        return [i for i, lab in enumerate(self.bits) if lab.is_initialisation]
-
     def layer_bits(self, t: int) -> list[int]:
         return [
             i
@@ -188,12 +182,6 @@ class CodeMaps:
 
     codeword: BitMatrix  # |V_B'| x |V_B|
     error: BitMatrix  # |V_B'| x |V_B|
-
-    def map_codeword(self, c: BitVector) -> BitVector:
-        return self.codeword.mul_vec(c)
-
-    def map_error(self, e: BitVector) -> BitVector:
-        return self.error.mul_vec(e)
 
     def map_matrix(self, m: BitMatrix) -> BitMatrix:
         """Map every row of ``m`` (a codeword of the source graph)."""
@@ -607,11 +595,15 @@ def read_labels(text: str) -> list[VertexLabel]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        col, kind, q, t, flags = line.split()
+        try:
+            col, kind, q, t, flags = line.split()
+            col, q, t = int(col), int(q), int(t)
+        except ValueError:
+            raise ValueError(f"bad labels line {line!r}") from None
         lab = VertexLabel(
             kind,
-            int(q),
-            int(t),
+            q,
+            t,
             serial if kind == "s" else 0,
             is_measurement="M" in flags,
             is_initialisation="I" in flags,
@@ -622,7 +614,7 @@ def read_labels(text: str) -> list[VertexLabel]:
             raise ValueError(f"label kind must be x, z or s: {line!r}")
         elif lab.q < 1 or lab.t < 0:
             raise ValueError(f"wire label needs q >= 1 and t >= 0: {line!r}")
-        if int(col) != len(labels):
+        if col != len(labels):
             raise ValueError("label columns out of order")
         if lab.key() in keys:
             raise ValueError(f"repeated wire label: {line!r}")
@@ -644,14 +636,18 @@ def read_witness(text: str) -> SymmetryWitness:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split()
-        if parts[0] == "dual" and len(parts) == 3:
-            check = int(parts[1])
+        head, *fields = line.split()
+        try:
+            values = [int(f) for f in fields]
+        except ValueError:
+            raise ValueError(f"bad witness line {line!r}") from None
+        if head == "dual" and len(values) == 2:
+            check, bit = values
             if check in dual:
                 raise ValueError(f"witness pairs check {check} twice: {line!r}")
-            dual[check] = int(parts[2])
-        elif parts[0] == "long" and len(parts) == 2:
-            long_bits.add(int(parts[1]))
+            dual[check] = bit
+        elif head == "long" and len(values) == 1:
+            long_bits.add(values[0])
         else:
             raise ValueError(f"bad witness line {line!r}")
     return SymmetryWitness(dual, frozenset(long_bits))

@@ -14,10 +14,11 @@ from circuitcode.css import assemble_physical, derive_logicals, repeated_measure
 from circuitcode.distance import circuit_distance, css_distance
 from circuitcode.gf2 import BitMatrix, BitVector
 from circuitcode.pauli import PauliOperator
-from circuitcode.splitting import check_distance_bound, random_plan, symmetric_split
+from circuitcode.splitting import distance_bound_holds, random_plan, symmetric_split
 from circuitcode.synthesis import roundtrip_check, synthesize, trivial_partition
 from circuitcode.tanner import bit_split, build_plain, symmetrize, verify_symmetry
 from tests.test_circuit import ZZ_TEXT
+from tests.test_splitting import split_distances
 from tests.test_synthesis import sampled_pairing_ok
 
 STEANE_H = BitMatrix.from_rows(
@@ -68,7 +69,7 @@ def test_criterion_2_parity_check_classification():
     zz = cw.solve_codeword(g, p("Z1Z2"), p("Z1Z2"))
     assert zz is not None and cw.classify(g, zz) == cw.PSEUDO_PROPAGATOR
 
-    m1, m2 = g.measurement_bits()
+    m1, m2 = [i for i, lab in enumerate(g.bits) if lab.is_measurement]
     d1 = cw.solve_codeword(g, p("Z1Z2"), ident, {m1: 1, m2: 0})
     d2 = cw.solve_codeword(g, p("Z1Z2"), ident, {m1: 0, m2: 1})
     assert d1 is not None and cw.classify(g, d1) == cw.DETECTOR
@@ -177,15 +178,15 @@ def test_criterion_6_symmetric_splitting_bound():
         k = g.check_matrix().kernel_basis()
         a2 = g2.check_matrix()
         assert a2.kernel_basis().n_rows == k.n_rows
-        images = [maps.map_codeword(v) for v in k.row_vectors()]
+        images = [maps.codeword.mul_vec(v) for v in k.row_vectors()]
         for img in images:
             assert a2.mul_vec(img).is_zero()
         if images:
             assert (
                 BitMatrix.from_vectors(images, n_cols=g2.n_bits).rank() == len(images)
             )
-        report = check_distance_bound(g, g2, b, l, maps, max_weight=5)
-        assert report.ok
+        before, after = split_distances(b, l, maps, max_weight=5)
+        assert all(distance_bound_holds(before, after, g.max_degree()))
         done += 1
     gate.finish()
 

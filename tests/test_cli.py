@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from circuitcode import cli, synthesis
 from circuitcode.circuit import MAX_WIRE_BITS, parse_circuit
 from circuitcode.cli import main
 from circuitcode.gf2 import BitMatrix
-from circuitcode.splitting import trivial_plan, write_plan
+from circuitcode.splitting import random_plan, trivial_plan, write_plan
 from circuitcode.tanner import build_plain, symmetrize
 from tests.test_circuit import ZZ_TEXT
 
@@ -606,3 +607,56 @@ def test_synthesize_check_without_layers_fails_before_writing(tmp_path, capsys):
         capsys,
     )
     assert code == 0 and "roundtrip ok" in out
+
+
+def sidecar_readers(zz_file, tmp_path, capsys):
+    """Per sidecar file kind of the ZZ bundle: the file and a command that reads it."""
+    prefix = symmetric_bundle(zz_file, tmp_path, capsys)
+    synth = ["synthesize", "--graph", prefix, "--out", tmp_path / "s.qc"]
+    part = tmp_path / "greedy.part"
+    assert run_cli([*synth, "--greedy", "--emit-partition", part], capsys)[0] == 0
+    c = parse_circuit(ZZ_TEXT)
+    g, w, _ = symmetrize(build_plain(c), c)
+    plan = tmp_path / "random.plan"
+    plan.write_text(write_plan(g, random_plan(g, w, random.Random(1))))
+    split = ["split", "--graph", prefix, "--plan", plan, "--out-prefix", tmp_path / "split"]
+    return {
+        "labels": (tmp_path / "sym.labels", synth),
+        "witness": (tmp_path / "sym.witness", synth),
+        "partition": (part, [*synth, "--partition", part]),
+        "plan": (plan, split),
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, line, bad",
+    [
+        ("labels", r"0 x 1 0 -", "0 x 1 0"),
+        ("labels", r"0 x 1 0 -", "0 x 1 0 - M"),
+        ("labels", r"0 x 1 0 -", "c0 x 1 0 -"),
+        ("labels", r"0 x 1 0 -", "0 x X 0 -"),
+        ("labels", r"0 x 1 0 -", "0 x 1 t0 -"),
+        ("witness", r"dual 0 \d+", "dual 0 X"),
+        ("witness", r"dual 0 \d+", "dual c0 7"),
+        ("witness", r"long 3", "long x[1,0]"),
+        ("partition", r"tau x\[1,0\] \d+", "tau x[1,0]"),
+        ("partition", r"tau x\[1,0\] \d+", "tau x[1,0] 3 4"),
+        ("partition", r"tau x\[1,0\] \d+", "tau x[1,0] X"),
+        ("plan", r"pair z\[1,1\] c0 : .*", "pair z[1,1] cX : subsets x[1,0] x[1,1] ; tree"),
+        ("plan", r"pair z\[2,1\] c2 : .*", "pair z[2,1] c2 : subsets x[2,1];x[2,0] ; tree 0-a"),
+    ],
+    ids=[
+        "labels-four-fields", "labels-six-fields", "labels-column", "labels-q", "labels-t",
+        "witness-bit", "witness-check", "witness-long", "partition-tau-two-fields",
+        "partition-tau-four-fields", "partition-tau-time", "plan-check", "plan-tree-edge",
+    ],
+)
+def test_malformed_sidecar_line_is_named(zz_file, tmp_path, capsys, kind, line, bad):
+    path, args = sidecar_readers(zz_file, tmp_path, capsys)[kind]
+    text, found = re.subn(rf"^{line}$", bad, path.read_text(), count=1, flags=re.M)
+    assert found == 1
+    path.write_text(text)
+    code, out, err = run_cli(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: bad {kind} line {bad!r}\n"

@@ -33,8 +33,8 @@ def code_211():
 def test_derive_logicals_211():
     code = code_211()
     assert code.k == 1
-    assert code.j_x.to_lists() == [[1, 1]]
-    assert code.j_z.to_lists() == [[1, 0]]
+    assert code.j_x == BitMatrix.from_rows([[1, 1]])
+    assert code.j_z == BitMatrix.from_rows([[1, 0]])
 
 
 def test_derive_logicals_steane():
@@ -46,8 +46,8 @@ def test_derive_logicals_steane():
 def test_derive_logicals_trivial():
     code = derive_logicals(BitMatrix(0, 1), BitMatrix(0, 1))
     assert code.k == 1
-    assert code.j_x.to_lists() == [[1]]
-    assert code.j_z.to_lists() == [[1]]
+    assert code.j_x == BitMatrix.from_rows([[1]])
+    assert code.j_z == BitMatrix.from_rows([[1]])
 
 
 def test_derive_logicals_rejects_incompatible():
@@ -57,16 +57,16 @@ def test_derive_logicals_rejects_incompatible():
 
 def test_repeated_measurement_layer():
     layer = repeated_measurement_layer(1)
-    assert layer.a_x.to_lists() == [[1, 1]]
+    assert layer.a_x == BitMatrix.from_rows([[1, 1]])
     layer2 = repeated_measurement_layer(2)
-    assert layer2.a_x.to_lists() == [[1, 1, 0], [0, 1, 1]]
+    assert layer2.a_x == BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
     for m in range(1, 11):
         repeated_measurement_layer(m).validate()
 
 
 def test_logical_cnot_layer():
     layer = logical_cnot_layer()
-    assert layer.a_x.to_lists()[0] == [1, 0, 1, 0]
+    assert layer.a_x.row(0) == BitVector.from_bits([1, 0, 1, 0])
     assert layer.a_x.matmul(layer.gen_x.transpose()).is_zero()
     assert layer.a_x.matmul(layer.d_x) == layer.a_z.matmul(layer.d_z).transpose()
 

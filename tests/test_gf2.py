@@ -5,12 +5,12 @@ import pytest
 from circuitcode.gf2 import (
     BitMatrix,
     BitVector,
+    _set_bits,
     block,
     extend_span,
+    kron,
     read_alist,
     read_matrix_text,
-    span_union,
-    stack_kernel,
     symplectic_product,
     write_alist,
     write_matrix_text,
@@ -52,7 +52,7 @@ def test_kernel_cnot_check_matrix():
     # propagation X1 -> X1X2 as the vector (1,0,0,0,1,1,0,0).
     rows = []
     for i in range(4):
-        row = M_CNOT.to_lists()[i] + [1 if j == i else 0 for j in range(4)]
+        row = as_lists(M_CNOT)[i] + [1 if j == i else 0 for j in range(4)]
         rows.append(row)
     a = BitMatrix.from_rows(rows)
     k = a.kernel_basis()
@@ -74,6 +74,11 @@ def test_row_space_member():
     assert m2.row_space_member(BitVector.from_bits([1, 0, 1]))
 
 
+def stack_kernel(ms):
+    """The intersection of the kernels of ms, as codewords._carve takes it."""
+    return block([[m] for m in ms]).kernel_basis()
+
+
 def test_stack_kernel():
     assert stack_kernel([BitMatrix.identity(2)]).n_rows == 0
     ms = [BitMatrix.from_rows([[1, 0]]), BitMatrix.from_rows([[0, 1]])]
@@ -90,11 +95,12 @@ def test_stack_kernel_dimension_mismatch():
 
 
 def test_span_union():
-    u = span_union(BitMatrix.identity(2), BitMatrix(1, 2))
-    assert u.row_space_equal(BitMatrix.identity(2))
-    u2 = span_union(BitMatrix.from_rows([[1, 0]]), BitMatrix.from_rows([[0, 1]]))
+    # rowsp(a) + rowsp(b) as code_spaces takes it: the rref of a stacked on b
+    u = BitMatrix.identity(2).stack(BitMatrix(1, 2)).rref()
+    assert u.rref() == BitMatrix.identity(2).rref()
+    u2 = BitMatrix.from_rows([[1, 0]]).stack(BitMatrix.from_rows([[0, 1]])).rref()
     assert u2.n_rows == 2
-    u3 = span_union(BitMatrix.from_rows([[1, 1, 0]]), BitMatrix.from_rows([[0, 1, 1]]))
+    u3 = BitMatrix.from_rows([[1, 1, 0]]).stack(BitMatrix.from_rows([[0, 1, 1]])).rref()
     assert u3.n_rows == 2
     assert u3.row_space_member(BitVector.from_bits([1, 0, 1]))
 
@@ -238,14 +244,19 @@ def as_matrix(rows):
     return BitMatrix.from_rows(rows, n_cols=len(rows[0]))
 
 
+def as_lists(m):
+    """The entries of m as one list of 0/1 per row, read one at a time."""
+    return [[m.get(i, j) for j in range(m.n_cols)] for i in range(m.n_rows)]
+
+
 def test_kernel_matches_naive_gauss_jordan():
     for rows in kernel_cases():
         n_cols = len(rows[0])
         m = as_matrix(rows)
         red, pivots = naive_rref(rows, n_cols)
-        assert m.rref().to_lists() == red
+        assert as_lists(m.rref()) == red
         assert m.rank() == len(pivots)
-        assert m.kernel_basis().to_lists() == naive_kernel(rows, n_cols)
+        assert as_lists(m.kernel_basis()) == naive_kernel(rows, n_cols)
 
 
 def test_inverse_matches_naive_gauss_jordan():
@@ -261,7 +272,7 @@ def test_inverse_matches_naive_gauss_jordan():
             with pytest.raises(ValueError):
                 as_matrix(rows).inverse()
         else:
-            assert as_matrix(rows).inverse().to_lists() == [r[n:] for r in red]
+            assert as_lists(as_matrix(rows).inverse()) == [r[n:] for r in red]
     assert 0 < singular < 120
 
 
@@ -300,8 +311,109 @@ def test_extend_span_matches_greedy_rank_test():
                 kept.append(v)
         base_m = BitMatrix.from_rows(base, n_cols=n_cols)
         got = extend_span(base_m, as_matrix(candidates))
-        assert got.to_lists() == kept
+        assert as_lists(got) == kept
         assert got.n_cols == n_cols
+
+
+# ---------------------------------------------------------------------------
+# The set-bit walker against element-wise oracles
+
+
+def naive_set_bits(r):
+    return [j for j in range(r.bit_length()) if r >> j & 1]
+
+
+def sparse_matrix(rng, n_rows, n_cols, weight):
+    """n_rows rows of up to ``weight`` random set bits each over n_cols columns."""
+    k = min(weight, n_cols)
+    rows = [sum(1 << j for j in rng.sample(range(n_cols), k)) for _ in range(n_rows)]
+    return BitMatrix(n_rows, n_cols, rows)
+
+
+def walker_matrices():
+    """Seeded matrices for the set-bit walker: empty and zero ones, single
+    bits, small dense ones, and rows at least 20,000 bits wide."""
+    rng = random.Random(41)
+    cases = [BitMatrix(0, 0), BitMatrix(0, 5), BitMatrix(3, 0), BitMatrix(4, 9)]
+    cases.append(BitMatrix(4, 65, [1, 1 << 63, 1 << 64, 1 << 31]))
+    cases += [BitMatrix(5, 7, [rng.getrandbits(7) for _ in range(5)]) for _ in range(10)]
+    cases += [sparse_matrix(rng, 9, 70, 6), sparse_matrix(rng, 70, 9, 3)]
+    cases += [sparse_matrix(rng, 4, 20_011, 25), sparse_matrix(rng, 3, 40_000, 12)]
+    cases.append(BitMatrix(2, 20_000, [1 << 19_999, (1 << 20_000) - 1]))
+    return cases
+
+
+def naive_product(a, b):
+    """a b over GF(2), one entry at a time."""
+    la, lb = as_lists(a), as_lists(b)
+    entries = [
+        [sum(x & lb[k][j] for k, x in enumerate(row)) % 2 for j in range(b.n_cols)] for row in la
+    ]
+    return BitMatrix.from_rows(entries, b.n_cols)
+
+
+def naive_alist(m):
+    """The alist lines of m from its entries: column lists, then row lists."""
+    entries = as_lists(m)
+    cols = [[i + 1 for i in range(m.n_rows) if entries[i][j]] for j in range(m.n_cols)]
+    rows = [[j + 1 for j in range(m.n_cols) if entries[i][j]] for i in range(m.n_rows)]
+    max_col = max(map(len, cols), default=0)
+    max_row = max(map(len, rows), default=0)
+    lines = [f"{m.n_cols} {m.n_rows}", f"{max_col} {max_row}"]
+    lines.append(" ".join(str(len(c)) for c in cols))
+    lines.append(" ".join(str(len(r)) for r in rows))
+    lines += [" ".join(str(v) for v in c + [0] * (max_col - len(c))) for c in cols]
+    lines += [" ".join(str(v) for v in r + [0] * (max_row - len(r))) for r in rows]
+    return lines
+
+
+# Matrices are compared as BitMatrix and texts as lists of lines, so that a
+# failure on a 20,000-column case reports a shape or a line index, not a
+# diff of the whole text.
+
+
+def test_set_bits_and_support_match_a_bit_by_bit_walk():
+    singles = [1 << k for k in (0, 1, 29, 30, 31, 63, 64, 20_000)]
+    for r in [0, *singles, *(r for m in walker_matrices() for r in m.rows)]:
+        assert _set_bits(r) == naive_set_bits(r)
+        assert BitVector(r.bit_length(), r).support() == naive_set_bits(r)
+
+
+def test_transpose_matches_entrywise_transpose():
+    for m in walker_matrices():
+        want = [[m.get(i, j) for i in range(m.n_rows)] for j in range(m.n_cols)]
+        assert m.transpose() == BitMatrix.from_rows(want, m.n_rows)
+        assert m.transpose().transpose() == m
+
+
+def test_matmul_matches_entrywise_product():
+    rng = random.Random(43)
+    for m in walker_matrices():
+        other = sparse_matrix(rng, m.n_cols, 5, 2)
+        assert m.matmul(other) == naive_product(m, other)
+
+
+def test_kron_matches_entrywise_product():
+    rng = random.Random(47)
+    smalls = [
+        BitMatrix(0, 2), BitMatrix(2, 3), BitMatrix(2, 3, [0b101, 0b011]), BitMatrix.identity(3)
+    ]
+    wide = sparse_matrix(rng, 2, 10_007, 9)
+    for a, b in [*((a, b) for a in smalls for b in smalls), (smalls[2], wide), (wide, smalls[2])]:
+        la, lb = as_lists(a), as_lists(b)
+        want = [
+            [la[i1][j1] & lb[i2][j2] for j1 in range(a.n_cols) for j2 in range(b.n_cols)]
+            for i1 in range(a.n_rows)
+            for i2 in range(b.n_rows)
+        ]
+        assert kron(a, b) == BitMatrix.from_rows(want, a.n_cols * b.n_cols)
+
+
+def test_alist_matches_entrywise_writer_and_reads_back():
+    for m in walker_matrices():
+        text = write_alist(m)
+        assert text.splitlines() == naive_alist(m)
+        assert read_alist(text) == m
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +483,7 @@ def test_block_infers_zero_block_shapes():
     a = BitMatrix.from_rows([[1, 0, 1], [0, 1, 1]])  # 2 x 3
     b = BitMatrix.from_rows([[1], [1], [0], [1]])  # 4 x 1
     m = block([[a, None], [None, b]])
-    assert m.to_lists() == [
+    assert as_lists(m) == [
         [1, 0, 1, 0],
         [0, 1, 1, 0],
         [0, 0, 0, 1],
@@ -382,7 +494,7 @@ def test_block_infers_zero_block_shapes():
     # a zero block between two matrices takes its width from its column
     c = BitMatrix.from_rows([[1, 1]])
     m = block([[c, None, c], [None, BitMatrix.identity(3), None]])
-    assert m.to_lists() == [[1, 1, 0, 0, 0, 1, 1], [0, 0, 1, 0, 0, 0, 0],
+    assert as_lists(m) == [[1, 1, 0, 0, 0, 1, 1], [0, 0, 1, 0, 0, 0, 0],
                             [0, 0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0]]
 
 

@@ -4,11 +4,12 @@ import pytest
 
 from circuitcode import codewords as cw
 from circuitcode.circuit import parse_circuit, random_circuit
+from circuitcode.distance import circuit_distance
 from circuitcode.gf2 import BitVector
 from circuitcode.splitting import (
     PairPlan,
     SplitPlan,
-    check_distance_bound,
+    distance_bound_holds,
     random_plan,
     read_plan,
     symmetric_split,
@@ -17,6 +18,14 @@ from circuitcode.splitting import (
 )
 from circuitcode.tanner import build_plain, symmetrize, verify_symmetry
 from tests.test_circuit import ZZ_TEXT
+
+
+def split_distances(b, l, maps, max_weight):
+    """Circuit distances of (B, L) before a split and of their images after it."""
+    return (
+        circuit_distance(b, l, max_weight),
+        circuit_distance(maps.map_matrix(b), maps.map_matrix(l), max_weight),
+    )
 
 
 def symmetric_zz():
@@ -35,7 +44,7 @@ def test_trivial_plan_is_isomorphic():
     a, a2 = g.check_matrix(), g2.check_matrix()
     assert a2.kernel_basis().n_rows == a.kernel_basis().n_rows
     for v in a.kernel_basis().row_vectors():
-        assert a2.mul_vec(maps.map_codeword(v)).is_zero()
+        assert a2.mul_vec(maps.codeword.mul_vec(v)).is_zero()
 
 
 def test_degree_five_check_path_template():
@@ -65,7 +74,7 @@ def test_degree_five_check_path_template():
     k2 = g2.check_matrix().kernel_basis()
     assert k1.n_rows == k2.n_rows
     for v in k1.row_vectors():
-        assert g2.check_matrix().mul_vec(maps.map_codeword(v)).is_zero()
+        assert g2.check_matrix().mul_vec(maps.codeword.mul_vec(v)).is_zero()
 
 
 def test_random_splits_preserve_code_and_symmetry():
@@ -80,7 +89,7 @@ def test_random_splits_preserve_code_and_symmetry():
         k = g.check_matrix().kernel_basis()
         a2 = g2.check_matrix()
         assert a2.kernel_basis().n_rows == k.n_rows
-        images = [maps.map_codeword(v) for v in k.row_vectors()]
+        images = [maps.codeword.mul_vec(v) for v in k.row_vectors()]
         for img in images:
             assert a2.mul_vec(img).is_zero()
         # injectivity: images stay independent
@@ -102,9 +111,9 @@ def test_pairing_identity_random():
         k = g.check_matrix().kernel_basis()
         for _ in range(100):
             e = BitVector(g.n_bits, rng.getrandbits(g.n_bits))
-            assert e.weight() == maps.map_error(e).weight()
+            assert e.weight() == maps.error.mul_vec(e).weight()
             for v in k.row_vectors():
-                assert v.dot(e) == maps.map_codeword(v).dot(maps.map_error(e))
+                assert v.dot(e) == maps.codeword.mul_vec(v).dot(maps.error.mul_vec(e))
 
 
 def test_error_carrier_is_first_subset():
@@ -114,7 +123,7 @@ def test_error_carrier_is_first_subset():
     # single-bit error on a non-terminal maps to a single bit on its tree
     for v in sorted(set(w.dual.values()))[:5]:
         e = BitVector.from_indices(g.n_bits, [v])
-        img = maps.map_error(e)
+        img = maps.error.mul_vec(e)
         assert img.weight() == 1
 
 
@@ -122,10 +131,10 @@ def test_classification_preserved_zz():
     c, g, w, maps0 = symmetric_zz()
     g_plain = build_plain(c)
     checker_plain = cw.code_spaces(g_plain).checkers.row(0)
-    checker = maps0.map_codeword(checker_plain)
+    checker = maps0.codeword.mul_vec(checker_plain)
     plan = random_plan(g, w, random.Random(13))
     g2, w2, maps = symmetric_split(g, w, plan)
-    img = maps.map_codeword(checker)
+    img = maps.codeword.mul_vec(checker)
     assert g2.check_matrix().mul_vec(img).is_zero()
     # a checker stays supported away from the carried-over long terminals
     # of the boundary: its image pairs to zero with every boundary error
@@ -141,9 +150,9 @@ def test_distance_bound_trivial_plan_equality():
     ec = cw.complete_ec_structure(g_plain)
     b = maps0.map_matrix(ec.b)
     l = maps0.map_matrix(ec.l)
-    report = check_distance_bound(g, g, b, l, trivial_maps(g), max_weight=3)
-    assert report.ok
-    assert report.before.value == report.after.value
+    before, after = split_distances(b, l, trivial_maps(g), max_weight=3)
+    assert all(distance_bound_holds(before, after, g.max_degree()))
+    assert before.value == after.value
 
 
 def trivial_maps(g):
@@ -167,8 +176,8 @@ def test_distance_bound_random_plans():
         l = maps0.map_matrix(ec.l)
         plan = random_plan(g, w, rng)
         g2, w2, maps = symmetric_split(g, w, plan)
-        report = check_distance_bound(g, g2, b, l, maps, max_weight=5)
-        assert report.ok
+        before, after = split_distances(b, l, maps, max_weight=5)
+        assert all(distance_bound_holds(before, after, g.max_degree()))
         done += 1
 
 
@@ -189,9 +198,9 @@ def test_degree_three_graph_keeps_distance():
         g2, _, maps = symmetric_split(g, w, plan)
         b = maps0.map_matrix(ec.b)
         l = maps0.map_matrix(ec.l)
-        report = check_distance_bound(g, g2, b, l, maps, max_weight=5)
-        if report.before.exact and report.after.exact:
-            assert report.before.value == report.after.value
+        before, after = split_distances(b, l, maps, max_weight=5)
+        if before.exact and after.exact:
+            assert before.value == after.value
             done += 1
 
 
@@ -228,11 +237,11 @@ def test_codeword_map_inverse_via_carriers():
     g2, _, maps = symmetric_split(g, w, plan)
     k = g.check_matrix().kernel_basis()
     for v in k.row_vectors():
-        img = maps.map_codeword(v)
+        img = maps.codeword.mul_vec(v)
         rebuilt = BitVector(g.n_bits)
         for b in range(g.n_bits):
             e = BitVector.from_indices(g.n_bits, [b])
-            carrier = maps.map_error(e)
+            carrier = maps.error.mul_vec(e)
             (pos,) = carrier.support()
             if img[pos]:
                 rebuilt ^= e

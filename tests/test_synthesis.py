@@ -35,11 +35,11 @@ def sampled_pairing_ok(g, maps, rng, samples=50):
     keeps its weight and c.e = codeword(c).error(e) for every basis codeword.
     """
     basis = list(g.kernel_basis().row_vectors())
-    images = [maps.map_codeword(v) for v in basis]
+    images = [maps.codeword.mul_vec(v) for v in basis]
     errors = [BitVector.from_indices(g.n_bits, [j]) for j in range(g.n_bits)]
     errors += [BitVector(g.n_bits, rng.getrandbits(g.n_bits)) for _ in range(samples)]
     for e in errors:
-        img_e = maps.map_error(e)
+        img_e = maps.error.mul_vec(e)
         if e.weight() != img_e.weight():
             return False
         if any(v.dot(e) != img.dot(img_e) for v, img in zip(basis, images)):
@@ -105,10 +105,10 @@ def test_synthesize_cnot_gadget():
     assert k.n_rows == 4
     assert maps.map_matrix(k).rank() == 4
     for v in k.row_vectors():
-        img = maps.map_codeword(v)
+        img = maps.codeword.mul_vec(v)
         for j in range(g.n_bits):
             e = BitVector.from_indices(g.n_bits, [j])
-            assert v.dot(e) == img.dot(maps.map_error(e))
+            assert v.dot(e) == img.dot(maps.error.mul_vec(e))
 
 
 def test_synthesize_gate_count_zz():
@@ -160,8 +160,8 @@ def test_roundtrip_zz():
 
     g_plain0 = build_plain(c)
     checker0 = cw.code_spaces(g_plain0).checkers.row(0)
-    checker_sym = maps0.map_codeword(checker0)
-    img = result.maps.map_codeword(checker_sym)
+    checker_sym = maps0.codeword.mul_vec(checker0)
+    img = result.maps.codeword.mul_vec(checker_sym)
     g2 = build_plain(result.circuit)
     assert cw.classify(g2, img) == cw.CHECKER
     assert len(cw.relevant_measurements(g2, img)) >= 2

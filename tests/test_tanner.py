@@ -55,8 +55,8 @@ def test_zz_graph_structure():
     # no isolated bits survive except flagged ones, which all carry edges here
     for i in range(g.n_bits):
         assert g.bit_degree(i) >= 1 or g.bits[i].is_measurement
-    assert len(g.measurement_bits()) == 2
-    assert len(g.initialisation_bits()) == 2
+    assert len([lab for lab in g.bits if lab.is_measurement]) == 2
+    assert len([lab for lab in g.bits if lab.is_initialisation]) == 2
     # the mid-circuit dead step of the ancilla leaves no bits at t=4
     assert g.bit_index("x", 3, 4) is None
     assert g.bit_index("z", 3, 4) is None
@@ -88,14 +88,14 @@ def test_bit_split_examples():
     a2 = g2.check_matrix()
     assert a2.kernel_basis().n_rows == k.n_rows
     for c in k.row_vectors():
-        assert a2.mul_vec(maps.map_codeword(c)).is_zero()
+        assert a2.mul_vec(maps.codeword.mul_vec(c)).is_zero()
 
     # degenerate split with an empty side still preserves the code
     g3, maps3 = bit_split(g, v, (neigh, []))
     assert g3.check_matrix().kernel_basis().n_rows == k.n_rows
     # the dangling bit copies the value of v in every codeword
     for c in k.row_vectors():
-        c3 = maps3.map_codeword(c)
+        c3 = maps3.codeword.mul_vec(c)
         assert c3[g3.n_bits - 1] == c[v]
 
 
@@ -124,8 +124,8 @@ def test_bit_split_pairing_identity():
         k = g.check_matrix().kernel_basis()
         for cw in k.row_vectors():
             e = BitVector(g.n_bits, rng.getrandbits(g.n_bits))
-            assert cw.dot(e) == maps.map_codeword(cw).dot(maps.map_error(e))
-            assert e.weight() == maps.map_error(e).weight()
+            assert cw.dot(e) == maps.codeword.mul_vec(cw).dot(maps.error.mul_vec(e))
+            assert e.weight() == maps.error.mul_vec(e).weight()
 
 
 def test_symmetrize_sh_needs_no_split():
@@ -169,7 +169,7 @@ def test_symmetrize_random_circuits():
         a2 = g2.check_matrix()
         assert a2.kernel_basis().n_rows == k.n_rows
         for cw in k.row_vectors():
-            assert a2.mul_vec(maps.map_codeword(cw)).is_zero()
+            assert a2.mul_vec(maps.codeword.mul_vec(cw)).is_zero()
 
 
 def rep_memory_text(d):
