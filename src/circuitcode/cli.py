@@ -15,6 +15,7 @@ from pathlib import Path
 from . import codewords as cw
 from . import pauli_sim as sim
 from .circuit import CircuitError, parse_circuit, serialize
+from .css import assemble_physical, derive_logicals, logical_cnot_layer, repeated_measurement_layer
 from .distance import circuit_distance, half_distance_bound
 from .gf2 import (
     BitMatrix,
@@ -83,12 +84,6 @@ def _load_graph(prefix: str) -> tuple[TannerGraph, SymmetryWitness | None]:
     if _bundle(prefix, ".labels").exists():
         labels = read_labels(_bundle(prefix, ".labels").read_text())
     g = graph_from_matrix(a, labels)
-    if labels is not None:
-        qs = [lab.q for lab in labels if lab.kind in ("x", "z")]
-        ts = [lab.t for lab in labels if lab.kind in ("x", "z")]
-        if qs:
-            g.n_qubits = max(qs)
-            g.depth = max(ts)
     w = None
     if _bundle(prefix, ".witness").exists():
         w = read_witness(_bundle(prefix, ".witness").read_text())
@@ -269,13 +264,6 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_css_gen(args) -> int:
-    from .css import (
-        assemble_physical,
-        derive_logicals,
-        logical_cnot_layer,
-        repeated_measurement_layer,
-    )
-
     if args.layer.startswith("rep:"):
         text = args.layer[len("rep:"):]
         try:

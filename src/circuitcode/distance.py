@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from math import comb
 
+from .css import derive_logicals
 from .gf2 import BitMatrix, BitVector
 
 
@@ -185,8 +186,6 @@ def css_distance(
     n = g_x.n_cols
     # logical test: outside rowsp(G_Z) within ker G_X means some J_X row
     # pairing is nonzero; kernel completions provide the dual tests
-    from .css import derive_logicals
-
     code = derive_logicals(g_x, g_z)
     d_x = circuit_distance(g_x, code.j_x, max_weight)
     d_z = circuit_distance(g_z, code.j_z, max_weight)

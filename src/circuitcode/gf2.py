@@ -140,9 +140,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, [1 << i for i in range(n)])
 
-    def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def row(self, i: int) -> BitVector:
         return BitVector(self.n_cols, self.rows[i])
 

@@ -67,10 +67,6 @@ class PauliOperator:
     def xz_vector(self) -> BitVector:
         return BitVector(2 * self.n, self.x | (self.z << self.n))
 
-    @property
-    def phase(self) -> complex:
-        return (1, 1j, -1, -1j)[self.phase_exp]
-
     def sign(self) -> int:
         """+1 or -1; raises if the phase is imaginary."""
         if self.phase_exp == 0:

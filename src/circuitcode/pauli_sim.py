@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, OpKind
+from . import codewords as cw
+from .circuit import Circuit, OpKind, serialize
 from .gf2 import BitVector
 from .pauli import (
     PauliOperator,
@@ -382,8 +383,6 @@ class Verdict:
     failures: list[Failure] = field(default_factory=list)
 
     def report(self, circuit: Circuit, c: BitVector, e: BitVector | None) -> str:
-        from .circuit import serialize
-
         lines = [
             "codeword equation " + ("verified" if self.ok else "VIOLATED"),
             f"class: {self.codeword_class}",
@@ -423,8 +422,6 @@ def verify_codeword_equation(
     between the relevant measurement outcomes, the Clifford sign, the error
     parity and the transported Pauli operators, on stabiliser initial states.
     """
-    from . import codewords as cw
-
     rng = random.Random(seed)
     n = circuit.n_qubits
     cls = cw.classify(g, c)

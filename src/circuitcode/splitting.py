@@ -113,7 +113,6 @@ def symmetric_split(
         raise ValueError("input graph is not symmetric: " + problems[0])
     plan.validate(g, w)
     check_of_bit = w.check_of_bit()
-    long_set = set(w.long_terminals)
 
     new_bits: list[VertexLabel] = []
     bit_rows: list[int] = []  # codeword-map row per new bit (over old coords)
@@ -121,7 +120,6 @@ def symmetric_split(
     bit_tree_pos: dict[tuple[int, int], int] = {}
     edge_bit_pos: dict[tuple[int, tuple[int, int]], int] = {}
     long_pos: dict[int, int] = {}
-    serial = 0
 
     pair_order = sorted(plan.pairs.values(), key=lambda p: p.bit)
 
@@ -141,18 +139,16 @@ def symmetric_split(
         v = pp.bit
         for i in range(pp.order):
             bit_tree_pos[(v, i)] = len(new_bits)
-            new_bits.append(VertexLabel("s", 0, -1, serial))
-            serial += 1
+            new_bits.append(VertexLabel("s", 0, -1, len(new_bits)))
             bit_rows.append(1 << v)
             err_rows.append((1 << v) if i == 0 else 0)
         vectors = edge_vectors(pp)
         for e in pp.tree:
             edge_bit_pos[(pp.check, e)] = len(new_bits)
-            new_bits.append(VertexLabel("s", 0, -1, serial))
-            serial += 1
+            new_bits.append(VertexLabel("s", 0, -1, len(new_bits)))
             bit_rows.append(vectors[e])
             err_rows.append(0)
-    for t in sorted(long_set):
+    for t in sorted(w.long_terminals):
         long_pos[t] = len(new_bits)
         new_bits.append(g.bits[t])
         bit_rows.append(1 << t)
@@ -173,7 +169,7 @@ def symmetric_split(
         members_by_vertex: dict[int, list[int]] = {i: [] for i in range(pp.order)}
         for u in g.checks[a]:
             i = subset_of[(a, u)]
-            if u in long_set:
+            if u in w.long_terminals:
                 members_by_vertex[i].append(long_pos[u])
             else:
                 # inter-tree edge: the bit tree of u attaches at the subset of

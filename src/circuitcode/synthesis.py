@@ -8,9 +8,11 @@ the returned maps realise that relation explicitly.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .circuit import MAX_WIRE_BITS, Circuit, OpKind, Operation
+from .distance import circuit_distance
 from .gf2 import BitMatrix
 from .splitting import distance_bound_holds
 from .tanner import CodeMaps, SymmetryWitness, TannerGraph, build_plain
@@ -24,11 +26,22 @@ class PathPartition:
     tau: dict[Vertex, int]
 
 
-def _dual_vertex(w: SymmetryWitness, check_of_bit: dict[int, int], v: Vertex) -> Vertex:
+def _duals(w: SymmetryWitness) -> dict[Vertex, Vertex]:
+    """The dual of every vertex of the symmetric subgraph: its keys are the
+    subgraph's vertices."""
+    duals: dict[Vertex, Vertex] = {}
+    for a, v in w.dual.items():
+        duals[("c", a)] = ("b", v)
+        duals[("b", v)] = ("c", a)
+    return duals
+
+
+def _neighbours(g: TannerGraph, w: SymmetryWitness, v: Vertex) -> list[Vertex]:
+    """The neighbours of v in the symmetric subgraph: long terminals left out."""
     kind, idx = v
     if kind == "b":
-        return ("c", check_of_bit[idx])
-    return ("b", w.dual[idx])
+        return [("c", a) for a in g.bit_neighbors(idx)]
+    return [("b", b) for b in g.checks[idx] if b not in w.long_terminals]
 
 
 def _path_index(paths: list[list[Vertex]]) -> dict[Vertex, int]:
@@ -37,7 +50,7 @@ def _path_index(paths: list[list[Vertex]]) -> dict[Vertex, int]:
 
 
 def _qubit_paths(
-    w: SymmetryWitness, p: PathPartition, index_of: dict[Vertex, int]
+    duals: dict[Vertex, Vertex], p: PathPartition, index_of: dict[Vertex, int]
 ) -> list[tuple[list[Vertex], list[Vertex]]]:
     """Each dual path pair once, in partition order, as (X path, Z path).
 
@@ -45,13 +58,12 @@ def _qubit_paths(
     partition is reversed where needed so that it runs dual vertex by dual
     vertex along its partner.
     """
-    check_of_bit = w.check_of_bit()
     paired: set[int] = set()
     pairs = []
     for i, path in enumerate(p.paths):
         if i in paired:
             continue
-        dual = [_dual_vertex(w, check_of_bit, v) for v in path]
+        dual = [duals[v] for v in path]
         j = index_of[dual[0]]
         paired.update((i, j))
         other = p.paths[j] if dual == p.paths[j] else p.paths[j][::-1]
@@ -81,9 +93,7 @@ def validate_partition(
 ) -> list[str]:
     """All violated partition conditions; empty when valid."""
     problems: list[str] = []
-    check_of_bit = w.check_of_bit()
-    subgraph_bits = set(w.dual.values())
-    expected = {("b", v) for v in subgraph_bits} | {("c", a) for a in w.dual}
+    duals = _duals(w)
     seen: set[Vertex] = set()
     for path in p.paths:
         if not path:
@@ -107,13 +117,13 @@ def validate_partition(
             problems.append("time labels must be at least 1")
         elif any(t2 <= t1 for t1, t2 in zip(taus, taus[1:])):
             problems.append("time labels must increase strictly along a path")
-    if seen != expected:
+    if seen != duals.keys():
         problems.append("paths must partition the symmetric subgraph")
         return problems
 
     index_of = _path_index(p.paths)
     for i, path in enumerate(p.paths):
-        dual = [_dual_vertex(w, check_of_bit, v) for v in path]
+        dual = [duals[v] for v in path]
         js = {index_of.get(v) for v in dual}
         if len(js) != 1 or None in js:
             problems.append(f"path {i} has no single dual path")
@@ -174,12 +184,12 @@ def synthesize(
     problems = validate_partition(g, w, p)
     if problems:
         raise ValueError("invalid partition: " + problems[0])
-    check_of_bit = w.check_of_bit()
+    duals = _duals(w)
 
     # qubits in order of the smallest bit, which always lies on the X path
     index_of = _path_index(p.paths)
     order = sorted(
-        _qubit_paths(w, p, index_of),
+        _qubit_paths(duals, p, index_of),
         key=lambda pair: min(v[1] for v in pair[0] if v[0] == "b"),
     )
 
@@ -190,40 +200,28 @@ def synthesize(
         (chk,) = g.bit_neighbors(t)
         long_on_check[chk] = t
     for q, (x_path, z_path) in enumerate(order, start=1):
-        for v in x_path:
-            role_of[v] = (q, "x")
-        for v in z_path:
-            role_of[v] = (q, "z")
-        ends_min = (x_path[0], z_path[0])
-        ends_max = (x_path[-1], z_path[-1])
-        bit_min = ends_min[0] if ends_min[0][0] == "b" else ends_min[1]
-        chk_min = ends_min[0] if ends_min[0][0] == "c" else ends_min[1]
-        bit_max = ends_max[0] if ends_max[0][0] == "b" else ends_max[1]
-        chk_max = ends_max[0] if ends_max[0][0] == "c" else ends_max[1]
+        for role, path in (("x", x_path), ("z", z_path)):
+            for v in path:
+                role_of[v] = (q, role)
+        # each end of the pair is one bit and its dual check ("b" < "c")
+        bit_min, chk_min = sorted((x_path[0], z_path[0]))
+        bit_max, chk_max = sorted((x_path[-1], z_path[-1]))
         long_min = long_on_check.get(chk_min[1])
         long_max = long_on_check.get(chk_max[1])
-        init_kind = meas_kind = None
-        open_in = open_out = None
-        single_check = chk_min == chk_max
-        if long_min is None and not (single_check and long_max is not None):
-            init_kind = (
-                OpKind.INIT_Z if role_of[bit_min][1] == "z" else OpKind.INIT_X
-            )
+        init_kind = meas_kind = open_in = open_out = None
+        if long_min is None:
+            init_kind = OpKind.INIT_Z if role_of[bit_min][1] == "z" else OpKind.INIT_X
         else:
             # open input: the wire of the end bit's role carries its value,
             # the partner wire carries the long terminal
-            open_in = (bit_min[1], long_min if long_min is not None else long_max)
-        if single_check:
-            # a single shared end check: one long terminal only suppresses
-            # the initialisation, the measurement still closes the wire
-            meas_kind = OpKind.MEAS_Z if role_of[bit_max][1] == "z" else OpKind.MEAS_X
-        elif long_max is None:
+            open_in = (bit_min[1], long_min)
+        if long_max is None or chk_min == chk_max:
+            # a single shared end check has one long terminal, which opens
+            # the input; the measurement still closes the wire
             meas_kind = OpKind.MEAS_Z if role_of[bit_max][1] == "z" else OpKind.MEAS_X
         else:
             open_out = (bit_max[1], long_max)
-        qubits.append(
-            QubitLine(q, bit_min[1], init_kind, meas_kind, open_in, open_out)
-        )
+        qubits.append(QubitLine(q, bit_min[1], init_kind, meas_kind, open_in, open_out))
 
     # gates per inter-path edge class, grouped by time label
     window_gates: dict[int, list[tuple[tuple, list[Operation]]]] = {}
@@ -237,7 +235,7 @@ def synthesize(
             qv, rv = role_of[v]
             if index_of[u] == index_of[v]:
                 continue  # intra-path wire edge
-            dual_edge = (_dual_vertex(w, check_of_bit, v), _dual_vertex(w, check_of_bit, u))
+            dual_edge = (duals[v], duals[u])
             cls = frozenset((u, v, dual_edge[0], dual_edge[1]))
             if cls in seen_classes:
                 continue
@@ -325,10 +323,6 @@ def _table_gate(qu: int, ru: str, qv: int, rv: str) -> list[Operation]:
 def _build_maps(g, w, p, circuit, qubits, role_of, dt):
     g_out = build_plain(circuit)
     kernel = g.kernel_basis()
-    t_final = circuit.depth
-
-    def window_exit(tau: int) -> int:
-        return 1 + tau * dt
 
     # Each wire starts at the source bits it carries: an open input at its end
     # bit and long terminal, an initialised qubit at the bit of its init basis.
@@ -393,20 +387,15 @@ def _build_maps(g, w, p, circuit, qubits, role_of, dt):
         return idx
 
     for line in qubits:
-        if line.open_in is not None:
-            bit_end, long_end = line.open_in
-            role = role_of[("b", bit_end)][1]
-            other = "z" if role == "x" else "x"
-            err_rows[carrier(other, line.qubit, 0)] = 1 << long_end
-        if line.open_out is not None:
-            bit_end, long_end = line.open_out
-            role = role_of[("b", bit_end)][1]
-            other = "z" if role == "x" else "x"
-            err_rows[carrier(other, line.qubit, t_final)] = 1 << long_end
+        for end, t in ((line.open_in, 0), (line.open_out, circuit.depth)):
+            if end is not None:
+                bit_end, long_end = end
+                other = "z" if role_of[("b", bit_end)][1] == "x" else "x"
+                err_rows[carrier(other, line.qubit, t)] = 1 << long_end
     for v_idx in sorted(w.dual.values()):
         q, role = role_of[("b", v_idx)]
-        t_exit = window_exit(p.tau[("b", v_idx)])
-        err_rows[carrier(role, q, t_exit)] = 1 << v_idx
+        # the wire bit at the exit of the bit's time window
+        err_rows[carrier(role, q, 1 + p.tau[("b", v_idx)] * dt)] = 1 << v_idx
 
     # row k of the kernel basis is the only one with a 1 at its pivot, the
     # lowest set bit of the row, so reading the pivot bits of a codeword gives
@@ -453,8 +442,6 @@ def roundtrip_check(
     each bit to its own output bit and ``c.e = codeword(c).error(e)`` for
     every codeword ``c`` and error ``e``.
     """
-    from .distance import circuit_distance
-
     for name, m in (("B", b), ("L", l)):
         if m.n_cols != g.n_bits:
             raise ValueError(f"{name} has {m.n_cols} columns, the graph has {g.n_bits} bits")
@@ -486,7 +473,7 @@ def write_partition(g: TannerGraph, w: SymmetryWitness, p: PathPartition) -> str
     # the synthesis pairing gives stable qubit labels and roles; each path is
     # written as stored in the partition
     result_lines = []
-    for q, pair in enumerate(_qubit_paths(w, p, index_of), start=1):
+    for q, pair in enumerate(_qubit_paths(_duals(w), p, index_of), start=1):
         for role, path in zip("XZ", pair):
             stored = p.paths[index_of[path[0]]]
             result_lines.append(
@@ -538,57 +525,33 @@ def greedy_partition(g: TannerGraph, w: SymmetryWitness) -> PathPartition:
     edges; a labelling that is inconsistent, or a partition that is invalid
     for any other reason, gives the trivial partition instead.
     """
-    check_of_bit = w.check_of_bit()
-    unused: set[Vertex] = {("b", v) for v in w.dual.values()}
-    unused |= {("c", a) for a in w.dual}
+    duals = _duals(w)
+    unused = set(duals)
     long_checks = set()
     for t in w.long_terminals:
         long_checks.update(g.bit_neighbors(t))
 
     paths: list[list[Vertex]] = []
-    bits_order = sorted(v for v in unused if v[0] == "b")
-    for start in bits_order:
+    for start in sorted(v for v in unused if v[0] == "b"):
         if start not in unused:
             continue
         path = [start]
-        dual_path = [_dual_vertex(w, check_of_bit, start)]
-        unused.discard(start)
-        unused.discard(dual_path[0])
-        while True:
-            tail = path[-1]
-            candidates = []
-            if tail[0] == "b":
-                for a in g.bit_neighbors(tail[1]):
-                    candidates.append(("c", a))
-            else:
-                if tail[1] in long_checks:
-                    break  # long terminals must sit at path ends
-                for bit in g.checks[tail[1]]:
-                    if bit not in w.long_terminals:
-                        candidates.append(("b", bit))
-            candidates = [
-                v
-                for v in candidates
-                if v in unused and _dual_vertex(w, check_of_bit, v) in unused
-                and _dual_vertex(w, check_of_bit, v) != v
-            ]
-            extended = False
-            stop_after = False
-            for v in candidates:
-                d = _dual_vertex(w, check_of_bit, v)
-                # a check with a long terminal (on either side of the dual
-                # pair) must end up at a path end
-                if v[0] == "c" and v[1] in long_checks:
-                    stop_after = True
-                if d[0] == "c" and d[1] in long_checks:
-                    stop_after = True
-                path.append(v)
-                dual_path.append(d)
-                unused.discard(v)
-                unused.discard(d)
-                extended = True
+        dual_path = [duals[start]]
+        unused.difference_update((start, duals[start]))
+        # a path ends at its fourth vertex, or at a check with a long terminal
+        # (on either side of the dual pair), which must sit at a path end
+        while len(path) < 4:
+            v = next(
+                (u for u in _neighbours(g, w, path[-1]) if u in unused and duals[u] in unused),
+                None,
+            )
+            if v is None:
                 break
-            if not extended or stop_after or len(path) >= 4:
+            path.append(v)
+            dual_path.append(duals[v])
+            unused.difference_update((v, duals[v]))
+            check = max(v, duals[v])  # the pair's check, as "b" < "c"
+            if check[1] in long_checks:
                 break
         paths.append(path)
         paths.append(dual_path)
@@ -597,15 +560,8 @@ def greedy_partition(g: TannerGraph, w: SymmetryWitness) -> PathPartition:
     # propagation over inter-path equality constraints
     index_of = _path_index(paths)
     pos = {v: k for path in paths for k, v in enumerate(path)}
-
-    from collections import deque
-
+    pair_of = {i: index_of[duals[path[0]]] for i, path in enumerate(paths)}
     offset = {}
-    pair_of = {}
-    for i, path in enumerate(paths):
-        d0 = _dual_vertex(w, check_of_bit, path[0])
-        pair_of[i] = index_of[d0]
-
     for i in range(len(paths)):
         if i in offset:
             continue
@@ -618,12 +574,7 @@ def greedy_partition(g: TannerGraph, w: SymmetryWitness) -> PathPartition:
                 offset[j] = offset[cur]
                 queue.append(j)
             for v in paths[cur]:
-                neighbours = (
-                    [("c", a) for a in g.bit_neighbors(v[1])]
-                    if v[0] == "b"
-                    else [("b", b) for b in g.checks[v[1]] if b not in w.long_terminals]
-                )
-                for u in neighbours:
+                for u in _neighbours(g, w, v):
                     j2 = index_of[u]
                     if j2 not in offset:
                         offset[j2] = offset[cur] + pos[v] - pos[u]

@@ -13,7 +13,7 @@ bit i equals the masked sum of input bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .circuit import Circuit, OpKind
 from .gf2 import BitMatrix, BitVector
@@ -383,28 +383,38 @@ def bit_split(
     new bit clean, which preserves weights.
     """
     n1, n2 = partition
-    neigh = set(g.bit_neighbors(v))
-    if set(n1) | set(n2) != neigh or set(n1) & set(n2):
+    if set(n1) | set(n2) != set(g.bit_neighbors(v)) or set(n1) & set(n2):
         raise ValueError("partition must split the neighbourhood of v")
-    serials = [lab.serial for lab in g.bits if lab.kind == "s"]
-    serial = max(serials, default=-1) + 1
-    new_bit = VertexLabel("s", 0, -1, serial)
-    bits = g.bits + [new_bit]
-    v2 = len(g.bits)
-    checks = []
-    for idx, c in enumerate(g.checks):
-        if idx in n2 and v in c:
-            c = tuple(sorted(j for j in c if j != v)) + (v2,)
-        checks.append(tuple(sorted(c)))
-    checks.append((v, v2))
-    fwd = [1 << i for i in range(g.n_bits)] + [1 << v]
-    err = [1 << i for i in range(g.n_bits)] + [0]
-    maps = CodeMaps(
-        BitMatrix(g.n_bits + 1, g.n_bits, fwd),
-        BitMatrix(g.n_bits + 1, g.n_bits, err),
-    )
-    out = TannerGraph(bits, checks, g.n_qubits, g.depth)
-    return out, maps
+    return _split_bits(g, [(v, set(n2))])
+
+
+def _split_bits(
+    g: TannerGraph, moves: list[tuple[int, Iterable[int]]]
+) -> tuple[TannerGraph, CodeMaps]:
+    """The one split step: for each ``(v, moved checks)`` in order, a fresh
+    ``s`` bit takes over v's edges to the moved checks and a new check
+    ``(v, v')`` ties it back to v.
+
+    The k-th fresh bit is bit ``g.n_bits + k`` and its tie check is check
+    ``g.n_checks + k``. The codeword map copies v onto its fresh bit; the
+    error map leaves the fresh bit clean.
+    """
+    n = g.n_bits
+    serial = max((lab.serial for lab in g.bits if lab.kind == "s"), default=-1) + 1
+    bits = list(g.bits)
+    checks = list(g.checks)
+    fwd = [1 << i for i in range(n)]
+    err = list(fwd)
+    for v, moved in moves:
+        v2 = len(bits)
+        bits.append(VertexLabel("s", 0, -1, serial + v2 - n))
+        for c in moved:
+            checks[c] = tuple(j for j in checks[c] if j != v) + (v2,)
+        checks.append((v, v2))
+        fwd.append(1 << v)
+        err.append(0)
+    maps = CodeMaps(BitMatrix(len(bits), n, fwd), BitMatrix(len(bits), n, err))
+    return TannerGraph(bits, checks, g.n_qubits, g.depth), maps
 
 
 # ---------------------------------------------------------------------------
@@ -423,38 +433,21 @@ def symmetrize(
     maps equal the product of the individual split maps.
     """
     dual, long_bits, splits = _junctions(g)
-    n = g.n_bits
     side_checks = {s: set(rec.checks) for rec in g.gadgets for s in rec.sides}
-    serial = max((lab.serial for lab in g.bits if lab.kind == "s"), default=-1) + 1
-    bits = list(g.bits)
-    checks = list(g.checks)
-    fwd = [1 << i for i in range(n)]
-    err = list(fwd)
-    for v, early, late in splits:
-        late_checks = side_checks[late]
+    moves = []
+    for k, (v, early, late) in enumerate(splits):
         neighbours = g.bit_neighbors(v)
-        if not set(neighbours) <= side_checks[early] | late_checks:
+        if not set(neighbours) <= side_checks[early] | side_checks[late]:
             raise AssertionError("junction checks do not cover the split bit")
-        # the late gadget's checks move to a fresh bit tied back to v
-        v2 = len(bits)
-        bits.append(VertexLabel("s", 0, -1, serial + v2 - n))
-        for c in neighbours:
-            if c in late_checks:
-                checks[c] = tuple(j for j in checks[c] if j != v) + (v2,)
-        # the double-long partner bit on the same wire junction
+        # the late gadget's checks move to fresh bit k, and the tie check
+        # pairs with the double-long partner bit on the same wire junction
+        moves.append((v, [c for c in neighbours if c in side_checks[late]]))
         lab = g.bits[v]
-        partner = g.bit_index(_other(lab.kind), lab.q, lab.t)
         dual[early.pair_check] = v
-        dual[late.pair_check] = v2
-        dual[len(checks)] = partner
-        checks.append((v, v2))
-        fwd.append(1 << v)
-        err.append(0)
-
-    witness = SymmetryWitness(dual, frozenset(long_bits))
-    out = TannerGraph(bits, checks, g.n_qubits, g.depth)
-    maps = CodeMaps(BitMatrix(len(bits), n, fwd), BitMatrix(len(bits), n, err))
-    return out, witness, maps
+        dual[late.pair_check] = g.n_bits + k
+        dual[g.n_checks + k] = g.bit_index(_other(lab.kind), lab.q, lab.t)
+    out, maps = _split_bits(g, moves)
+    return out, SymmetryWitness(dual, frozenset(long_bits)), maps
 
 
 def _junctions(
@@ -656,9 +649,17 @@ def read_witness(text: str) -> SymmetryWitness:
 def graph_from_matrix(
     a: BitMatrix, labels: list[VertexLabel] | None = None
 ) -> TannerGraph:
+    """The graph of check matrix ``a``, with its layer structure read off the
+    wire labels: ``n_qubits`` is the largest q, and ``depth`` the largest t,
+    plus one where the bit is measured (layer t + 1 reads it), and at least
+    one. A graph without wire labels has no layer structure."""
     if labels is None:
         labels = [VertexLabel("s", 0, -1, i) for i in range(a.n_cols)]
     if len(labels) != a.n_cols:
         raise ValueError("label count must match columns")
     checks = [tuple(v.support()) for v in a.row_vectors()]
-    return TannerGraph(labels, checks)
+    wires = [lab for lab in labels if lab.kind in ("x", "z")]
+    if not wires:
+        return TannerGraph(labels, checks)
+    depth = max(1, max(lab.t + lab.is_measurement for lab in wires))
+    return TannerGraph(labels, checks, max(lab.q for lab in wires), depth)

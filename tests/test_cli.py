@@ -9,11 +9,18 @@ from pathlib import Path
 import pytest
 
 from circuitcode import cli, synthesis
-from circuitcode.circuit import MAX_WIRE_BITS, parse_circuit
+from circuitcode import codewords as cw
+from circuitcode.circuit import MAX_WIRE_BITS, parse_circuit, random_circuit
 from circuitcode.cli import main
-from circuitcode.gf2 import BitMatrix
+from circuitcode.gf2 import BitMatrix, read_matrix_text, write_matrix_text
 from circuitcode.splitting import random_plan, trivial_plan, write_plan
-from circuitcode.tanner import build_plain, symmetrize
+from circuitcode.tanner import (
+    build_plain,
+    graph_from_matrix,
+    read_labels,
+    symmetrize,
+    write_labels,
+)
 from tests.test_circuit import ZZ_TEXT
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -272,8 +279,6 @@ def symmetric_bundle(zz_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", ["wide", "non-codeword"])
 def test_synthesize_check_rejects_bad_b_and_l(zz_file, tmp_path, capsys, case):
-    from circuitcode.gf2 import BitMatrix, read_matrix_text, write_matrix_text
-
     prefix = symmetric_bundle(zz_file, tmp_path, capsys)
     a = read_matrix_text((tmp_path / "sym.A.txt").read_text())
     k = a.kernel_basis()
@@ -660,3 +665,59 @@ def test_malformed_sidecar_line_is_named(zz_file, tmp_path, capsys, kind, line, 
     assert code == 1
     assert out == ""
     assert err == f"error: bad {kind} line {bad!r}\n"
+
+
+# Circuits whose last layers only measure or are empty: the labels of their
+# bundles end before the circuit's depth, and a split bundle keeps only the
+# wire labels of its long terminals.
+LAYER_STRUCTURE_CASES = {
+    "mx": "qubits 1\nmx 1\n",
+    "empty-mx-empty": "qubits 1\ntick\nmx 1\ntick\ntick\n",
+    "cnot-then-measure": "qubits 2\nrz 2\ntick\ncnot 1 2\ntick\nmz 2\nmz 1\n",
+}
+
+
+def in_memory_distance_line(text):
+    c = parse_circuit(text)
+    g, w, _ = symmetrize(build_plain(c), c)
+    ec = cw.complete_ec_structure(g)
+    report = synthesis.roundtrip_check(
+        g, synthesis.synthesize(g, w, synthesis.trivial_partition(g, w)), ec.b, ec.l
+    )
+    return f"distance {report.distance_before} -> {report.distance_after}"
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_STRUCTURE_CASES))
+@pytest.mark.parametrize("bundle", ["sym", "split"])
+def test_synthesize_check_reads_the_layer_structure_of_a_bundle(tmp_path, capsys, name, bundle):
+    text = LAYER_STRUCTURE_CASES[name]
+    circuit = tmp_path / "c.qc"
+    circuit.write_text(text)
+    run_cli(["symmetrize", "--circuit", circuit, "--out-prefix", tmp_path / "sym"], capsys)
+    run_cli(["split", "--graph", tmp_path / "sym", "--out-prefix", tmp_path / "split"], capsys)
+    code, out, _ = run_cli(
+        ["synthesize", "--graph", tmp_path / bundle, "--out", tmp_path / "s.qc", "--check"], capsys
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == ["roundtrip ok", in_memory_distance_line(text)]
+    # none of these circuits has a logical, so no fault corrupts one
+    assert "distance 1 -> 1" not in out
+    _, ec_out, _ = run_cli(
+        ["ec-matrices", "--circuit", circuit, "--complete", "--out-prefix", tmp_path / "ec"], capsys
+    )
+    assert ec_out.split()[2:4] == ["L", "0"]
+
+
+def test_reloaded_bundles_keep_the_error_correction_structure():
+    def structure(g):
+        ec = cw.complete_ec_structure(g)
+        return ec.b.rows, ec.l.rows, [p.label() for p in ec.s_in], [p.label() for p in ec.s_out]
+
+    rng = random.Random(3)
+    for _ in range(300):
+        c = random_circuit(rng.randint(1, 4), rng.randint(1, 7), rng)
+        g, _, _ = symmetrize(build_plain(c), c)
+        a = read_matrix_text(write_matrix_text(g.check_matrix()))
+        reloaded = graph_from_matrix(a, read_labels(write_labels(g)))
+        assert reloaded.n_qubits == g.n_qubits and reloaded.depth <= g.depth
+        assert structure(reloaded) == structure(g)

@@ -7,13 +7,14 @@ from circuitcode.css import assemble_physical, derive_logicals, repeated_measure
 from circuitcode.gf2 import BitMatrix
 from circuitcode.synthesis import roundtrip_check, synthesize, trivial_partition
 from circuitcode.tanner import SymmetryWitness, build_plain, graph_from_matrix, verify_symmetry
+from tests.test_gf2 import entry
 
 
 def witness_from_deleting_matrix(g, d: BitMatrix) -> SymmetryWitness:
     dual = {}
     long_bits = set(range(d.n_rows))
     for check in range(d.n_cols):
-        col = [i for i in range(d.n_rows) if d.get(i, check)]
+        col = [i for i in range(d.n_rows) if entry(d, i, check)]
         assert len(col) == 1
         dual[check] = col[0]
         long_bits.discard(col[0])

@@ -244,9 +244,14 @@ def as_matrix(rows):
     return BitMatrix.from_rows(rows, n_cols=len(rows[0]))
 
 
+def entry(m, i, j):
+    """Entry (i, j) of m, read off its row integer."""
+    return (m.rows[i] >> j) & 1
+
+
 def as_lists(m):
     """The entries of m as one list of 0/1 per row, read one at a time."""
-    return [[m.get(i, j) for j in range(m.n_cols)] for i in range(m.n_rows)]
+    return [[entry(m, i, j) for j in range(m.n_cols)] for i in range(m.n_rows)]
 
 
 def test_kernel_matches_naive_gauss_jordan():
@@ -381,7 +386,7 @@ def test_set_bits_and_support_match_a_bit_by_bit_walk():
 
 def test_transpose_matches_entrywise_transpose():
     for m in walker_matrices():
-        want = [[m.get(i, j) for i in range(m.n_rows)] for j in range(m.n_cols)]
+        want = [[entry(m, i, j) for i in range(m.n_rows)] for j in range(m.n_cols)]
         assert m.transpose() == BitMatrix.from_rows(want, m.n_rows)
         assert m.transpose().transpose() == m
 
@@ -450,7 +455,7 @@ def test_matrix_text_layout():
     for n_cols in (1, 7, 64, 200):
         m = BitMatrix(5, n_cols, [rng.getrandbits(n_cols) for _ in range(5)])
         text = write_matrix_text(m)
-        assert text.splitlines()[1] == " ".join(str(m.get(0, j)) for j in range(n_cols))
+        assert text.splitlines()[1] == " ".join(str(entry(m, 0, j)) for j in range(n_cols))
         assert read_matrix_text(text) == m
 
 

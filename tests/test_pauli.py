@@ -47,8 +47,12 @@ def close(a, b):
     )
 
 
+def phase(p: PauliOperator) -> complex:
+    return (1, 1j, -1, -1j)[p.phase_exp]
+
+
 def dense(p: PauliOperator):
-    m = ((p.phase,),)
+    m = ((phase(p),),)
     acc = None
     for q in range(p.n):
         xb = (p.x >> q) & 1
@@ -57,7 +61,7 @@ def dense(p: PauliOperator):
         acc = local if acc is None else kron(acc, local)
     if acc is None:
         acc = ((1,),)
-    return tuple(tuple(p.phase * v for v in row) for row in acc)
+    return tuple(tuple(phase(p) * v for v in row) for row in acc)
 
 
 CNOT01 = (
@@ -140,7 +144,7 @@ def test_xz_is_minus_i_y():
     x = PauliOperator.from_label("X1", 1)
     z = PauliOperator.from_label("Z1", 1)
     prod = x * z
-    assert prod.x == 1 and prod.z == 1 and prod.phase == -1j
+    assert prod.x == 1 and prod.z == 1 and phase(prod) == -1j
 
 
 def test_pauli_conjugation_signs():

@@ -1,11 +1,13 @@
+import hashlib
 import random
 from dataclasses import replace
 
 import pytest
 
 from circuitcode import codewords as cw
-from circuitcode.circuit import MAX_WIRE_BITS, parse_circuit, random_circuit
+from circuitcode.circuit import MAX_WIRE_BITS, parse_circuit, random_circuit, serialize
 from circuitcode.gf2 import BitMatrix, BitVector
+from circuitcode.splitting import random_plan, symmetric_split, trivial_plan
 from circuitcode.synthesis import (
     PathPartition,
     RoundTripReport,
@@ -19,6 +21,7 @@ from circuitcode.synthesis import (
 )
 from circuitcode.tanner import build_plain, symmetrize, verify_symmetry
 from tests.test_circuit import ZZ_TEXT
+from tests.test_tanner import parity_text, rep_memory_text
 
 
 def symmetric_graph(text):
@@ -286,3 +289,54 @@ def test_roundtrip_report_uses_the_split_distance_bound():
         report = RoundTripReport(None, 0, True, before, after, 3)
         assert report.ok == ok
         assert report.ok == all(distance_bound_holds(before, after, 3))
+
+
+# ---------------------------------------------------------------------------
+# The symmetric-graph outputs of a seeded corpus, pinned by digest
+
+# SHA-256 of symmetric_digest(symmetric_corpus()), computed before the split
+# step and the dual map of tanner/splitting/synthesis were shared: every
+# symmetrised graph, witness and map, every symmetric split under the trivial
+# and a random plan, every synthesised circuit and map under the trivial and
+# the greedy partition, and every written partition must stay the same.
+SYMMETRIC_CORPUS_SHA256 = "eeb7e30c3c199da9189585407329fba14fc08b20b5363905909f63c47c133052"
+
+
+def symmetric_corpus():
+    """205 circuits: ZZ, repetition memory d = 3, parity rounds k = 1..3 and
+    200 seeded random circuits of 1-3 qubits and 1-7 layers."""
+    circuits = [parse_circuit(t) for t in (ZZ_TEXT, rep_memory_text(3))]
+    circuits += [parse_circuit(parity_text(k)) for k in (1, 2, 3)]
+    rng = random.Random(19)
+    return circuits + [random_circuit(rng.randrange(1, 4), rng.randrange(1, 8), rng) for _ in range(200)]
+
+
+def symmetric_digest(circuits):
+    h = hashlib.sha256()
+    plan_rng = random.Random(20)
+
+    def graph_record(g, w, maps):
+        bits = [(b.kind, b.q, b.t, b.serial, b.is_measurement, b.is_initialisation) for b in g.bits]
+        return bits, g.checks, list(w.dual.items()), sorted(w.long_terminals), maps.codeword.rows, maps.error.rows
+
+    for c in circuits:
+        sym, w, maps = symmetrize(build_plain(c), c)
+        record = [graph_record(sym, w, maps)]
+        for plan in (trivial_plan(sym, w), random_plan(sym, w, plan_rng)):
+            record.append(graph_record(*symmetric_split(sym, w, plan)))
+        for p in (trivial_partition(sym, w), greedy_partition(sym, w)):
+            result = synthesize(sym, w, p)
+            record.append((
+                serialize(result.circuit),
+                result.maps.codeword.rows,
+                result.maps.error.rows,
+                write_partition(sym, w, p),
+            ))
+        h.update(repr(record).encode())
+    return h.hexdigest()
+
+
+def test_symmetric_corpus_digest_is_pinned():
+    circuits = symmetric_corpus()
+    assert len(circuits) == 205
+    assert symmetric_digest(circuits) == SYMMETRIC_CORPUS_SHA256

@@ -24,6 +24,7 @@ from circuitcode.tanner import (
     write_witness,
 )
 from tests.test_circuit import ZZ_TEXT
+from tests.test_gf2 import entry
 
 
 def cnot_graph():
@@ -283,7 +284,7 @@ def dense_verify_symmetry(g, w):
     ad = g.check_matrix().matmul(deleting_matrix(g, w))
     adt = ad.transpose()
     asymmetric = [
-        (i, j) for i in range(ad.n_rows) for j in range(ad.n_cols) if ad.get(i, j) != adt.get(i, j)
+        (i, j) for i in range(ad.n_rows) for j in range(ad.n_cols) if entry(ad, i, j) != entry(adt, i, j)
     ]
     if asymmetric:
         i, j = asymmetric[0]
