@@ -267,6 +267,8 @@ def serialize(circuit: Circuit) -> str:
             lines.append("tick")
         for op in layer:
             lines.append(op.text())
+    if canon.layers and not canon.layers[-1]:
+        lines.append("tick")  # the parser ends the last layer at its last op
     return "\n".join(lines) + "\n"
 
 

@@ -2,7 +2,8 @@
 
 An operator is stored as ``i^phase_exp * sigma(x, z)`` where ``sigma`` is the
 Hermitian convention: ``sigma(x, z) = i^{|x & z|} X^{x_1}Z^{z_1} (x) ...``.
-Products and Clifford conjugations track the phase exactly.
+Products track the phase exactly; ``pauli_sim.conjugate_pauli`` conjugates
+an operator by Clifford gates on a one-row tableau.
 """
 
 from __future__ import annotations
@@ -128,43 +129,3 @@ class PauliOperator:
 
     def __repr__(self) -> str:
         return f"PauliOperator({self.label()!r}, n={self.n})"
-
-
-def conjugate_by_h(p: PauliOperator, q: int) -> PauliOperator:
-    """H on qubit q (0-based): X<->Z, Y -> -Y."""
-    bit = 1 << q
-    xb = p.x & bit
-    zb = p.z & bit
-    flip = 2 if (xb and zb) else 0
-    x = (p.x & ~bit) | (bit if zb else 0)
-    z = (p.z & ~bit) | (bit if xb else 0)
-    return PauliOperator(p.n, x, z, p.phase_exp + flip)
-
-
-def conjugate_by_s(p: PauliOperator, q: int) -> PauliOperator:
-    """S on qubit q: X -> Y, Y -> -X, Z -> Z."""
-    bit = 1 << q
-    xb = p.x & bit
-    zb = p.z & bit
-    flip = 2 if (xb and zb) else 0
-    z = p.z ^ (bit if xb else 0)
-    return PauliOperator(p.n, p.x, z, p.phase_exp + flip)
-
-
-def conjugate_by_cnot(p: PauliOperator, control: int, target: int) -> PauliOperator:
-    cb, tb = 1 << control, 1 << target
-    xc = 1 if p.x & cb else 0
-    zc = 1 if p.z & cb else 0
-    xt = 1 if p.x & tb else 0
-    zt = 1 if p.z & tb else 0
-    flip = 2 if (xc and zt and (xt ^ zc ^ 1)) else 0
-    x = p.x ^ (tb if xc else 0)
-    z = p.z ^ (cb if zt else 0)
-    return PauliOperator(p.n, x, z, p.phase_exp + flip)
-
-
-def conjugate_by_pauli(p: PauliOperator, x_mask: int, z_mask: int) -> PauliOperator:
-    """Conjugation by the Pauli X^{x_mask} Z^{z_mask}: only signs change."""
-    anti = ((p.x & z_mask).bit_count() + (p.z & x_mask).bit_count()) & 1
-    return PauliOperator(p.n, p.x, p.z, p.phase_exp + (2 if anti else 0))
-

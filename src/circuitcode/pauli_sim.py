@@ -14,13 +14,7 @@ from dataclasses import dataclass, field
 from . import codewords as cw
 from .circuit import Circuit, OpKind, serialize
 from .gf2 import BitVector
-from .pauli import (
-    PauliOperator,
-    conjugate_by_cnot,
-    conjugate_by_h,
-    conjugate_by_pauli,
-    conjugate_by_s,
-)
+from .pauli import PauliOperator
 from .tanner import TannerGraph
 
 
@@ -42,10 +36,14 @@ class Tableau:
         self.z = [1 << (n + q) for q in range(n)]  # stabiliser q is Z_q
         self.r = 0
 
-    def copy(self) -> "Tableau":
-        t = Tableau(0)
-        t.n, t.x, t.z, t.r = self.n, self.x[:], self.z[:], self.r
+    @classmethod
+    def _from_columns(cls, n: int, x: list[int], z: list[int], r: int) -> "Tableau":
+        t = cls.__new__(cls)
+        t.n, t.x, t.z, t.r = n, x, z, r
         return t
+
+    def copy(self) -> "Tableau":
+        return Tableau._from_columns(self.n, self.x[:], self.z[:], self.r)
 
     # -- gates --------------------------------------------------------------
 
@@ -166,6 +164,20 @@ class Tableau:
         self.r = (r & ~pivot) | (r_pivot << i) | (((m + s) & 1) << (n + i))
         return outcome
 
+    def project(self, p: PauliOperator, rng: random.Random | None) -> int:
+        """Measure p and return the outcome; a -1 outcome is then flipped by
+        the Pauli that anticommutes with p on the lowest qubit p acts on (Z
+        where p has an X part, else X), which leaves the state in the +1
+        eigenspace of p."""
+        outcome = self.measure_pauli(p, rng)
+        if outcome == -1:
+            low = (p.x | p.z) & -(p.x | p.z)
+            if p.x & low:
+                self.apply_pauli(0, low)
+            else:
+                self.apply_pauli(low, 0)
+        return outcome
+
     def measure_z(self, q: int, rng=None) -> int:
         return self.measure_pauli(PauliOperator(self.n, 0, 1 << q), rng)
 
@@ -229,23 +241,6 @@ def random_tableau(n: int, rng: random.Random) -> Tableau:
     return t
 
 
-def state_containing(p: PauliOperator, n: int, rng: random.Random) -> Tableau:
-    """A random stabiliser state whose group contains the Pauli p.
-
-    Measures p on a random state; a -1 outcome is corrected with a Pauli
-    that anticommutes with p on the lowest qubit p acts on (Z where p has an
-    X part, else X), which moves the state into the +1 eigenspace.
-    """
-    if p.sign() != 1:
-        raise ValueError("only +1 phases can be fixed")
-    t = random_tableau(n, rng)
-    if t.measure_pauli(p, rng=rng) == -1:
-        low = (p.x | p.z) & -(p.x | p.z)
-        flip = (0, low) if p.x & low else (low, 0)
-        t.apply_pauli(*flip)
-    return t
-
-
 # ---------------------------------------------------------------------------
 # Circuit execution
 
@@ -278,15 +273,13 @@ def run(
         for op in layer:
             kind = op.kind
             if kind.is_measurement or kind.is_init:
-                # an initialisation is a measurement whose -1 outcome is
-                # flipped back by the anticommuting single-qubit Pauli
+                # an initialisation is a projection onto the +1 eigenspace
                 q = op.qubits[0]
                 b = 1 << (q - 1)
                 z_basis = kind is OpKind.MEAS_Z or kind is OpKind.INIT_Z
                 p = PauliOperator(t.n, 0, b) if z_basis else PauliOperator(t.n, b, 0)
-                outcome = outcomes[(q, layer_no)] = t.measure_pauli(p, rng)
-                if outcome == -1 and kind.is_init:
-                    t.apply_pauli(p.z, p.x)
+                measure = t.project if kind.is_init else t.measure_pauli
+                outcomes[(q, layer_no)] = measure(p, rng)
             else:
                 t.apply_operation(op)
         if error_layers and layer_no in error_layers:
@@ -296,31 +289,25 @@ def run(
 
 
 def conjugate_pauli(circuit: Circuit, p: PauliOperator) -> PauliOperator:
-    """Conjugate p through a circuit of gates, tracking the exact sign."""
-    if p.n != circuit.n_qubits:
+    """Conjugate p through a circuit of gates, tracking the exact sign.
+
+    p is the one row of a tableau, which the gates update as they update
+    every tableau; its imaginary phase bit commutes with them and is kept.
+    """
+    n = circuit.n_qubits
+    if p.n != n:
         raise ValueError("operator size does not match the circuit")
-    out = p
+    x = [p.x >> q & 1 for q in range(n)]
+    z = [p.z >> q & 1 for q in range(n)]
+    row = Tableau._from_columns(n, x, z, p.phase_exp >> 1)
     for layer in circuit.layers:
         for op in layer:
-            kind = op.kind
-            if kind is OpKind.H:
-                out = conjugate_by_h(out, op.qubits[0] - 1)
-            elif kind is OpKind.S:
-                out = conjugate_by_s(out, op.qubits[0] - 1)
-            elif kind is OpKind.CNOT:
-                out = conjugate_by_cnot(out, op.qubits[0] - 1, op.qubits[1] - 1)
-            elif kind is OpKind.PAULI_X:
-                out = conjugate_by_pauli(out, 1 << (op.qubits[0] - 1), 0)
-            elif kind is OpKind.PAULI_Z:
-                out = conjugate_by_pauli(out, 0, 1 << (op.qubits[0] - 1))
-            elif kind is OpKind.PAULI_Y:
-                b = 1 << (op.qubits[0] - 1)
-                out = conjugate_by_pauli(out, b, b)
-            elif kind is OpKind.I:
-                pass
-            else:
-                raise ValueError(f"{kind.value} is not a gate")
-    return out
+            row.apply_operation(op)
+    x = z = 0
+    for q in range(n):
+        x |= row.x[q] << q
+        z |= row.z[q] << q
+    return PauliOperator(n, x, z, row.r << 1 | p.phase_exp & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +323,8 @@ def nu(circuit: Circuit, g: TannerGraph, c: BitVector) -> int:
     the layer's gates, with the qubits the layer measures or initialises left
     out. Each conjugate is checked against the operator at t. A gate on
     qubits where the operator is the identity leaves it the identity with
-    sign +1, so only the gates that touch its support are conjugated.
+    sign +1, so only the gates that touch its support are conjugated, and a
+    layer with none of them leaves the operator as it is.
     """
     if c.n != g.n_bits or g.syndrome(c):
         raise ValueError("nu needs a codeword of the circuit graph")
@@ -353,7 +341,9 @@ def nu(circuit: Circuit, g: TannerGraph, c: BitVector) -> int:
                 keep &= ~(1 << (op.qubits[0] - 1))
             elif any(support >> (q - 1) & 1 for q in op.qubits):
                 gates.append(op)
-        out = conjugate_pauli(Circuit(n, [gates]), PauliOperator(n, x0 & keep, z0 & keep))
+        out = PauliOperator(n, x0 & keep, z0 & keep)
+        if gates:
+            out = conjugate_pauli(Circuit(n, [gates]), out)
         if out.x != x1 & keep or out.z != z1 & keep:
             raise AssertionError(
                 f"conjugated codeword operator does not match layer {t}"
@@ -436,10 +426,9 @@ def verify_codeword_equation(
 
     failures: list[Failure] = []
     for trial in range(trials):
-        if sigma_in.is_identity_kind():
-            initial = random_tableau(n, rng)
-        else:
-            initial = state_containing(sigma_in, n, rng)
+        initial = random_tableau(n, rng)
+        if not sigma_in.is_identity_kind():
+            initial.project(sigma_in, rng)
         result = run(circuit, initial, rng, error_layers=error_layers)
         mu_r = 1
         for key in relevant_keys:

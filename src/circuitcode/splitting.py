@@ -9,6 +9,7 @@ distance by a factor bounded by half the maximum input degree.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -84,6 +85,7 @@ def trivial_plan(g: TannerGraph, w: SymmetryWitness) -> SplitPlan:
     return SplitPlan(pairs)
 
 
+_S_BIT = VertexLabel("s", 0, -1)  # a tree bit without a wire label
 _MAX_SPLIT_ORDER = 4  # most parts a random plan splits one check's edges into
 
 
@@ -139,13 +141,13 @@ def symmetric_split(
         v = pp.bit
         for i in range(pp.order):
             bit_tree_pos[(v, i)] = len(new_bits)
-            new_bits.append(VertexLabel("s", 0, -1, len(new_bits)))
+            new_bits.append(g.bits[v] if i == 0 else _S_BIT)
             bit_rows.append(1 << v)
             err_rows.append((1 << v) if i == 0 else 0)
         vectors = edge_vectors(pp)
         for e in pp.tree:
             edge_bit_pos[(pp.check, e)] = len(new_bits)
-            new_bits.append(VertexLabel("s", 0, -1, len(new_bits)))
+            new_bits.append(_S_BIT)
             bit_rows.append(vectors[e])
             err_rows.append(0)
     for t in sorted(w.long_terminals):
@@ -192,7 +194,11 @@ def symmetric_split(
             )
             dual[cid] = edge_bit_pos[(pp.check, e)]
 
-    g2 = TannerGraph(new_bits, checks)
+    # the root (subset 0) of each bit tree keeps its bit's label, and the s
+    # bits are numbered in order, as reading a .labels file numbers them
+    serials = itertools.count()
+    new_bits = [lab._replace(serial=next(serials)) if lab.kind == "s" else lab for lab in new_bits]
+    g2 = TannerGraph(new_bits, checks, g.n_qubits, g.depth)
     w2 = SymmetryWitness(dual, frozenset(long_pos.values()))
     maps = CodeMaps(
         BitMatrix(len(new_bits), g.n_bits, bit_rows),

@@ -102,6 +102,24 @@ def test_roundtrip_is_identity_on_canonical_form():
     assert parse_circuit(text) == c
 
 
+MX = Operation(OpKind.MEAS_X, (1,))
+
+
+@pytest.mark.parametrize(
+    "layers", [[], [[]], [[], []], [[], [MX], []]], ids=["none", "empty", "two-empty", "empty-mx-empty"]
+)
+def test_roundtrip_keeps_trailing_empty_layers(layers):
+    c = Circuit(1, layers)
+    assert parse_circuit(serialize(c)) == c
+
+
+def test_roundtrip_of_random_circuits():
+    rng = random.Random(77)
+    for _ in range(300):
+        c = random_circuit(rng.randint(1, 4), rng.randint(1, 8), rng)
+        assert parse_circuit(serialize(c)) == c
+
+
 def test_validate_programmatic():
     ok = Circuit(2, [[Operation(OpKind.CNOT, (1, 2))]])
     assert ok.validate() == []

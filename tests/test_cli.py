@@ -13,7 +13,7 @@ from circuitcode import codewords as cw
 from circuitcode.circuit import MAX_WIRE_BITS, parse_circuit, random_circuit
 from circuitcode.cli import main
 from circuitcode.gf2 import BitMatrix, read_matrix_text, write_matrix_text
-from circuitcode.splitting import random_plan, trivial_plan, write_plan
+from circuitcode.splitting import random_plan, symmetric_split, trivial_plan, write_plan
 from circuitcode.tanner import (
     build_plain,
     graph_from_matrix,
@@ -667,13 +667,15 @@ def test_malformed_sidecar_line_is_named(zz_file, tmp_path, capsys, kind, line, 
     assert err == f"error: bad {kind} line {bad!r}\n"
 
 
-# Circuits whose last layers only measure or are empty: the labels of their
-# bundles end before the circuit's depth, and a split bundle keeps only the
-# wire labels of its long terminals.
+# Circuits whose last layers only measure or are empty, whose bundles' labels
+# end before the circuit's depth, and the ZZ circuit, whose split bundle reads
+# its boundaries off the wire labels its bit trees' roots keep; each with the
+# row count of its complete L.
 LAYER_STRUCTURE_CASES = {
-    "mx": "qubits 1\nmx 1\n",
-    "empty-mx-empty": "qubits 1\ntick\nmx 1\ntick\ntick\n",
-    "cnot-then-measure": "qubits 2\nrz 2\ntick\ncnot 1 2\ntick\nmz 2\nmz 1\n",
+    "mx": ("qubits 1\nmx 1\n", 0),
+    "empty-mx-empty": ("qubits 1\ntick\nmx 1\ntick\ntick\n", 0),
+    "cnot-then-measure": ("qubits 2\nrz 2\ntick\ncnot 1 2\ntick\nmz 2\nmz 1\n", 0),
+    "zz": (ZZ_TEXT, 2),
 }
 
 
@@ -690,7 +692,7 @@ def in_memory_distance_line(text):
 @pytest.mark.parametrize("name", sorted(LAYER_STRUCTURE_CASES))
 @pytest.mark.parametrize("bundle", ["sym", "split"])
 def test_synthesize_check_reads_the_layer_structure_of_a_bundle(tmp_path, capsys, name, bundle):
-    text = LAYER_STRUCTURE_CASES[name]
+    text, logicals = LAYER_STRUCTURE_CASES[name]
     circuit = tmp_path / "c.qc"
     circuit.write_text(text)
     run_cli(["symmetrize", "--circuit", circuit, "--out-prefix", tmp_path / "sym"], capsys)
@@ -700,12 +702,12 @@ def test_synthesize_check_reads_the_layer_structure_of_a_bundle(tmp_path, capsys
     )
     assert code == 0
     assert out.splitlines()[1:] == ["roundtrip ok", in_memory_distance_line(text)]
-    # none of these circuits has a logical, so no fault corrupts one
-    assert "distance 1 -> 1" not in out
+    # a fault corrupts a logical only where there is one
+    assert ("distance 1 -> 1" in out) == (logicals > 0)
     _, ec_out, _ = run_cli(
         ["ec-matrices", "--circuit", circuit, "--complete", "--out-prefix", tmp_path / "ec"], capsys
     )
-    assert ec_out.split()[2:4] == ["L", "0"]
+    assert ec_out.split()[2:4] == ["L", str(logicals)]
 
 
 def test_reloaded_bundles_keep_the_error_correction_structure():
@@ -713,11 +715,14 @@ def test_reloaded_bundles_keep_the_error_correction_structure():
         ec = cw.complete_ec_structure(g)
         return ec.b.rows, ec.l.rows, [p.label() for p in ec.s_in], [p.label() for p in ec.s_out]
 
-    rng = random.Random(3)
+    rng, plan_rng = random.Random(3), random.Random(4)
     for _ in range(300):
         c = random_circuit(rng.randint(1, 4), rng.randint(1, 7), rng)
-        g, _, _ = symmetrize(build_plain(c), c)
-        a = read_matrix_text(write_matrix_text(g.check_matrix()))
-        reloaded = graph_from_matrix(a, read_labels(write_labels(g)))
-        assert reloaded.n_qubits == g.n_qubits and reloaded.depth <= g.depth
-        assert structure(reloaded) == structure(g)
+        sym, w, _ = symmetrize(build_plain(c), c)
+        plans = (trivial_plan(sym, w), random_plan(sym, w, plan_rng))
+        for g in (sym, *(symmetric_split(sym, w, plan)[0] for plan in plans)):
+            a = read_matrix_text(write_matrix_text(g.check_matrix()))
+            reloaded = graph_from_matrix(a, read_labels(write_labels(g)))
+            assert reloaded.bits == g.bits
+            assert reloaded.n_qubits == g.n_qubits and reloaded.depth <= g.depth
+            assert structure(reloaded) == structure(g)

@@ -1,16 +1,14 @@
-"""Pauli phase arithmetic checked against dense complex matrices."""
+"""Pauli phase arithmetic and gate conjugation checked against dense complex
+matrices: ``conjugate_pauli`` runs each one-operation circuit on the tableau
+gates, so these oracles pin the simulator's gate rules."""
 
 import itertools
 
 import pytest
 
-from circuitcode.pauli import (
-    PauliOperator,
-    conjugate_by_cnot,
-    conjugate_by_h,
-    conjugate_by_pauli,
-    conjugate_by_s,
-)
+from circuitcode.circuit import Circuit, OpKind, Operation
+from circuitcode.pauli import PauliOperator
+from circuitcode.pauli_sim import conjugate_pauli
 
 I2 = ((1, 0), (0, 1))
 X = ((0, 1), (1, 0))
@@ -85,6 +83,12 @@ def cnot_matrix():
     return tuple(tuple(row) for row in m)
 
 
+def conjugate(p, kind, *qubits):
+    """p conjugated by the one operation ``kind`` on the 0-based qubits."""
+    op = Operation(kind, tuple(q + 1 for q in qubits))
+    return conjugate_pauli(Circuit(p.n, [[op]]), p)
+
+
 def single(q, n, gate):
     acc = None
     for k in range(n):
@@ -96,8 +100,10 @@ def single(q, n, gate):
 @pytest.mark.parametrize("xb,zb,ph", list(itertools.product([0, 1], [0, 1], range(4))))
 def test_single_qubit_conjugations_match_dense(xb, zb, ph):
     p = PauliOperator(1, xb, zb, ph)
-    for gate, fn in ((H, conjugate_by_h), (S, conjugate_by_s)):
-        got = fn(p, 0)
+    gates = ((H, OpKind.H), (S, OpKind.S), (X, OpKind.PAULI_X), (Y, OpKind.PAULI_Y),
+             (Z, OpKind.PAULI_Z), (I2, OpKind.I))
+    for gate, kind in gates:
+        got = conjugate(p, kind, 0)
         um = gate
         expect = matmul(matmul(um, dense(p)), dagger(um))
         assert close(dense(got), expect)
@@ -106,15 +112,15 @@ def test_single_qubit_conjugations_match_dense(xb, zb, ph):
 def test_s_gate_examples():
     # S X S^dag = Y and S Y S^dag = -X, phases tracked exactly.
     x = PauliOperator.from_label("X1", 1)
-    y = conjugate_by_s(x, 0)
+    y = conjugate(x, OpKind.S, 0)
     assert y.label() == "Y1"
-    minus_x = conjugate_by_s(y, 0)
+    minus_x = conjugate(y, OpKind.S, 0)
     assert minus_x.label() == "-X1"
 
 
 def test_cnot_example():
     p = PauliOperator.from_label("X1", 2)
-    out = conjugate_by_cnot(p, 0, 1)
+    out = conjugate(p, OpKind.CNOT, 0, 1)
     assert out.label() == "X1X2"
 
 
@@ -123,7 +129,7 @@ def test_cnot_example():
 )
 def test_cnot_conjugation_matches_dense(x, z, ph):
     p = PauliOperator(2, x, z, ph)
-    got = conjugate_by_cnot(p, 0, 1)
+    got = conjugate(p, OpKind.CNOT, 0, 1)
     um = cnot_matrix()
     expect = matmul(matmul(um, dense(p)), dagger(um))
     assert close(dense(got), expect)
@@ -149,8 +155,8 @@ def test_xz_is_minus_i_y():
 
 def test_pauli_conjugation_signs():
     p = PauliOperator.from_label("Z1", 1)
-    assert conjugate_by_pauli(p, x_mask=1, z_mask=0).label() == "-Z1"
-    assert conjugate_by_pauli(p, x_mask=0, z_mask=1).label() == "Z1"
+    assert conjugate(p, OpKind.PAULI_X, 0).label() == "-Z1"
+    assert conjugate(p, OpKind.PAULI_Z, 0).label() == "Z1"
 
 
 def test_label_roundtrip():

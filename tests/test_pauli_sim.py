@@ -24,9 +24,10 @@ def test_conjugate_pauli_through_circuit():
 
 
 def test_conjugate_rejects_measurement():
-    c = parse_circuit("qubits 1\nmz 1\n")
-    with pytest.raises(ValueError):
-        sim.conjugate_pauli(c, PauliOperator.from_label("X1", 1))
+    for kind in ("mz", "mx", "rz", "rx"):
+        c = parse_circuit(f"qubits 1\n{kind} 1\n")
+        with pytest.raises(ValueError):
+            sim.conjugate_pauli(c, PauliOperator.from_label("X1", 1))
 
 
 def test_measure_zero_state_deterministic():
@@ -50,7 +51,8 @@ def test_zz_outcomes_agree_on_stabilised_input():
     c = parse_circuit(ZZ_TEXT)
     rng = random.Random(3)
     for _ in range(20):
-        initial = sim.state_containing(PauliOperator.from_label("Z1Z2", 3), 3, rng)
+        initial = sim.random_tableau(3, rng)
+        initial.project(PauliOperator.from_label("Z1Z2", 3), rng)
         result = sim.run(c, initial, rng)
         assert result.outcomes[(3, 4)] == result.outcomes[(3, 8)]
 
@@ -85,7 +87,8 @@ def test_random_state_containing():
     rng = random.Random(13)
     p = PauliOperator.from_label("X1Z3", 3)
     for _ in range(10):
-        t = sim.state_containing(p, 3, rng)
+        t = sim.random_tableau(3, rng)
+        t.project(p, rng)
         assert t.stabilizes(p) == 1
 
 

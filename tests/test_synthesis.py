@@ -294,12 +294,13 @@ def test_roundtrip_report_uses_the_split_distance_bound():
 # ---------------------------------------------------------------------------
 # The symmetric-graph outputs of a seeded corpus, pinned by digest
 
-# SHA-256 of symmetric_digest(symmetric_corpus()), computed before the split
-# step and the dual map of tanner/splitting/synthesis were shared: every
-# symmetrised graph, witness and map, every symmetric split under the trivial
-# and a random plan, every synthesised circuit and map under the trivial and
-# the greedy partition, and every written partition must stay the same.
-SYMMETRIC_CORPUS_SHA256 = "eeb7e30c3c199da9189585407329fba14fc08b20b5363905909f63c47c133052"
+# SHA-256 of symmetric_digest(symmetric_corpus()): every symmetrised graph,
+# witness and map, every symmetric split under the trivial and a random plan,
+# every synthesised circuit and map under the trivial and the greedy
+# partition, and every written partition must stay the same. Re-pinned when
+# split bits took their roots' wire labels and serials in .labels order, and
+# serialize began to keep a trailing empty layer; no other field moved.
+SYMMETRIC_CORPUS_SHA256 = "172cedcbfe3ed10feb9f2ec94a7aa682f9e473259abe3e59fecf64e80ba2a323"
 
 
 def symmetric_corpus():
