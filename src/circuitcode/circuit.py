@@ -196,7 +196,6 @@ def parse_circuit(text: str) -> Circuit:
     current: list[Operation] = []
     position: dict[int, int] = {}  # qubit -> index of its operation in current
     saw_op_since_tick = False
-    saw_tick = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -216,7 +215,6 @@ def parse_circuit(text: str) -> Circuit:
             layers.append(current)
             current = []
             position = {}
-            saw_tick = True
             saw_op_since_tick = False
             continue
         kind = _TEXT_KINDS.get(head)
@@ -245,7 +243,7 @@ def parse_circuit(text: str) -> Circuit:
         saw_op_since_tick = True
     if n_qubits is None:
         raise CircuitError("missing qubits header")
-    if saw_op_since_tick or (current and saw_tick):
+    if saw_op_since_tick:
         layers.append(current)
     if n_qubits * (len(layers) + 1) > MAX_WIRE_BITS:
         raise CircuitError(

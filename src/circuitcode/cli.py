@@ -19,9 +19,11 @@ from .css import assemble_physical, derive_logicals, logical_cnot_layer, repeate
 from .distance import circuit_distance, half_distance_bound
 from .gf2 import (
     BitMatrix,
+    alist_text,
+    matrix_text_lines,
     read_alist,
+    read_matrix_supports,
     read_matrix_text,
-    write_alist,
     write_matrix_text,
 )
 from .pauli import PauliOperator
@@ -37,6 +39,7 @@ from .synthesis import (
 from .tanner import (
     SymmetryWitness,
     TannerGraph,
+    _graph_from_supports,
     build_plain,
     export_dot,
     graph_from_matrix,
@@ -60,8 +63,8 @@ def _read_matrix(path: str) -> BitMatrix:
     return read_matrix_text(text)
 
 
-def _write_matrix(path: Path, m: BitMatrix, alist: bool = False):
-    path.write_text(write_alist(m) if alist else write_matrix_text(m))
+def _write_matrix(path: Path, m: BitMatrix):
+    path.write_text(write_matrix_text(m))
 
 
 def _bundle(prefix: str, ext: str) -> Path:
@@ -69,7 +72,11 @@ def _bundle(prefix: str, ext: str) -> Path:
 
 
 def _save_graph(prefix: str, g: TannerGraph, w: SymmetryWitness | None, alist: bool):
-    _write_matrix(_bundle(prefix, ".A.alist" if alist else ".A.txt"), g.check_matrix(), alist)
+    if alist:
+        _bundle(prefix, ".A.alist").write_text(alist_text(g.n_bits, g.checks))
+    else:
+        with _bundle(prefix, ".A.txt").open("wb") as f:
+            f.writelines(matrix_text_lines(g.n_bits, g.checks))
     _bundle(prefix, ".labels").write_text(write_labels(g))
     if w is not None:
         _bundle(prefix, ".witness").write_text(write_witness(g, w))
@@ -77,13 +84,15 @@ def _save_graph(prefix: str, g: TannerGraph, w: SymmetryWitness | None, alist: b
 
 def _load_graph(prefix: str) -> tuple[TannerGraph, SymmetryWitness | None]:
     if _bundle(prefix, ".A.txt").exists():
-        a = read_matrix_text(_bundle(prefix, ".A.txt").read_text())
+        with _bundle(prefix, ".A.txt").open("rb") as f:
+            n_cols, checks = read_matrix_supports(f)
     else:
         a = read_alist(_bundle(prefix, ".A.alist").read_text())
+        n_cols, checks = a.n_cols, [v.support() for v in a.row_vectors()]
     labels = None
     if _bundle(prefix, ".labels").exists():
         labels = read_labels(_bundle(prefix, ".labels").read_text())
-    g = graph_from_matrix(a, labels)
+    g = _graph_from_supports(n_cols, checks, labels)
     w = None
     if _bundle(prefix, ".witness").exists():
         w = read_witness(_bundle(prefix, ".witness").read_text())
@@ -431,6 +440,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (CircuitError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 1
 
 

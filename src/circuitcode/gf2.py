@@ -7,7 +7,9 @@ weight-ordered enumeration used by the distance search cheap.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+import codecs
+from itertools import chain
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 
 def _set_bits(r: int) -> list[int]:
@@ -387,54 +389,178 @@ def symplectic_product(b1: BitVector, b2: BitVector) -> int:
 # Text and alist formats
 
 
+# bytes read from a dense text file at a time
+_CHUNK_BYTES = 1 << 20
+# the whitespace of bytes.split(); str.split() also splits on \x1c-\x1f and
+# on non-ASCII spaces, which only the token-list step of the reader sees
+_SPACE = b" \t\n\r\x0b\x0c"
+
+
+def matrix_text_lines(n_cols: int, supports: Sequence[Iterable[int]]) -> Iterator[bytes]:
+    """The dense text form of the matrix with these row supports, a line at a time.
+
+    A ``<rows> <cols>`` header, then one line of space-separated 0/1 entries
+    per row: a copy of the all-zero line with the support's entries set.
+    """
+    yield f"{len(supports)} {n_cols}\n".encode()
+    zeros = b"0 " * (n_cols - 1) + b"0\n" if n_cols else b"\n"
+    for support in supports:
+        line = bytearray(zeros)
+        for j in support:
+            line[2 * j] = 49  # ord("1")
+        yield line
+
+
 def write_matrix_text(m: BitMatrix) -> str:
-    n = m.n_cols
-    lines = [f"{m.n_rows} {n}"]
-    for r in m.rows:
-        # binary digits are most significant first; column 0 is bit 0
-        lines.append(" ".join(format(r, f"0{n}b")[::-1]) if n else "")
-    return "\n".join(lines) + "\n"
+    lines = matrix_text_lines(m.n_cols, [_set_bits(r) for r in m.rows])
+    return b"".join(lines).decode()
+
+
+def read_matrix_supports(f: BinaryIO) -> tuple[int, list[Sequence[int]]]:
+    """(column count, row supports) of the dense text matrix in binary file f.
+
+    The file is read in chunks and decoded as UTF-8. It is accepted, or
+    rejected with the same message, as ``read_matrix_text`` of its text.
+    """
+    return _parse_matrix_text(_token_pieces(_decoded_chunks(f)))
 
 
 def read_matrix_text(text: str) -> BitMatrix:
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("matrix text needs a '<rows> <cols>' header")
-    n_rows, n_cols = int(tokens[0]), int(tokens[1])
-    values = tokens[2:]
-    if len(values) != n_rows * n_cols:
-        raise ValueError(
-            f"expected {n_rows * n_cols} entries, found {len(values)}"
-        )
-    if not set(values) <= {"0", "1"}:
-        bad = next(v for v in values if v not in ("0", "1"))
+    chunks = (text[i : i + _CHUNK_BYTES] for i in range(0, len(text), _CHUNK_BYTES))
+    n_cols, supports = _parse_matrix_text(_token_pieces(chunks))
+    return BitMatrix(len(supports), n_cols, [sum(1 << j for j in s) for s in supports])
+
+
+def _decoded_chunks(f: BinaryIO) -> Iterator[str]:
+    """The UTF-8 text of f, a chunk at a time. A decoding error is the one
+    ``read_text()`` raises: its position counts from the start of the file."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0
+    while True:
+        read = f.read(_CHUNK_BYTES)
+        start = offset - len(decoder.getstate()[0])
+        try:
+            text = decoder.decode(read, final=not read)
+        except UnicodeDecodeError as exc:
+            raise _decode_error(exc, start) from None
+        yield text
+        if not read:
+            return
+        offset += len(read)
+
+
+def _token_pieces(chunks: Iterable[str]) -> Iterator[str]:
+    """The text of chunks in pieces that each end between two tokens: a
+    token cut by a chunk's end goes on into the next piece."""
+    tail = ""
+    for chunk in chunks:
+        text = tail + chunk
+        tail = text.rsplit(None, 1)[-1] if text and not text[-1].isspace() else ""
+        if len(text) > len(tail):
+            yield text[: len(text) - len(tail)]
+    if tail:
+        yield tail
+
+
+def _decode_error(exc: UnicodeDecodeError, start: int) -> ValueError:
+    """exc, whose positions count from file offset start, as read from offset 0."""
+    first = start + exc.start
+    if exc.end - exc.start == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {first}"
+    else:
+        where = f"bytes in position {first}-{start + exc.end - 1}"
+    return ValueError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
+
+
+def _parse_matrix_text(pieces: Iterable[str]) -> tuple[int, list[Sequence[int]]]:
+    """(column count, row supports) of the matrix text in pieces that end
+    between tokens. Errors, in order: a header with fewer than two tokens or a
+    non-integer one, then the entry count, then the first entry that is not 0
+    or 1, then a negative shape; each is raised after every piece is read."""
+    pieces = iter(pieces)
+    head: list[str] = []
+    rest = ""
+    for text in pieces:
+        words = text.split(None, 2 - len(head))
+        if len(words) > 2 - len(head):
+            rest = words.pop()
+        head += words
+        if len(head) == 2:
+            break
+    try:
+        if len(head) < 2:
+            raise ValueError("matrix text needs a '<rows> <cols>' header")
+        n_rows, n_cols = int(head[0]), int(head[1])
+    except ValueError:
+        for _ in pieces:  # a decoding error further on is the file's error
+            pass
+        raise
+    rows: list[Sequence[int]] = []
+    found = 0
+    bad = None
+    left = b""  # the entries of the row in progress
+    for text in chain([rest], pieces):
+        entries = _one_byte_entries(text)
+        if entries is not None:
+            found += len(entries)
+        else:
+            tokens = text.split()
+            found += len(tokens)
+            bad = bad or next((t for t in tokens if t not in ("0", "1")), None)
+            entries = "".join(tokens).encode()
+        if bad is not None or n_cols <= 0 or len(rows) == n_rows:
+            continue
+        left += entries
+        start = 0
+        while start + n_cols <= len(left) and len(rows) < n_rows:
+            end = start + n_cols
+            support = []
+            j = left.find(b"1", start, end)
+            while j >= 0:
+                support.append(j - start)
+                j = left.find(b"1", j + 1, end)
+            rows.append(support)
+            start = end
+        left = left[start:]
+    if found != n_rows * n_cols:
+        raise ValueError(f"expected {n_rows * n_cols} entries, found {found}")
+    if bad is not None:
         raise ValueError(f"matrix entries must be 0 or 1, found {bad!r}")
-    if n_cols == 0:
-        return BitMatrix(n_rows, 0)
-    digits = "".join(values)
-    rows = [int(digits[i * n_cols : (i + 1) * n_cols][::-1], 2) for i in range(n_rows)]
-    return BitMatrix(n_rows, n_cols, rows)
+    if n_rows < 0 or n_cols < 0:
+        raise ValueError("shape must be non-negative")
+    return n_cols, rows if n_cols else [()] * n_rows
+
+
+def _one_byte_entries(text: str) -> bytes | None:
+    """The entries of a piece that alternates a 0/1 entry and one whitespace
+    byte, as written; None for any other piece, which str.split() reads."""
+    data = text.encode() if text.isascii() else b""
+    if not data or len(data) % 2 or data[1::2].translate(None, _SPACE):
+        return None
+    entries = data[0::2]
+    return None if entries.translate(None, b"01") else entries
 
 
 def write_alist(m: BitMatrix) -> str:
-    """Sparse alist format; columns are variable nodes, rows are checks."""
-    n, mm = m.n_cols, m.n_rows
-    col_supports = [[] for _ in range(n)]
-    row_supports = []
-    for i, r in enumerate(m.rows):
-        sup = _set_bits(r)
+    return alist_text(m.n_cols, [_set_bits(r) for r in m.rows])
+
+
+def alist_text(n_cols: int, supports: Sequence[Sequence[int]]) -> str:
+    """Sparse alist format of the matrix with these ascending row supports;
+    columns are variable nodes, rows are checks."""
+    col_supports = [[] for _ in range(n_cols)]
+    for i, sup in enumerate(supports):
         for j in sup:
             col_supports[j].append(i)
-        row_supports.append(sup)
     max_col = max((len(s) for s in col_supports), default=0)
-    max_row = max((len(s) for s in row_supports), default=0)
-    lines = [f"{n} {mm}", f"{max_col} {max_row}"]
+    max_row = max((len(s) for s in supports), default=0)
+    lines = [f"{n_cols} {len(supports)}", f"{max_col} {max_row}"]
     lines.append(" ".join(str(len(s)) for s in col_supports))
-    lines.append(" ".join(str(len(s)) for s in row_supports))
+    lines.append(" ".join(str(len(s)) for s in supports))
     for s in col_supports:
         padded = [i + 1 for i in s] + [0] * (max_col - len(s))
         lines.append(" ".join(str(v) for v in padded))
-    for s in row_supports:
+    for s in supports:
         padded = [j + 1 for j in s] + [0] * (max_row - len(s))
         lines.append(" ".join(str(v) for v in padded))
     return "\n".join(lines) + "\n"

@@ -430,8 +430,15 @@ def symmetrize(
     terminal pair and the next input terminal pair are short on the same
     component. All splits are applied in one pass; the result equals folding
     ``bit_split`` over the junctions in increasing bit order, and the returned
-    maps equal the product of the individual split maps.
+    maps equal the product of the individual split maps. ``g`` must be the
+    plain graph of ``circuit``: its qubit count and depth are checked.
     """
+    if (g.n_qubits, g.depth) != (circuit.n_qubits, circuit.depth):
+        raise ValueError(
+            f"symmetrize needs the plain graph of the circuit: the graph has"
+            f" {g.n_qubits} qubits and depth {g.depth}, the circuit"
+            f" {circuit.n_qubits} qubits and depth {circuit.depth}"
+        )
     dual, long_bits, splits = _junctions(g)
     side_checks = {s: set(rec.checks) for rec in g.gadgets for s in rec.sides}
     moves = []
@@ -649,17 +656,24 @@ def read_witness(text: str) -> SymmetryWitness:
 def graph_from_matrix(
     a: BitMatrix, labels: list[VertexLabel] | None = None
 ) -> TannerGraph:
-    """The graph of check matrix ``a``, with its layer structure read off the
-    wire labels: ``n_qubits`` is the largest q, and ``depth`` the largest t,
-    plus one where the bit is measured (layer t + 1 reads it), and at least
-    one. A graph without wire labels has no layer structure."""
+    """The graph of check matrix ``a``; see ``_graph_from_supports``."""
+    return _graph_from_supports(a.n_cols, [v.support() for v in a.row_vectors()], labels)
+
+
+def _graph_from_supports(
+    n_bits: int, supports: Iterable[Iterable[int]], labels: list[VertexLabel] | None
+) -> TannerGraph:
+    """The graph whose checks have these supports over ``n_bits`` bits, with
+    its layer structure read off the wire labels: ``n_qubits`` is the largest
+    q, and ``depth`` the largest t, plus one where the bit is measured (layer
+    t + 1 reads it), and at least one. A graph without wire labels has no
+    layer structure."""
     if labels is None:
-        labels = [VertexLabel("s", 0, -1, i) for i in range(a.n_cols)]
-    if len(labels) != a.n_cols:
+        labels = [VertexLabel("s", 0, -1, i) for i in range(n_bits)]
+    if len(labels) != n_bits:
         raise ValueError("label count must match columns")
-    checks = [tuple(v.support()) for v in a.row_vectors()]
     wires = [lab for lab in labels if lab.kind in ("x", "z")]
     if not wires:
-        return TannerGraph(labels, checks)
+        return TannerGraph(labels, supports)
     depth = max(1, max(lab.t + lab.is_measurement for lab in wires))
-    return TannerGraph(labels, checks, max(lab.q for lab in wires), depth)
+    return TannerGraph(labels, supports, max(lab.q for lab in wires), depth)

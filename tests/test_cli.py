@@ -726,3 +726,62 @@ def test_reloaded_bundles_keep_the_error_correction_structure():
             assert reloaded.bits == g.bits
             assert reloaded.n_qubits == g.n_qubits and reloaded.depth <= g.depth
             assert structure(reloaded) == structure(g)
+
+
+def graph_record(g):
+    return g.bits, g.checks, g.n_qubits, g.depth
+
+
+def test_bundles_of_the_graph_corpus_reload_as_the_graph_they_hold(tmp_path):
+    from tests.test_gf2 import oracle_read_matrix_text, oracle_write_matrix_text
+    from tests.test_tanner import graph_corpus
+
+    for k, c in enumerate(graph_corpus()):
+        g = build_plain(c)
+        sym, w, _ = symmetrize(g, c)
+        for graph, witness in ((g, None), (sym, w)):
+            labels = write_labels(graph)
+            # the graph as the whole-text reader rebuilt it from the bundle
+            a = oracle_read_matrix_text(oracle_write_matrix_text(graph.check_matrix()))
+            want = graph_from_matrix(a, read_labels(labels))
+            assert want.bits == graph.bits and want.checks == graph.checks
+            in_memory = cli._graph_from_supports(graph.n_bits, graph.checks, read_labels(labels))
+            assert graph_record(in_memory) == graph_record(want)
+            for alist in (False, True) if k % 10 == 0 else (False,):
+                cli._save_graph(str(tmp_path / "b"), graph, witness, alist)
+                reloaded, w2 = cli._load_graph(str(tmp_path / "b"))
+                assert graph_record(reloaded) == graph_record(want)
+                assert w2 == witness
+                for name in ("b.A.txt", "b.A.alist", "b.witness"):
+                    (tmp_path / name).unlink(missing_ok=True)
+
+
+def test_running_out_of_memory_is_one_error_line(tmp_path):
+    # a graph of 10^8 checks over no bits needs 800 MB for its check list
+    (tmp_path / "huge.A.txt").write_text("100000000 0\n")
+    child = (
+        "import resource, sys\n"
+        "from circuitcode.cli import main\n"
+        "limit = 256 << 20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "split", "--graph", str(tmp_path / "huge"),
+         "--out-prefix", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", "error: out of memory in split\n")
+
+
+def test_a_bundle_with_a_label_too_few_is_an_error(zz_file, tmp_path, capsys):
+    assert run_cli(["symmetrize", "--circuit", zz_file, "--out-prefix", tmp_path / "sym"], capsys)[0] == 0
+    labels = tmp_path / "sym.labels"
+    labels.write_text("".join(labels.read_text().splitlines(keepends=True)[:-1]))
+    for command in (["split", "--out-prefix", tmp_path / "out"], ["export-dot", "--out", tmp_path / "g.dot"]):
+        code, out, err = run_cli([command[0], "--graph", tmp_path / "sym", *command[1:]], capsys)
+        assert (code, out, err) == (1, "", "error: label count must match columns\n")

@@ -1,7 +1,9 @@
+import io
 import random
 
 import pytest
 
+from circuitcode import gf2
 from circuitcode.gf2 import (
     BitMatrix,
     BitVector,
@@ -9,7 +11,9 @@ from circuitcode.gf2 import (
     block,
     extend_span,
     kron,
+    matrix_text_lines,
     read_alist,
+    read_matrix_supports,
     read_matrix_text,
     symplectic_product,
     write_alist,
@@ -463,6 +467,210 @@ def test_read_matrix_text_rejects_bad_tokens():
     for text in ("1 2\n1 01\n", "1 2\n1 -1\n", "1 2\n0 x\n", "1 2\n1 0 1\n"):
         with pytest.raises(ValueError):
             read_matrix_text(text)
+
+
+# ---------------------------------------------------------------------------
+# The dense text format against the whole-text writer and reader it replaced
+
+
+def oracle_write_matrix_text(m):
+    n = m.n_cols
+    lines = [f"{m.n_rows} {n}"]
+    for r in m.rows:
+        # binary digits are most significant first; column 0 is bit 0
+        lines.append(" ".join(format(r, f"0{n}b")[::-1]) if n else "")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_read_matrix_text(text):
+    tokens = text.split()
+    if len(tokens) < 2:
+        raise ValueError("matrix text needs a '<rows> <cols>' header")
+    n_rows, n_cols = int(tokens[0]), int(tokens[1])
+    values = tokens[2:]
+    if len(values) != n_rows * n_cols:
+        raise ValueError(
+            f"expected {n_rows * n_cols} entries, found {len(values)}"
+        )
+    if not set(values) <= {"0", "1"}:
+        bad = next(v for v in values if v not in ("0", "1"))
+        raise ValueError(f"matrix entries must be 0 or 1, found {bad!r}")
+    if n_cols == 0:
+        return BitMatrix(n_rows, 0)
+    digits = "".join(values)
+    rows = [int(digits[i * n_cols : (i + 1) * n_cols][::-1], 2) for i in range(n_rows)]
+    return BitMatrix(n_rows, n_cols, rows)
+
+
+def outcome(read, data):
+    """read(data) as ("ok", matrix) or ("error", message)."""
+    try:
+        return "ok", read(data)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def file_matrix(data):
+    """The matrix that read_matrix_supports reads from the file bytes data."""
+    n_cols, supports = read_matrix_supports(io.BytesIO(data))
+    return BitMatrix(len(supports), n_cols, [sum(1 << j for j in s) for s in supports])
+
+
+def read_text_matrix(data):
+    """The old path: Path.read_text() decodes the whole file, then the oracle reads it."""
+    return oracle_read_matrix_text(data.decode("utf-8"))
+
+
+# chunk sizes that cut tokens, rows and multi-byte characters, and the real one
+CHUNKS = (1, 2, 3, 5, 8, 64, gf2._CHUNK_BYTES)
+
+
+def assert_reads_like_the_oracle(monkeypatch, data):
+    """File bytes data read in chunks of every size, and its text, as the
+    old reader reads them: the same matrix or the same error message."""
+    want = outcome(read_text_matrix, data)
+    for size in CHUNKS:
+        monkeypatch.setattr(gf2, "_CHUNK_BYTES", size)
+        assert outcome(file_matrix, data) == want, (size, data[:200])
+        assert outcome(read_matrix_text, data.decode("utf-8")) == want, (size, data[:200])
+
+
+def text_matrices():
+    """Seeded matrices for the text format: empty ones, dense, sparse and
+    wide ones of at least 40,000 columns."""
+    rng = random.Random(61)
+    cases = [BitMatrix(0, 0), BitMatrix(0, 7), BitMatrix(4, 0), BitMatrix(3, 5)]
+    cases += [BitMatrix(n, m, [rng.getrandbits(m) for _ in range(n)]) for n, m in
+              ((1, 1), (2, 3), (7, 13), (20, 64), (9, 301))]
+    cases += [sparse_matrix(rng, 30, 200, 3), sparse_matrix(rng, 200, 30, 2)]
+    cases += [sparse_matrix(rng, 5, 40_000, 9), BitMatrix(2, 40_001, [rng.getrandbits(40_001), 1])]
+    return cases
+
+
+def test_writer_is_byte_identical_to_the_whole_text_writer():
+    for m in text_matrices():
+        want = oracle_write_matrix_text(m)
+        assert write_matrix_text(m) == want
+        supports = [naive_set_bits(r) for r in m.rows]
+        assert b"".join(matrix_text_lines(m.n_cols, supports)).decode() == want
+
+
+def test_reader_reads_written_matrices_like_the_whole_text_reader(monkeypatch):
+    for m in text_matrices():
+        data = oracle_write_matrix_text(m).encode()
+        assert outcome(read_text_matrix, data) == ("ok", m)
+        if m.n_cols > 100:  # every chunk size is too slow on the widest rows
+            monkeypatch.setattr(gf2, "_CHUNK_BYTES", 4093)
+            assert file_matrix(data) == m
+            assert read_matrix_text(data.decode()) == m
+        else:
+            assert_reads_like_the_oracle(monkeypatch, data)
+
+
+LAYOUTS = [
+    "2 3\n1\n0\n1\n0\n0\n1\n",  # one entry a line
+    "2 3 1 0 1 0 0 1",  # one line for everything, no newline
+    "2\t3\n1\t0\t1\n0\t0\t1\n",  # tabs
+    "2 3\r\n1 0 1\r\n0 0 1\r\n",  # CRLF
+    "  2   3 \n\n 1 0  1\n\n0 0 1  \n\n",  # runs of spaces and blank lines
+    "2 3\x0b1\x0c0 1\r0 0 1",  # vertical tab, form feed, lone CR
+    "2 3\x1c1\x1d0\x1e1\x1f0 0 1\n",  # separators that only str.split() splits on
+    "2\u00a03\u20031\u30000\u20281\u00850\u20290\u205f1\u1680",  # Unicode whitespace
+    "2 3\n1 0 1\n0 0 1",  # no final newline
+    "+2 0_3\n1 0 1\n0 0 1\n",  # int() spellings of the header
+    "\uff12 \u0663\n1 0 1\n0 0 1\n",  # non-ASCII digits in the header
+]
+
+
+def test_reader_takes_every_layout_the_whole_text_reader_takes(monkeypatch):
+    for text in LAYOUTS:
+        assert outcome(read_text_matrix, text.encode()) == ("ok", BitMatrix(2, 3, [0b101, 0b100]))
+        assert_reads_like_the_oracle(monkeypatch, text.encode())
+
+
+BAD_TEXTS = [
+    "", "  \n", "3", "x 3\n", "3 y\n", "2 3\n1 0 1\n0 0\n", "2 3\n1 0 1\n0 0 1 1\n",
+    "2 3\n1 0 2\n0 0 1\n", "2 3\n1 01\n0 0 1 1\n", "2 3\n1 0 1\n0 0 \u00e9\n",
+    "1 3\n1 \uff11 0\n", "2 3\n1 0 1\n0 0 1\ufeff\n", "\ufeff2 3\n1 0 1\n0 0 1\n",
+    "-1 -2\n0 0\n", "-1 0\n", "0 -2\n", "-2 2\n", "2 -2\n1 1 1 1\n",
+    "1 2\n1 -1\n", "1 2\n0 x\n", "1 2\n1 0 1\n", "2 0\n1\n",
+    "1 2\n1 0\x00\n", "1 2\n0 2 x 1\n",
+    "1 2\n1 111 ",  # entries at every even byte, but a token of three
+]
+
+
+def test_reader_rejects_what_the_whole_text_reader_rejects(monkeypatch):
+    for text in BAD_TEXTS:
+        assert outcome(read_text_matrix, text.encode())[0] == "error", text
+        assert_reads_like_the_oracle(monkeypatch, text.encode())
+
+
+BAD_BYTES = [
+    b"2 3\n1 0 1\n0 0 \xff\n",  # an invalid start byte
+    b"2 3\n1 0 1\n0 0 1\n\xe2\x80",  # a character cut off at the end of the file
+    b"2 3\n1 0 1\n\xe2\x80\x41 0 1\n",  # an invalid continuation byte
+    b"x 3\n1 0 1\n0 0 1\n\xc3",  # a bad header before a decoding error
+    b"2 3\n1 0 2\n0 0 1\xed\xa0\x80\n",  # a bad entry before an encoded surrogate
+    b"\xf0\x9f\x98\x80 3",  # a valid four-byte character as the header
+    b"2 3\n1 0 1\n0 0 1\n" + b"\xc3\xa9" * 3 + b"\x80",
+]
+
+
+def test_reader_rejects_bytes_that_are_not_utf8_as_read_text_does(monkeypatch):
+    for data in BAD_BYTES:
+        want = outcome(read_text_matrix, data)  # UnicodeDecodeError is a ValueError
+        assert want[0] == "error"
+        for size in CHUNKS:
+            monkeypatch.setattr(gf2, "_CHUNK_BYTES", size)
+            assert outcome(file_matrix, data) == want, (size, data)
+
+
+def test_reader_matches_the_whole_text_reader_on_corrupted_files(monkeypatch):
+    rng = random.Random(67)
+    chars = ["0", "1", " ", "\n", "\t", "\r", "2", "-", "x", "\u00a0", "\u00e9", "\x1c", "\uff11"]
+    cases = 0
+    for _ in range(300):
+        n_rows, n_cols = rng.randrange(4), rng.randrange(5)
+        m = BitMatrix(n_rows, n_cols, [rng.getrandbits(n_cols) for _ in range(n_rows)])
+        text = oracle_write_matrix_text(m)
+        for _ in range(rng.randrange(1, 4)):
+            at = rng.randrange(len(text) + 1)
+            if rng.random() < 0.5:
+                text = text[:at] + rng.choice(chars) + text[at:]
+            else:
+                text = text[:at] + text[at + 1 :]
+        data = text.encode()
+        if rng.random() < 0.2:
+            at = rng.randrange(len(data) + 1)
+            data = data[:at] + bytes([rng.randrange(128, 256)]) + data[at:]
+        want = outcome(read_text_matrix, data)
+        for size in (1, 2, 3, 7):
+            monkeypatch.setattr(gf2, "_CHUNK_BYTES", size)
+            assert outcome(file_matrix, data) == want, (size, data)
+        cases += want[0] == "error"
+    assert 100 < cases < 300
+
+
+def test_a_row_and_a_token_cross_the_real_chunk_boundary():
+    chunk = gf2._CHUNK_BYTES
+    n_cols = 1001  # a row is 2002 bytes, so rows straddle every boundary
+    rng = random.Random(71)
+    m = sparse_matrix(rng, chunk // 2002 + 50, n_cols, 5)
+    text = oracle_write_matrix_text(m)
+    assert file_matrix(text.encode()) == m == read_matrix_text(text)
+    for shift in (b"", b" "):  # a leading space moves every entry across the boundary
+        data = shift + text.encode()
+        if data[chunk - 1] in b"01":
+            # the last byte of the first chunk is an entry: join it to the next
+            # one, and add one entry at the end to keep the entry count
+            bad = data[:chunk] + data[chunk + 1 :] + b"0\n"
+            want = outcome(read_text_matrix, bad)
+            assert want[0] == "error" and want[1].endswith(("'00'", "'01'", "'10'", "'11'"))
+            assert outcome(file_matrix, bad) == want
+        else:
+            # the space there becomes a three-byte space that the boundary cuts
+            spaced = data[: chunk - 1] + "\u3000".encode() + data[chunk:]
+            assert outcome(file_matrix, spaced) == outcome(read_text_matrix, spaced) == ("ok", m)
 
 
 def test_read_alist_rejects_truncated_input():

@@ -149,6 +149,18 @@ def test_symmetrize_hs_one_split():
     assert g.check_matrix().kernel_basis().n_rows == g2.check_matrix().kernel_basis().n_rows
 
 
+def test_symmetrize_rejects_a_graph_of_another_circuit():
+    zz = parse_circuit(ZZ_TEXT)
+    for other in ("qubits 2\nh 1\n", "qubits 3\nh 1\n", "qubits 3\n"):
+        c = parse_circuit(other)
+        with pytest.raises(ValueError, match="symmetrize needs the plain graph of the circuit"):
+            symmetrize(build_plain(zz), c)
+    # a circuit of the same width and depth passes the check
+    same = parse_circuit(ZZ_TEXT.replace("cnot 1 3", "cnot 2 3", 1))
+    assert (same.n_qubits, same.depth) == (zz.n_qubits, zz.depth)
+    assert verify_symmetry(*symmetrize(build_plain(zz), same)[:2]) == []
+
+
 def test_symmetrize_zz_split_count():
     c = parse_circuit(ZZ_TEXT)
     g = build_plain(c)
