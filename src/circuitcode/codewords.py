@@ -108,15 +108,17 @@ class EcStructure:
     s_in: list[PauliOperator]
     s_out: list[PauliOperator]
 
-    def validate(self, g: TannerGraph) -> None:
-        validate_b_l(self.a, self.b, self.l, g.boundaries(self.b))
-
 
 def _require_commuting(paulis: list[PauliOperator], message: str) -> None:
-    """Raise ValueError(message) unless the operators pairwise commute."""
-    for i in range(len(paulis)):
-        for j in range(i + 1, len(paulis)):
-            if not paulis[i].commutes_with(paulis[j]):
+    """Raise ValueError(message) unless the operators pairwise commute.
+
+    Only distinct operators other than the identity are compared: the
+    identity commutes with every operator, and an operator with its copies.
+    """
+    distinct = list({(p.x, p.z): p for p in paulis if p.x | p.z}.values())
+    for i, p in enumerate(distinct):
+        for q in distinct[i + 1 :]:
+            if not p.commutes_with(q):
                 raise ValueError(message)
 
 
@@ -144,10 +146,13 @@ def _ec_structure(
     l: BitMatrix,
     s_in: list[PauliOperator],
     s_out: list[PauliOperator],
+    boundaries: tuple[BitMatrix, BitMatrix],
 ) -> EcStructure:
-    structure = EcStructure(a=g.check_matrix(), b=b, l=l, s_in=s_in, s_out=s_out)
-    structure.validate(g)
-    return structure
+    """The validated structure; ``boundaries`` spans the boundary operators
+    of B's rows at the input and the output, as ``validate_b_l`` takes them."""
+    a = g.check_matrix()
+    validate_b_l(a, b, l, boundaries)
+    return EcStructure(a=a, b=b, l=l, s_in=s_in, s_out=s_out)
 
 
 def build_ec_structure(
@@ -182,7 +187,7 @@ def build_ec_structure(
     w = _carve(k, [c_in, c_out])
 
     l = extend_span(b, w).rref()
-    return _ec_structure(g, b, l, s_in, s_out)
+    return _ec_structure(g, b, l, s_in, s_out, g.boundaries(b))
 
 
 def complete_ec_structure(g: TannerGraph) -> EcStructure:
@@ -191,7 +196,12 @@ def complete_ec_structure(g: TannerGraph) -> EcStructure:
     spaces = code_spaces(g)
     b = spaces.incoherent
     l = extend_span(b, spaces.kernel).rref()
-    return _ec_structure(g, b, l, *derive_codes_from_b(g, b))
+    s_in, s_out = derive_codes_from_b(g, b)
+    # the generators span B's boundary operators, and operators commute
+    # pairwise iff a spanning set of them does
+    n = g.n_qubits
+    spans = (_pauli_matrix(s_in, n), _pauli_matrix(s_out, n))
+    return _ec_structure(g, b, l, s_in, s_out, spans)
 
 
 def derive_codes_from_b(

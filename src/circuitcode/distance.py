@@ -10,7 +10,7 @@ lex-first support of least weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 from math import comb
 
 from .css import derive_logicals
@@ -82,21 +82,35 @@ def _stream(b_cols, l_cols, p, table, budget):
     index with the prefix would leave a lighter logical error, and a disjoint
     one starting lower would have been hit from an earlier prefix. Returns
     (the first hit's support or None, prefixes visited).
+
+    The prefixes are walked as rows: a (p - 1)-head with each later column.
+    A row whose B-syndromes all miss the table is counted in one step; a row
+    with a table hit is visited column by column.
     """
+    m = len(b_cols)
+    left = comb(m, p) if budget is None else budget
+    keys = table.keys()
     visited = 0
-    for prefix in islice(combinations(range(len(b_cols)), p), budget):
-        visited += 1
-        syn_b = 0
-        for i in prefix:
-            syn_b ^= b_cols[i]
-        entries = table.get(syn_b)
-        if entries:
-            syn_l = 0
-            for i in prefix:
-                syn_l ^= l_cols[i]
-            for other_l, subset in entries:
-                if other_l != syn_l:
-                    return prefix + subset, visited
+    for head in combinations(range(m - 1), p - 1):
+        if visited == left:
+            break
+        start = head[-1] + 1 if head else 0
+        head_b = head_l = 0
+        for i in head:
+            head_b ^= b_cols[i]
+            head_l ^= l_cols[i]
+        row = [head_b ^ col for col in b_cols[start : start + left - visited]]
+        if keys.isdisjoint(row):
+            visited += len(row)
+            continue
+        for j, syn_b in enumerate(row, start):
+            visited += 1
+            entries = table.get(syn_b)
+            if entries:
+                syn_l = head_l ^ l_cols[j]
+                for other_l, subset in entries:
+                    if other_l != syn_l:
+                        return head + (j,) + subset, visited
     return None, visited
 
 

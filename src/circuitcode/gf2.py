@@ -372,19 +372,6 @@ def extend_span(base: BitMatrix, candidates: BitMatrix) -> BitMatrix:
     return BitMatrix(len(kept), candidates.n_cols, kept)
 
 
-def symplectic_product(b1: BitVector, b2: BitVector) -> int:
-    """0 iff the Pauli operators encoded by (x|z) halves commute."""
-    if b1.n != b2.n:
-        raise ValueError("length mismatch")
-    if b1.n % 2:
-        raise ValueError("symplectic product needs even length")
-    n = b1.n // 2
-    mask = (1 << n) - 1
-    x1, z1 = b1.bits & mask, b1.bits >> n
-    x2, z2 = b2.bits & mask, b2.bits >> n
-    return ((x1 & z2).bit_count() + (z1 & x2).bit_count()) & 1
-
-
 # ---------------------------------------------------------------------------
 # Text and alist formats
 

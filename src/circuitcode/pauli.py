@@ -2,13 +2,14 @@
 
 An operator is stored as ``i^phase_exp * sigma(x, z)`` where ``sigma`` is the
 Hermitian convention: ``sigma(x, z) = i^{|x & z|} X^{x_1}Z^{z_1} (x) ...``.
-Products track the phase exactly; ``pauli_sim.conjugate_pauli`` conjugates
-an operator by Clifford gates on a one-row tableau.
+Products track the phase exactly, and commutation is the parity of the
+symplectic product of the packed x and z masks. Conjugation by Clifford
+gates is the tableau's (``pauli_sim``).
 """
 
 from __future__ import annotations
 
-from .gf2 import BitVector, symplectic_product
+from .gf2 import BitVector
 
 _PHASE_STR = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
@@ -95,7 +96,10 @@ class PauliOperator:
         return PauliOperator(self.n, x3, z3, self.phase_exp + other.phase_exp + m)
 
     def commutes_with(self, other: "PauliOperator") -> bool:
-        return symplectic_product(self.xz_vector(), other.xz_vector()) == 0
+        """True iff the symplectic product x.z' + z.x' is even."""
+        if self.n != other.n:
+            raise ValueError("qubit count mismatch")
+        return not ((self.x & other.z) ^ (self.z & other.x)).bit_count() & 1
 
     def __eq__(self, other) -> bool:
         return (

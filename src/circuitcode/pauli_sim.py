@@ -288,28 +288,6 @@ def run(
     return RunResult(t, outcomes)
 
 
-def conjugate_pauli(circuit: Circuit, p: PauliOperator) -> PauliOperator:
-    """Conjugate p through a circuit of gates, tracking the exact sign.
-
-    p is the one row of a tableau, which the gates update as they update
-    every tableau; its imaginary phase bit commutes with them and is kept.
-    """
-    n = circuit.n_qubits
-    if p.n != n:
-        raise ValueError("operator size does not match the circuit")
-    x = [p.x >> q & 1 for q in range(n)]
-    z = [p.z >> q & 1 for q in range(n)]
-    row = Tableau._from_columns(n, x, z, p.phase_exp >> 1)
-    for layer in circuit.layers:
-        for op in layer:
-            row.apply_operation(op)
-    x = z = 0
-    for q in range(n):
-        x |= row.x[q] << q
-        z |= row.z[q] << q
-    return PauliOperator(n, x, z, row.r << 1 | p.phase_exp & 1)
-
-
 # ---------------------------------------------------------------------------
 # The Clifford sign of a codeword
 
@@ -324,13 +302,15 @@ def nu(circuit: Circuit, g: TannerGraph, c: BitVector) -> int:
     out. Each conjugate is checked against the operator at t. A gate on
     qubits where the operator is the identity leaves it the identity with
     sign +1, so only the gates that touch its support are conjugated, and a
-    layer with none of them leaves the operator as it is.
+    layer with none of them leaves the operator as it is. The operator is
+    the one row of a tableau, reset from the wire masks at each layer; its
+    sign bit collects the signs.
     """
     if c.n != g.n_bits or g.syndrome(c):
         raise ValueError("nu needs a codeword of the circuit graph")
     n = circuit.n_qubits
     masks = g.wire_masks(c)
-    sign = 1
+    row = Tableau._from_columns(n, [0] * n, [0] * n, 0)
     for t, layer in enumerate(circuit.layers, start=1):
         (x0, z0), (x1, z1) = masks[t - 1], masks[t]
         support = x0 | z0
@@ -341,15 +321,19 @@ def nu(circuit: Circuit, g: TannerGraph, c: BitVector) -> int:
                 keep &= ~(1 << (op.qubits[0] - 1))
             elif any(support >> (q - 1) & 1 for q in op.qubits):
                 gates.append(op)
-        out = PauliOperator(n, x0 & keep, z0 & keep)
+        x, z = x0 & keep, z0 & keep
         if gates:
-            out = conjugate_pauli(Circuit(n, [gates]), out)
-        if out.x != x1 & keep or out.z != z1 & keep:
+            row.x[:] = [x >> q & 1 for q in range(n)]
+            row.z[:] = [z >> q & 1 for q in range(n)]
+            for op in gates:
+                row.apply_operation(op)
+            x = sum(bit << q for q, bit in enumerate(row.x))
+            z = sum(bit << q for q, bit in enumerate(row.z))
+        if x != x1 & keep or z != z1 & keep:
             raise AssertionError(
                 f"conjugated codeword operator does not match layer {t}"
             )
-        sign *= out.sign()
-    return sign
+    return -1 if row.r else 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ columns and returns the first with zero B-syndrome and nonzero L-syndrome.
 
 import random
 from functools import lru_cache
+from itertools import combinations, islice
+from math import comb
 
 import pytest
 
@@ -143,6 +145,72 @@ def test_table_limit_is_the_largest_table_built(monkeypatch, extra):
         assert res.exact and res.witness.support() == [n - 2, n - 1]
     else:
         assert str(res) == ">1"
+
+
+def oracle_stream(b_cols, l_cols, p, table, budget):
+    """distance._stream as it was written before the row-wise walk: one
+    prefix at a time, each XORed from scratch."""
+    visited = 0
+    for prefix in islice(combinations(range(len(b_cols)), p), budget):
+        visited += 1
+        syn_b = 0
+        for i in prefix:
+            syn_b ^= b_cols[i]
+        entries = table.get(syn_b)
+        if entries:
+            syn_l = 0
+            for i in prefix:
+                syn_l ^= l_cols[i]
+            for other_l, subset in entries:
+                if other_l != syn_l:
+                    return prefix + subset, visited
+    return None, visited
+
+
+def stream_cases():
+    """(B columns, L columns, p, table) over m <= 14 columns with few B rows,
+    so that rows hit the table often: zero-B columns, all-zero L (every hit
+    has an equal L-syndrome) and L nonzero on one column only, p = 1 (an
+    empty head) and tables for k = 0..3."""
+    rng = random.Random(2207)
+    for case in range(240):
+        m = rng.randrange(1, 15)
+        n_b = rng.randrange(0, 6)
+        b_cols = [0 if rng.random() < 0.2 else rng.getrandbits(n_b) for _ in range(m)]
+        if case % 3 == 0:
+            l_cols = [0] * m
+        elif case % 3 == 1:
+            l_cols = [0] * m
+            l_cols[rng.randrange(m)] = 1
+        else:
+            l_cols = [rng.getrandbits(2) for _ in range(m)]
+        k = case % 4
+        p = 1 if case % 5 == 0 else rng.randrange(1, m + 1)
+        yield b_cols, l_cols, p, distance._table(b_cols, l_cols, k)
+
+
+def test_stream_matches_the_prefix_oracle_at_every_budget():
+    hits = cuts = 0
+    for b_cols, l_cols, p, table in stream_cases():
+        total = comb(len(b_cols), p)
+        budgets = [None, *range(total + 1)] if total <= 400 else [None, 0, 1, total // 2, total]
+        for budget in budgets:
+            want = oracle_stream(b_cols, l_cols, p, table, budget)
+            assert distance._stream(b_cols, l_cols, p, table, budget) == want
+            hits += want[0] is not None
+            cuts += budget is not None and want == (None, budget) and budget < total
+    assert hits > 1000 and cuts > 1000
+
+
+def test_stream_rows_with_only_equal_l_hits_are_walked_through():
+    # every prefix hits the table, but with its own L-syndrome, so no row
+    # ends the stream, and a row cut mid-way counts only its visited columns
+    b_cols, l_cols = [0, 1, 1, 0, 1, 0], [0] * 6
+    table = distance._table(b_cols, l_cols, 1)
+    for p in (1, 2, 3):
+        for budget in range(comb(6, p) + 1):
+            got = distance._stream(b_cols, l_cols, p, table, budget)
+            assert got == oracle_stream(b_cols, l_cols, p, table, budget) == (None, budget)
 
 
 def hgp_rep(d):

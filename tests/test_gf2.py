@@ -15,7 +15,6 @@ from circuitcode.gf2 import (
     read_alist,
     read_matrix_supports,
     read_matrix_text,
-    symplectic_product,
     write_alist,
     write_matrix_text,
 )
@@ -109,21 +108,6 @@ def test_span_union():
     assert u3.row_space_member(BitVector.from_bits([1, 0, 1]))
 
 
-def test_symplectic_product():
-    x1 = BitVector.from_bits([1, 0])
-    z1 = BitVector.from_bits([0, 1])
-    assert symplectic_product(x1, z1) == 1
-    assert symplectic_product(x1, x1) == 0
-    x1x2 = BitVector.from_bits([1, 1, 0, 0])
-    z1_2q = BitVector.from_bits([0, 0, 1, 0])
-    assert symplectic_product(x1x2, z1_2q) == 1
-
-
-def test_symplectic_product_odd_length():
-    with pytest.raises(ValueError):
-        symplectic_product(BitVector.from_bits([1, 0, 1]), BitVector.from_bits([0, 1, 1]))
-
-
 # ---------------------------------------------------------------------------
 # Invariants
 
@@ -157,23 +141,6 @@ def test_random_rowspace_membership():
             if rng.random() < 0.5:
                 combo ^= r
         assert m.row_space_member(BitVector(8, combo))
-
-
-def test_symplectic_bilinear_symmetric():
-    rng = random.Random(17)
-    for _ in range(40):
-        n = 2 * rng.randrange(1, 5)
-        a = BitVector(n, rng.getrandbits(n))
-        b = BitVector(n, rng.getrandbits(n))
-        c = BitVector(n, rng.getrandbits(n))
-        assert symplectic_product(a, b) == symplectic_product(b, a)
-        assert (
-            symplectic_product(a ^ b, c)
-            == (symplectic_product(a, c) + symplectic_product(b, c)) % 2
-        )
-    # Disjoint x/z supports commute with themselves.
-    v = BitVector.from_bits([1, 0, 0, 1])
-    assert symplectic_product(v, v) == 0
 
 
 def test_solve():

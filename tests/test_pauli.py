@@ -1,14 +1,38 @@
 """Pauli phase arithmetic and gate conjugation checked against dense complex
-matrices: ``conjugate_pauli`` runs each one-operation circuit on the tableau
-gates, so these oracles pin the simulator's gate rules."""
+matrices: ``conjugate_pauli`` below runs each one-operation circuit on the
+tableau gates, so these oracles pin the simulator's gate rules."""
 
 import itertools
+import random
 
 import pytest
 
 from circuitcode.circuit import Circuit, OpKind, Operation
 from circuitcode.pauli import PauliOperator
-from circuitcode.pauli_sim import conjugate_pauli
+from circuitcode.pauli_sim import Tableau
+
+
+def conjugate_pauli(circuit: Circuit, p: PauliOperator) -> PauliOperator:
+    """Conjugate p through a circuit of gates, tracking the exact sign.
+
+    p is the one row of a tableau, which the gates update as they update
+    every tableau; its imaginary phase bit commutes with them and is kept.
+    """
+    n = circuit.n_qubits
+    if p.n != n:
+        raise ValueError("operator size does not match the circuit")
+    x = [p.x >> q & 1 for q in range(n)]
+    z = [p.z >> q & 1 for q in range(n)]
+    row = Tableau._from_columns(n, x, z, p.phase_exp >> 1)
+    for layer in circuit.layers:
+        for op in layer:
+            row.apply_operation(op)
+    x = z = 0
+    for q in range(n):
+        x |= row.x[q] << q
+        z |= row.z[q] << q
+    return PauliOperator(n, x, z, row.r << 1 | p.phase_exp & 1)
+
 
 I2 = ((1, 0), (0, 1))
 X = ((0, 1), (1, 0))
@@ -171,3 +195,40 @@ def test_commutes_with():
     c = PauliOperator.from_label("Z1Z2", 2)
     assert not a.commutes_with(b)
     assert a.commutes_with(c)
+
+
+def test_commutes_with_symplectic_values():
+    x1 = PauliOperator.from_label("X1", 1)
+    z1 = PauliOperator.from_label("Z1", 1)
+    assert not x1.commutes_with(z1)
+    assert x1.commutes_with(x1)
+    assert not PauliOperator.from_label("X1X2", 2).commutes_with(PauliOperator.from_label("Z1", 2))
+
+
+def test_commutes_with_rejects_a_qubit_count_mismatch():
+    with pytest.raises(ValueError, match="qubit count mismatch"):
+        PauliOperator.from_label("X1", 1).commutes_with(PauliOperator.from_label("Z1", 2))
+
+
+def test_commutes_with_bilinear_symmetric():
+    # the symplectic form: symmetric, and additive in each argument, where
+    # adding (x|z) vectors is multiplying operators up to phase
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randrange(1, 5)
+        a, b, c = (PauliOperator(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(3))
+        assert a.commutes_with(b) == b.commutes_with(a)
+        assert (a * b).commutes_with(c) == (a.commutes_with(c) == b.commutes_with(c))
+        assert a.commutes_with(a)
+    # disjoint x and z supports commute with themselves
+    v = PauliOperator.from_label("X1Z2", 2)
+    assert v.commutes_with(v)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_commutes_with_matches_dense(n):
+    paulis = [PauliOperator(n, x, z) for x in range(1 << n) for z in range(1 << n)]
+    for a, b in itertools.product(paulis, repeat=2):
+        ab, ba = matmul(dense(a), dense(b)), matmul(dense(b), dense(a))
+        assert a.commutes_with(b) == close(ab, ba)
+        assert a.commutes_with(b) != close(ab, tuple(tuple(-v for v in row) for row in ba))
