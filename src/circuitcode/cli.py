@@ -22,6 +22,7 @@ from .gf2 import (
     alist_text,
     matrix_text_lines,
     read_alist,
+    read_alist_supports,
     read_matrix_supports,
     read_matrix_text,
     write_matrix_text,
@@ -57,7 +58,7 @@ def _read_circuit(path: str):
 
 
 def _read_matrix(path: str) -> BitMatrix:
-    text = Path(path).read_text()
+    text = Path(path).read_text(encoding="ascii")
     if path.endswith(".alist"):
         return read_alist(text)
     return read_matrix_text(text)
@@ -87,8 +88,8 @@ def _load_graph(prefix: str) -> tuple[TannerGraph, SymmetryWitness | None]:
         with _bundle(prefix, ".A.txt").open("rb") as f:
             n_cols, checks = read_matrix_supports(f)
     else:
-        a = read_alist(_bundle(prefix, ".A.alist").read_text())
-        n_cols, checks = a.n_cols, [v.support() for v in a.row_vectors()]
+        text = _bundle(prefix, ".A.alist").read_text(encoding="ascii")
+        n_cols, checks = read_alist_supports(text)
     labels = None
     if _bundle(prefix, ".labels").exists():
         labels = read_labels(_bundle(prefix, ".labels").read_text())

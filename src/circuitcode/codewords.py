@@ -100,9 +100,8 @@ def _pauli_matrix(paulis: list[PauliOperator], n: int) -> BitMatrix:
 
 @dataclass
 class EcStructure:
-    """Error-correction check matrix and logical generators of a circuit."""
+    """Error-detecting codewords B and logical generators L of a circuit."""
 
-    a: BitMatrix
     b: BitMatrix
     l: BitMatrix
     s_in: list[PauliOperator]
@@ -150,9 +149,8 @@ def _ec_structure(
 ) -> EcStructure:
     """The validated structure; ``boundaries`` spans the boundary operators
     of B's rows at the input and the output, as ``validate_b_l`` takes them."""
-    a = g.check_matrix()
-    validate_b_l(a, b, l, boundaries)
-    return EcStructure(a=a, b=b, l=l, s_in=s_in, s_out=s_out)
+    validate_b_l(g.check_matrix(), b, l, boundaries)
+    return EcStructure(b=b, l=l, s_in=s_in, s_out=s_out)
 
 
 def build_ec_structure(

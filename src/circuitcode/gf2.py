@@ -7,7 +7,6 @@ weight-ordered enumeration used by the distance search cheap.
 
 from __future__ import annotations
 
-import codecs
 from itertools import chain
 from typing import BinaryIO, Iterable, Iterator, Sequence
 
@@ -378,8 +377,7 @@ def extend_span(base: BitMatrix, candidates: BitMatrix) -> BitMatrix:
 
 # bytes read from a dense text file at a time
 _CHUNK_BYTES = 1 << 20
-# the whitespace of bytes.split(); str.split() also splits on \x1c-\x1f and
-# on non-ASCII spaces, which only the token-list step of the reader sees
+# the whitespace of bytes.split()
 _SPACE = b" \t\n\r\x0b\x0c"
 
 
@@ -406,69 +404,64 @@ def write_matrix_text(m: BitMatrix) -> str:
 def read_matrix_supports(f: BinaryIO) -> tuple[int, list[Sequence[int]]]:
     """(column count, row supports) of the dense text matrix in binary file f.
 
-    The file is read in chunks and decoded as UTF-8. It is accepted, or
-    rejected with the same message, as ``read_matrix_text`` of its text.
+    The file is read in chunks of ASCII bytes; tokens are separated by ASCII
+    whitespace. A byte outside ASCII is the file's error, raised before any
+    other with the line ``read_text(encoding="ascii")`` gives.
     """
-    return _parse_matrix_text(_token_pieces(_decoded_chunks(f)))
+    chunks = iter(lambda: f.read(_CHUNK_BYTES), b"")
+    return _parse_matrix_text(_token_pieces(_ascii_chunks(chunks)))
 
 
 def read_matrix_text(text: str) -> BitMatrix:
-    chunks = (text[i : i + _CHUNK_BYTES] for i in range(0, len(text), _CHUNK_BYTES))
-    n_cols, supports = _parse_matrix_text(_token_pieces(chunks))
+    """The dense text matrix whose file holds the UTF-8 encoding of text."""
+    chunks = (text[i : i + _CHUNK_BYTES].encode() for i in range(0, len(text), _CHUNK_BYTES))
+    n_cols, supports = _parse_matrix_text(_token_pieces(_ascii_chunks(chunks)))
+    return _from_supports(n_cols, supports)
+
+
+def _from_supports(n_cols: int, supports: Sequence[Iterable[int]]) -> BitMatrix:
     return BitMatrix(len(supports), n_cols, [sum(1 << j for j in s) for s in supports])
 
 
-def _decoded_chunks(f: BinaryIO) -> Iterator[str]:
-    """The UTF-8 text of f, a chunk at a time. A decoding error is the one
-    ``read_text()`` raises: its position counts from the start of the file."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
+def _ascii_chunks(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The chunks of a file; the first byte outside ASCII ends them in the
+    error ``read_text(encoding="ascii")`` raises, its position counted from
+    the start of the file."""
     offset = 0
-    while True:
-        read = f.read(_CHUNK_BYTES)
-        start = offset - len(decoder.getstate()[0])
-        try:
-            text = decoder.decode(read, final=not read)
-        except UnicodeDecodeError as exc:
-            raise _decode_error(exc, start) from None
-        yield text
-        if not read:
-            return
-        offset += len(read)
-
-
-def _token_pieces(chunks: Iterable[str]) -> Iterator[str]:
-    """The text of chunks in pieces that each end between two tokens: a
-    token cut by a chunk's end goes on into the next piece."""
-    tail = ""
     for chunk in chunks:
-        text = tail + chunk
-        tail = text.rsplit(None, 1)[-1] if text and not text[-1].isspace() else ""
-        if len(text) > len(tail):
-            yield text[: len(text) - len(tail)]
+        if not chunk.isascii():
+            at = next(i for i, b in enumerate(chunk) if b > 127)
+            raise ValueError(
+                f"'ascii' codec can't decode byte 0x{chunk[at]:02x} in position"
+                f" {offset + at}: ordinal not in range(128)"
+            )
+        yield chunk
+        offset += len(chunk)
+
+
+def _token_pieces(chunks: Iterable[bytes]) -> Iterator[bytes]:
+    """The bytes of chunks in pieces that each end between two tokens: a
+    token cut by a chunk's end goes on into the next piece."""
+    tail = b""
+    for chunk in chunks:
+        data = tail + chunk
+        tail = data.rsplit(None, 1)[-1] if not data[-1:].isspace() else b""
+        if len(data) > len(tail):
+            yield data[: len(data) - len(tail)]
     if tail:
         yield tail
 
 
-def _decode_error(exc: UnicodeDecodeError, start: int) -> ValueError:
-    """exc, whose positions count from file offset start, as read from offset 0."""
-    first = start + exc.start
-    if exc.end - exc.start == 1:
-        where = f"byte 0x{exc.object[exc.start]:02x} in position {first}"
-    else:
-        where = f"bytes in position {first}-{start + exc.end - 1}"
-    return ValueError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}")
-
-
-def _parse_matrix_text(pieces: Iterable[str]) -> tuple[int, list[Sequence[int]]]:
+def _parse_matrix_text(pieces: Iterable[bytes]) -> tuple[int, list[Sequence[int]]]:
     """(column count, row supports) of the matrix text in pieces that end
     between tokens. Errors, in order: a header with fewer than two tokens or a
     non-integer one, then the entry count, then the first entry that is not 0
     or 1, then a negative shape; each is raised after every piece is read."""
     pieces = iter(pieces)
-    head: list[str] = []
-    rest = ""
-    for text in pieces:
-        words = text.split(None, 2 - len(head))
+    head: list[bytes] = []
+    rest = b""
+    for data in pieces:
+        words = data.split(None, 2 - len(head))
         if len(words) > 2 - len(head):
             rest = words.pop()
         head += words
@@ -477,24 +470,25 @@ def _parse_matrix_text(pieces: Iterable[str]) -> tuple[int, list[Sequence[int]]]
     try:
         if len(head) < 2:
             raise ValueError("matrix text needs a '<rows> <cols>' header")
-        n_rows, n_cols = int(head[0]), int(head[1])
+        # decoded, so that int()'s message quotes a bad token as text
+        n_rows, n_cols = int(head[0].decode()), int(head[1].decode())
     except ValueError:
-        for _ in pieces:  # a decoding error further on is the file's error
+        for _ in pieces:  # a byte outside ASCII further on is the file's error
             pass
         raise
     rows: list[Sequence[int]] = []
     found = 0
     bad = None
     left = b""  # the entries of the row in progress
-    for text in chain([rest], pieces):
-        entries = _one_byte_entries(text)
+    for data in chain([rest], pieces):
+        entries = _one_byte_entries(data)
         if entries is not None:
             found += len(entries)
         else:
-            tokens = text.split()
+            tokens = data.split()
             found += len(tokens)
-            bad = bad or next((t for t in tokens if t not in ("0", "1")), None)
-            entries = "".join(tokens).encode()
+            bad = bad or next((t for t in tokens if t not in (b"0", b"1")), None)
+            entries = b"".join(tokens)
         if bad is not None or n_cols <= 0 or len(rows) == n_rows:
             continue
         left += entries
@@ -512,16 +506,15 @@ def _parse_matrix_text(pieces: Iterable[str]) -> tuple[int, list[Sequence[int]]]
     if found != n_rows * n_cols:
         raise ValueError(f"expected {n_rows * n_cols} entries, found {found}")
     if bad is not None:
-        raise ValueError(f"matrix entries must be 0 or 1, found {bad!r}")
+        raise ValueError(f"matrix entries must be 0 or 1, found {bad.decode()!r}")
     if n_rows < 0 or n_cols < 0:
         raise ValueError("shape must be non-negative")
     return n_cols, rows if n_cols else [()] * n_rows
 
 
-def _one_byte_entries(text: str) -> bytes | None:
+def _one_byte_entries(data: bytes) -> bytes | None:
     """The entries of a piece that alternates a 0/1 entry and one whitespace
-    byte, as written; None for any other piece, which str.split() reads."""
-    data = text.encode() if text.isascii() else b""
+    byte, as written; None for any other piece, which bytes.split() reads."""
     if not data or len(data) % 2 or data[1::2].translate(None, _SPACE):
         return None
     entries = data[0::2]
@@ -554,6 +547,12 @@ def alist_text(n_cols: int, supports: Sequence[Sequence[int]]) -> str:
 
 
 def read_alist(text: str) -> BitMatrix:
+    return _from_supports(*read_alist_supports(text))
+
+
+def read_alist_supports(text: str) -> tuple[int, list[list[int]]]:
+    """(column count, ascending row supports) of the alist matrix text: the
+    column lists build the supports, and each row list must match its own."""
     tokens = [int(t) for t in text.split()]
     if len(tokens) < 4:
         raise ValueError("truncated alist")
@@ -565,28 +564,30 @@ def read_alist(text: str) -> BitMatrix:
         raise ValueError(f"truncated alist: expected {expected} entries, found {len(tokens)}")
     if len(tokens) > expected:
         raise ValueError(f"alist has {len(tokens) - expected} entries past its header's count")
-    it = iter(tokens[4:])
-    col_deg = [next(it) for _ in range(n)]
-    row_deg = [next(it) for _ in range(mm)]
-    rows = [0] * mm
+    col_deg = tokens[4 : 4 + n]
+    row_deg = tokens[4 + n : 4 + n + mm]
+    at = 4 + n + mm
+    supports: list[list[int]] = [[] for _ in range(mm)]
     for j in range(n):
-        entries = [next(it) for _ in range(max_col)]
         seen = 0
-        for v in entries:
+        for v in tokens[at : at + max_col]:
             if v == 0:
                 continue
             if not 0 < v <= mm:
                 raise ValueError(f"column {j} lists check {v}, outside 1..{mm}")
-            rows[v - 1] |= 1 << j
+            support = supports[v - 1]
+            if support and support[-1] == j:
+                raise ValueError(f"column {j} lists check {v} twice")
+            support.append(j)
             seen += 1
         if seen != col_deg[j]:
             raise ValueError(f"column {j} degree mismatch")
+        at += max_col
     for i in range(mm):
-        entries = [next(it) for _ in range(max_row)]
-        sup = {v - 1 for v in entries if v != 0}
-        if len(sup) != row_deg[i]:
+        listed = {v - 1 for v in tokens[at : at + max_row] if v != 0}
+        if len(listed) != row_deg[i]:
             raise ValueError(f"row {i} degree mismatch")
-        expect = set(BitVector(n, rows[i]).support())
-        if sup != expect:
+        if listed != set(supports[i]):
             raise ValueError(f"row {i} support inconsistent with column lists")
-    return BitMatrix(mm, n, rows)
+        at += max_row
+    return n, supports

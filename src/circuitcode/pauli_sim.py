@@ -178,9 +178,6 @@ class Tableau:
                 self.apply_pauli(low, 0)
         return outcome
 
-    def measure_z(self, q: int, rng=None) -> int:
-        return self.measure_pauli(PauliOperator(self.n, 0, 1 << q), rng)
-
     def stabilizes(self, p: PauliOperator) -> int | None:
         """Expectation of p when it is +-1; None when the expectation is 0."""
         s = 0 if p.sign() == 1 else 1

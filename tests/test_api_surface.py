@@ -24,7 +24,6 @@ KEEP = {
     "bit_split": "paper-facing: the code-preserving bit split that symmetrize applies at every junction; acceptance criterion 5 folds it",
     "find_anticommuting_partner": "paper-facing: the anticommuting genuine propagator every genuine propagator has, on both boundaries",
     "Tableau.apply_swap": "perfbench/tracing.py wraps the gate methods by the built name apply_{g}",
-    "Tableau.measure_z": "the row-major reference-tableau test drives the gates by name",
     "write_alist": "perfbench/tracing.py wraps the text formats by name; the CLI writes alist bundles from the checks with alist_text",
 }
 

@@ -785,3 +785,51 @@ def test_a_bundle_with_a_label_too_few_is_an_error(zz_file, tmp_path, capsys):
     for command in (["split", "--out-prefix", tmp_path / "out"], ["export-dot", "--out", tmp_path / "g.dot"]):
         code, out, err = run_cli([command[0], "--graph", tmp_path / "sym", *command[1:]], capsys)
         assert (code, out, err) == (1, "", "error: label count must match columns\n")
+
+
+def _matrix_file_cases(zz_file, tmp_path, capsys):
+    """Matrix file -> a command that reads it, for each kind the CLI reads."""
+    for alist in (False, True):
+        prefix = tmp_path / ("alist" if alist else "dense")
+        args = ["symmetrize", "--circuit", zz_file, "--out-prefix", prefix]
+        assert run_cli(args + ["--alist"] * alist, capsys)[0] == 0
+    assert run_cli(["ec-matrices", "--circuit", zz_file, "--out-prefix", tmp_path / "ec",
+                    "--complete"], capsys)[0] == 0
+    (tmp_path / "gx.txt").write_text(STEANE_H)
+    (tmp_path / "gz.txt").write_text(STEANE_H)
+    return {
+        "dense.A.txt": ["split", "--graph", tmp_path / "dense", "--out-prefix", tmp_path / "o"],
+        "alist.A.alist": ["export-dot", "--graph", tmp_path / "alist", "--out", tmp_path / "g.dot"],
+        "ec.B.txt": ["distance", "--b", tmp_path / "ec.B.txt", "--l", tmp_path / "ec.L.txt"],
+        "gx.txt": ["css-gen", "--gx", tmp_path / "gx.txt", "--gz", tmp_path / "gz.txt",
+                   "--layer", "rep:1", "--out-prefix", tmp_path / "css"],
+    }
+
+
+def test_a_byte_outside_ascii_in_a_matrix_file_is_one_error_line(zz_file, tmp_path, capsys):
+    for name, args in _matrix_file_cases(zz_file, tmp_path, capsys).items():
+        path = tmp_path / name
+        data = path.read_bytes()
+        assert run_cli(args, capsys)[0] == 0, name
+        # an e-acute in the middle, and a bad header before it: the byte comes first
+        mid = len(data) // 2
+        for head in (b"", b"x"):
+            path.write_bytes(head + data[:mid] + b"\xc3\xa9" + data[mid:])
+            want = (
+                f"error: 'ascii' codec can't decode byte 0xc3 in position {len(head) + mid}:"
+                " ordinal not in range(128)\n"
+            )
+            assert run_cli(args, capsys) == (1, "", want), (name, head)
+        path.write_bytes(data)
+
+
+def test_an_alist_column_listing_a_check_twice_is_an_error(tmp_path, capsys):
+    # column 0 declares degree 2 but lists check 1 twice
+    text = "2 1\n2 2\n2 0\n1\n1 1\n0 0\n1 0\n"
+    (tmp_path / "g.A.alist").write_text(text)
+    (tmp_path / "b.alist").write_text(text)
+    (tmp_path / "l.txt").write_text("1 2\n1 1\n")
+    want = (1, "", "error: column 0 lists check 1 twice\n")
+    args = ["export-dot", "--graph", tmp_path / "g", "--out", tmp_path / "g.dot"]
+    assert run_cli(args, capsys) == want
+    assert run_cli(["distance", "--b", tmp_path / "b.alist", "--l", tmp_path / "l.txt"], capsys) == want

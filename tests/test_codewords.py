@@ -154,9 +154,9 @@ def test_validate_b_l_trips_each_condition():
         "B boundary operators must commute": replace(ec, b=ec.l, l=no_rows),
     }
     for message, structure in broken.items():
-        a, b, l = structure.a, structure.b, structure.l
+        b, l = structure.b, structure.l
         with pytest.raises(ValueError, match=re.escape(message)):
-            cw.validate_b_l(a, b, l, g.boundaries(b))
+            cw.validate_b_l(g.check_matrix(), b, l, g.boundaries(b))
 
 
 def test_ec_structure_unitary_circuit():

@@ -13,6 +13,7 @@ from circuitcode.gf2 import (
     kron,
     matrix_text_lines,
     read_alist,
+    read_alist_supports,
     read_matrix_supports,
     read_matrix_text,
     write_alist,
@@ -484,17 +485,18 @@ def file_matrix(data):
 
 
 def read_text_matrix(data):
-    """The old path: Path.read_text() decodes the whole file, then the oracle reads it."""
-    return oracle_read_matrix_text(data.decode("utf-8"))
+    """The whole-file path: read_text(encoding="ascii") decodes the file, then
+    the oracle reads the text. A byte outside ASCII raises the decoding error."""
+    return oracle_read_matrix_text(data.decode("ascii"))
 
 
-# chunk sizes that cut tokens, rows and multi-byte characters, and the real one
+# chunk sizes that cut tokens and rows, and the real one
 CHUNKS = (1, 2, 3, 5, 8, 64, gf2._CHUNK_BYTES)
 
 
 def assert_reads_like_the_oracle(monkeypatch, data):
     """File bytes data read in chunks of every size, and its text, as the
-    old reader reads them: the same matrix or the same error message."""
+    whole-file path reads them: the same matrix or the same error message."""
     want = outcome(read_text_matrix, data)
     for size in CHUNKS:
         monkeypatch.setattr(gf2, "_CHUNK_BYTES", size)
@@ -541,11 +543,8 @@ LAYOUTS = [
     "2 3\r\n1 0 1\r\n0 0 1\r\n",  # CRLF
     "  2   3 \n\n 1 0  1\n\n0 0 1  \n\n",  # runs of spaces and blank lines
     "2 3\x0b1\x0c0 1\r0 0 1",  # vertical tab, form feed, lone CR
-    "2 3\x1c1\x1d0\x1e1\x1f0 0 1\n",  # separators that only str.split() splits on
-    "2\u00a03\u20031\u30000\u20281\u00850\u20290\u205f1\u1680",  # Unicode whitespace
     "2 3\n1 0 1\n0 0 1",  # no final newline
     "+2 0_3\n1 0 1\n0 0 1\n",  # int() spellings of the header
-    "\uff12 \u0663\n1 0 1\n0 0 1\n",  # non-ASCII digits in the header
 ]
 
 
@@ -555,10 +554,24 @@ def test_reader_takes_every_layout_the_whole_text_reader_takes(monkeypatch):
         assert_reads_like_the_oracle(monkeypatch, text.encode())
 
 
+def test_separators_outside_ascii_whitespace_stay_inside_their_token(monkeypatch):
+    # str.split() splits on \x1c-\x1f; the reader splits on ASCII whitespace only
+    header = "2 3\x1c1\x1d0\x1e1\x1f0 0 1\n"
+    want = ("error", "invalid literal for int() with base 10: '3\\x1c1\\x1d0\\x1e1\\x1f0'")
+    for size in CHUNKS:
+        monkeypatch.setattr(gf2, "_CHUNK_BYTES", size)
+        assert outcome(file_matrix, header.encode()) == want
+        for sep in "\x1c\x1d\x1e\x1f":
+            data = f"1 2\n1{sep}0\n".encode()
+            assert outcome(file_matrix, data) == ("error", "expected 2 entries, found 1")
+            data = f"1 1\n{sep}1\n".encode()
+            want_entry = f"matrix entries must be 0 or 1, found {sep + '1'!r}"
+            assert outcome(file_matrix, data) == ("error", want_entry)
+
+
 BAD_TEXTS = [
     "", "  \n", "3", "x 3\n", "3 y\n", "2 3\n1 0 1\n0 0\n", "2 3\n1 0 1\n0 0 1 1\n",
-    "2 3\n1 0 2\n0 0 1\n", "2 3\n1 01\n0 0 1 1\n", "2 3\n1 0 1\n0 0 \u00e9\n",
-    "1 3\n1 \uff11 0\n", "2 3\n1 0 1\n0 0 1\ufeff\n", "\ufeff2 3\n1 0 1\n0 0 1\n",
+    "2 3\n1 0 2\n0 0 1\n", "2 3\n1 01\n0 0 1 1\n",
     "-1 -2\n0 0\n", "-1 0\n", "0 -2\n", "-2 2\n", "2 -2\n1 1 1 1\n",
     "1 2\n1 -1\n", "1 2\n0 x\n", "1 2\n1 0 1\n", "2 0\n1\n",
     "1 2\n1 0\x00\n", "1 2\n0 2 x 1\n",
@@ -572,29 +585,53 @@ def test_reader_rejects_what_the_whole_text_reader_rejects(monkeypatch):
         assert_reads_like_the_oracle(monkeypatch, text.encode())
 
 
-BAD_BYTES = [
-    b"2 3\n1 0 1\n0 0 \xff\n",  # an invalid start byte
-    b"2 3\n1 0 1\n0 0 1\n\xe2\x80",  # a character cut off at the end of the file
-    b"2 3\n1 0 1\n\xe2\x80\x41 0 1\n",  # an invalid continuation byte
-    b"x 3\n1 0 1\n0 0 1\n\xc3",  # a bad header before a decoding error
-    b"2 3\n1 0 2\n0 0 1\xed\xa0\x80\n",  # a bad entry before an encoded surrogate
-    b"\xf0\x9f\x98\x80 3",  # a valid four-byte character as the header
-    b"2 3\n1 0 1\n0 0 1\n" + b"\xc3\xa9" * 3 + b"\x80",
+def ascii_error(byte, position):
+    return (
+        "error",
+        f"'ascii' codec can't decode byte 0x{byte:02x} in position {position}:"
+        " ordinal not in range(128)",
+    )
+
+
+# files with a byte outside ASCII: the first such byte and its offset
+NON_ASCII = [
+    ("2\u00a03\u20031\u30000\u20281\u00850\u20290\u205f1\u1680".encode(), 0xC2, 1),  # Unicode whitespace
+    ("\uff12 \u0663\n1 0 1\n0 0 1\n".encode(), 0xEF, 0),  # non-ASCII digits
+    ("2 3\n1 0 1\n0 0 \u00e9\n".encode(), 0xC3, 14),
+    ("1 3\n1 \uff11 0\n".encode(), 0xEF, 6),
+    ("2 3\n1 0 1\n0 0 1\ufeff\n".encode(), 0xEF, 15),  # a byte order mark at the end
+    ("\ufeff2 3\n1 0 1\n0 0 1\n".encode(), 0xEF, 0),  # and at the start
+    (b"2 3\n1 0 1\n0 0 \xff\n", 0xFF, 14),  # an invalid UTF-8 start byte
+    (b"2 3\n1 0 1\n0 0 1\n\xe2\x80", 0xE2, 16),  # a character cut off at the end
+    (b"2 3\n1 0 1\n\xe2\x80\x41 0 1\n", 0xE2, 10),  # an invalid continuation byte
+    (b"x 3\n1 0 1\n0 0 1\n\xc3", 0xC3, 16),  # a bad header before it
+    (b"2 3\n1 0 2\n0 0 1\xed\xa0\x80\n", 0xED, 15),  # a bad entry before it
+    (b"\xf0\x9f\x98\x80 3", 0xF0, 0),  # a four-byte character as the header
+    (b"2 3\n1 0 1\n0 0 1\n" + b"\xc3\xa9" * 3 + b"\x80", 0xC3, 16),
+    (b"1 2\n1 0\n" + b"\x80" * 5, 0x80, 8),  # trailing bytes past a good matrix
 ]
 
 
 def test_reader_rejects_bytes_that_are_not_utf8_as_read_text_does(monkeypatch):
-    for data in BAD_BYTES:
-        want = outcome(read_text_matrix, data)  # UnicodeDecodeError is a ValueError
-        assert want[0] == "error"
+    # every byte outside ASCII is the file's error, before any other, with
+    # the line read_text(encoding="ascii") raises; small chunks put it in a
+    # later chunk than the first
+    for data, byte, position in NON_ASCII:
+        want = ascii_error(byte, position)
+        assert outcome(read_text_matrix, data) == want  # UnicodeDecodeError is a ValueError
         for size in CHUNKS:
             monkeypatch.setattr(gf2, "_CHUNK_BYTES", size)
             assert outcome(file_matrix, data) == want, (size, data)
+            try:
+                text = data.decode("utf-8")
+            except UnicodeDecodeError:
+                continue
+            assert outcome(read_matrix_text, text) == want, (size, data)
 
 
 def test_reader_matches_the_whole_text_reader_on_corrupted_files(monkeypatch):
     rng = random.Random(67)
-    chars = ["0", "1", " ", "\n", "\t", "\r", "2", "-", "x", "\u00a0", "\u00e9", "\x1c", "\uff11"]
+    chars = ["0", "1", " ", "\n", "\t", "\r", "2", "-", "x", "\x0b", "+", "_", "\x00"]
     cases = 0
     for _ in range(300):
         n_rows, n_cols = rng.randrange(4), rng.randrange(5)
@@ -637,7 +674,125 @@ def test_a_row_and_a_token_cross_the_real_chunk_boundary():
         else:
             # the space there becomes a three-byte space that the boundary cuts
             spaced = data[: chunk - 1] + "\u3000".encode() + data[chunk:]
-            assert outcome(file_matrix, spaced) == outcome(read_text_matrix, spaced) == ("ok", m)
+            want = ascii_error(0xE3, chunk - 1)
+            assert outcome(file_matrix, spaced) == outcome(read_text_matrix, spaced) == want
+            # and a byte past the end of the first chunk is found there
+            late = data + b"\x80"
+            want = ascii_error(0x80, len(data))
+            assert outcome(file_matrix, late) == outcome(read_text_matrix, late) == want
+
+
+# ---------------------------------------------------------------------------
+# The alist format against the reader that built one N-bit row per check
+
+
+def oracle_read_alist(text):
+    tokens = [int(t) for t in text.split()]
+    if len(tokens) < 4:
+        raise ValueError("truncated alist")
+    n, mm, max_col, max_row = tokens[:4]
+    if min(n, mm, max_col, max_row) < 0:
+        raise ValueError("alist header values must be non-negative")
+    expected = 4 + n + mm + n * max_col + mm * max_row
+    if len(tokens) < expected:
+        raise ValueError(f"truncated alist: expected {expected} entries, found {len(tokens)}")
+    if len(tokens) > expected:
+        raise ValueError(f"alist has {len(tokens) - expected} entries past its header's count")
+    it = iter(tokens[4:])
+    col_deg = [next(it) for _ in range(n)]
+    row_deg = [next(it) for _ in range(mm)]
+    rows = [0] * mm
+    for j in range(n):
+        entries = [next(it) for _ in range(max_col)]
+        seen = 0
+        for v in entries:
+            if v == 0:
+                continue
+            if not 0 < v <= mm:
+                raise ValueError(f"column {j} lists check {v}, outside 1..{mm}")
+            rows[v - 1] |= 1 << j
+            seen += 1
+        if seen != col_deg[j]:
+            raise ValueError(f"column {j} degree mismatch")
+    for i in range(mm):
+        entries = [next(it) for _ in range(max_row)]
+        sup = {v - 1 for v in entries if v != 0}
+        if len(sup) != row_deg[i]:
+            raise ValueError(f"row {i} degree mismatch")
+        expect = set(BitVector(n, rows[i]).support())
+        if sup != expect:
+            raise ValueError(f"row {i} support inconsistent with column lists")
+    return BitMatrix(mm, n, rows)
+
+
+def alist_matrices():
+    """Seeded matrices with empty rows and columns, and 0 x n and n x 0 ones."""
+    rng = random.Random(73)
+    cases = [BitMatrix(0, 0), BitMatrix(0, 5), BitMatrix(4, 0), BitMatrix(3, 6)]
+    for _ in range(60):
+        n_rows, n_cols = rng.randrange(1, 9), rng.randrange(1, 12)
+        density = rng.choice((0.1, 0.3, 0.6))
+        rows = [sum(1 << j for j in range(n_cols) if rng.random() < density)
+                for _ in range(n_rows)]
+        cases.append(BitMatrix(n_rows, n_cols, rows))
+    return cases
+
+
+def column_lists_a_check_twice(text):
+    """Whether some column list of the alist text names one check twice."""
+    tokens = [int(t) for t in text.split()]
+    n, mm, max_col = tokens[:3]
+    lists = tokens[4 + n + mm :]
+    for j in range(n):
+        checks = [v for v in lists[j * max_col : (j + 1) * max_col] if v]
+        if len(set(checks)) < len(checks):
+            return True
+    return False
+
+
+def test_alist_reader_matches_the_row_building_reader():
+    for m in alist_matrices():
+        text = write_alist(m)
+        assert outcome(read_alist, text) == outcome(oracle_read_alist, text) == ("ok", m)
+        n_cols, supports = read_alist_supports(text)
+        assert (n_cols, supports) == (m.n_cols, [naive_set_bits(r) for r in m.rows])
+
+
+def test_alist_reader_rejects_what_the_row_building_reader_rejects():
+    rng = random.Random(79)
+    values = ["0", "1", "2", "3", "-1", "9", "x"]
+    errors = twice = 0
+    for m in alist_matrices():
+        tokens = write_alist(m).split()
+        for _ in range(20):
+            bad = list(tokens)
+            for _ in range(rng.randrange(1, 3)):
+                at = rng.randrange(len(bad) + 1)
+                kind = rng.randrange(3)
+                if kind == 0 and at < len(bad):
+                    bad[at] = rng.choice(values + bad)
+                elif kind == 1:
+                    bad.insert(at, rng.choice(values))
+                else:
+                    del bad[at - 1 : at]
+            text = " ".join(bad) + "\n"
+            got, want = outcome(read_alist, text), outcome(oracle_read_alist, text)
+            if got[0] == "error" and got[1].endswith(" twice"):
+                assert column_lists_a_check_twice(text), text
+                twice += 1
+            else:
+                assert got == want, text
+            errors += got[0] == "error"
+    assert errors > 500 and twice > 0
+
+
+def test_alist_column_listing_a_check_twice_is_an_error():
+    # column 0 declares degree 2 but lists check 1 twice: one edge
+    text = "2 1\n2 2\n2 0\n1\n1 1\n0 0\n1 0\n"
+    assert oracle_read_alist(text) == BitMatrix(1, 2, [0b01])
+    for read in (read_alist, read_alist_supports):
+        with pytest.raises(ValueError, match="^column 0 lists check 1 twice$"):
+            read(text)
 
 
 def test_read_alist_rejects_truncated_input():

@@ -33,7 +33,7 @@ def test_conjugate_rejects_measurement():
 
 def test_measure_zero_state_deterministic():
     t = sim.Tableau(1)
-    assert t.measure_z(0) == 1
+    assert t.measure_pauli(PauliOperator(1, 0, 1)) == 1
     assert t.stabilizes(PauliOperator.from_label("Z1", 1)) == 1
 
 
@@ -42,7 +42,7 @@ def test_forced_random_outcome_keeps_state_consistent():
     for seed in range(8):
         t = sim.Tableau(1)
         t.apply_h(0)  # |+>
-        out = t.measure_z(0, random.Random(seed))
+        out = t.measure_pauli(PauliOperator(1, 0, 1), random.Random(seed))
         assert t.stabilizes(PauliOperator.from_label("Z1", 1)) == out
         outcomes.add(out)
     assert outcomes == {1, -1}
@@ -472,9 +472,6 @@ class RowMajorTableau:
             return outcome
         return self._group_sign(x, z, s)
 
-    def measure_z(self, q, rng=None):
-        return self.measure_pauli(PauliOperator(self.n, 0, 1 << q), rng)
-
     def stabilizes(self, p):
         s = 0 if p.sign() == 1 else 1
         for i in range(self.n):
@@ -526,7 +523,7 @@ def _random_moves(n, count, gen):
         elif r < 0.55:
             moves.append(("apply_pauli", (gen.getrandbits(n), gen.getrandbits(n))))
         elif r < 0.6:
-            moves.append(("measure_z", (q, gen.random() < 0.9)))
+            moves.append(("measure_pauli", (PauliOperator(n, 0, 1 << q), gen.random() < 0.9)))
         elif r < 0.8:
             if gen.random() < 0.5:
                 p = gen.choice(seen)
@@ -550,7 +547,7 @@ def _play(t, moves, seed):
     rng = random.Random(seed)
     results = []
     for name, args in moves:
-        if name in ("measure_pauli", "measure_z"):
+        if name == "measure_pauli":
             args = (args[0], rng if args[1] else None)
         try:
             results.append(getattr(t, name)(*args))
