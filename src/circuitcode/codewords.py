@@ -64,11 +64,13 @@ def code_spaces(g: TannerGraph) -> CodeSpaces:
     return spaces
 
 
-def classify(g: TannerGraph, c: BitVector) -> str:
-    """Codeword class by its boundary layers and coherence."""
+def classify(g: TannerGraph, c: BitVector, masks: list[tuple[int, int]] | None = None) -> str:
+    """Codeword class by its boundary layers and coherence; ``masks`` are
+    c's ``g.wire_masks(c)`` when the caller has read them."""
     if g.syndrome(c):
         raise ValueError("not a codeword of the graph")
-    masks = g.wire_masks(c)
+    if masks is None:
+        masks = g.wire_masks(c)
     zero_in = masks[0] == (0, 0)
     zero_out = masks[g.depth] == (0, 0)
     if zero_in and zero_out:

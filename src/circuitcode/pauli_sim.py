@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import codewords as cw
-from .circuit import Circuit, OpKind, serialize
+from .circuit import Circuit, OpKind, Operation, serialize
 from .gf2 import BitVector
 from .pauli import PauliOperator
 from .tanner import TannerGraph
@@ -289,7 +289,13 @@ def run(
 # The Clifford sign of a codeword
 
 
-def nu(circuit: Circuit, g: TannerGraph, c: BitVector) -> int:
+def nu(
+    circuit: Circuit,
+    g: TannerGraph,
+    c: BitVector,
+    masks: list[tuple[int, int]] | None = None,
+    ops_on: list[dict[int, Operation]] | None = None,
+) -> int:
     """Sign contributed by the Clifford gates along a codeword.
 
     The codeword's wire bits give the Pauli operator at every time. The
@@ -298,35 +304,53 @@ def nu(circuit: Circuit, g: TannerGraph, c: BitVector) -> int:
     the layer's gates, with the qubits the layer measures or initialises left
     out. Each conjugate is checked against the operator at t. A gate on
     qubits where the operator is the identity leaves it the identity with
-    sign +1, so only the gates that touch its support are conjugated, and a
-    layer with none of them leaves the operator as it is. The operator is
-    the one row of a tableau, reset from the wire masks at each layer; its
-    sign bit collects the signs.
+    sign +1, so only the operations on the qubits of the operators at t - 1
+    and t are looked up, in ``ops_on``, the per-layer ``{qubit: operation}``
+    index of ``circuit.wires()``; only the gates on the operator at t - 1
+    are conjugated. The operator is the one row of a tableau whose columns
+    on a gate's qubits are set from the masks before the gate; its sign bit
+    collects the signs.
+
+    A caller that has read c's ``g.wire_masks(c)`` after checking that c is
+    a codeword passes them as ``masks``, and one that checks many codewords
+    of the circuit passes the index it built once.
     """
-    if c.n != g.n_bits or g.syndrome(c):
-        raise ValueError("nu needs a codeword of the circuit graph")
+    if masks is None:
+        if c.n != g.n_bits or g.syndrome(c):
+            raise ValueError("nu needs a codeword of the circuit graph")
+        masks = g.wire_masks(c)
+    if ops_on is None:
+        ops_on = circuit.wires()[0]
     n = circuit.n_qubits
-    masks = g.wire_masks(c)
     row = Tableau._from_columns(n, [0] * n, [0] * n, 0)
-    for t, layer in enumerate(circuit.layers, start=1):
-        (x0, z0), (x1, z1) = masks[t - 1], masks[t]
-        support = x0 | z0
-        keep = (1 << n) - 1
-        gates = []
-        for op in layer:
+    row_x, row_z = row.x, row.z
+    for t, on in enumerate(ops_on, start=1):
+        (x, z), (x1, z1) = masks[t - 1], masks[t]
+        support = x | z
+        unread = support | x1 | z1
+        dropped = 0
+        gates = {}
+        while unread:
+            low = unread & -unread
+            unread ^= low
+            op = on.get(low.bit_length())
+            if op is None:
+                continue
             if op.kind.is_init or op.kind.is_measurement:
-                keep &= ~(1 << (op.qubits[0] - 1))
-            elif any(support >> (q - 1) & 1 for q in op.qubits):
-                gates.append(op)
-        x, z = x0 & keep, z0 & keep
-        if gates:
-            row.x[:] = [x >> q & 1 for q in range(n)]
-            row.z[:] = [z >> q & 1 for q in range(n)]
-            for op in gates:
-                row.apply_operation(op)
-            x = sum(bit << q for q, bit in enumerate(row.x))
-            z = sum(bit << q for q, bit in enumerate(row.z))
-        if x != x1 & keep or z != z1 & keep:
+                dropped |= low
+            elif support & low:
+                gates[id(op)] = op
+        x &= ~dropped
+        z &= ~dropped
+        for op in gates.values():
+            for q in op.qubits:
+                row_x[q - 1], row_z[q - 1] = x >> (q - 1) & 1, z >> (q - 1) & 1
+            row.apply_operation(op)
+            for q in op.qubits:
+                keep = ~(1 << (q - 1))
+                x = x & keep | row_x[q - 1] << (q - 1)
+                z = z & keep | row_z[q - 1] << (q - 1)
+        if x != x1 & ~dropped or z != z1 & ~dropped:
             raise AssertionError(
                 f"conjugated codeword operator does not match layer {t}"
             )
@@ -379,6 +403,69 @@ def error_layer_masks(g: TannerGraph, e: BitVector) -> dict[int, tuple[int, int]
     return {t: (z, x) for t, (x, z) in enumerate(g.wire_masks(e)) if x or z}
 
 
+def commuting_groups(paulis: list[PauliOperator]) -> list[list[int]]:
+    """The indices of the operators in groups that pairwise commute.
+
+    First fit, in order: each operator joins the first group whose operators
+    it all commutes with, or else opens a new group. The identity commutes
+    with everything, so it joins the first group.
+    """
+    groups: list[tuple[list[int], dict[tuple[int, int], PauliOperator]]] = []
+    for i, p in enumerate(paulis):
+        for members, distinct in groups:
+            if all(p.commutes_with(q) for q in distinct.values()):
+                break
+        else:
+            members, distinct = [], {}
+            groups.append((members, distinct))
+        members.append(i)
+        if p.x | p.z:
+            distinct.setdefault((p.x, p.z), p)
+    return [members for members, _ in groups]
+
+
+class Runs:
+    """Runs of a circuit shared by a group of codewords whose input operators
+    pairwise commute.
+
+    Trial k started from its own random stabiliser state, measured every
+    distinct input operator other than the identity and then ran the circuit
+    under ``error``. ``eigenvalues[k]`` maps each measured operator's (x, z)
+    masks to its outcome: the operators commute, so the state the circuit
+    started from has every one of those eigenvalues. ``ops_on`` is the
+    per-layer ``{qubit: operation}`` index that ``nu`` reads.
+    """
+
+    # a plain class: a dataclass would be generated at every import
+    def __init__(self, error: BitVector | None, ops_on: list[dict[int, Operation]]):
+        self.error = error
+        self.ops_on = ops_on
+        self.results: list[RunResult] = []
+        self.eigenvalues: list[dict[tuple[int, int], int]] = []
+
+
+def prepare_runs(
+    circuit: Circuit,
+    g: TannerGraph,
+    inputs: list[PauliOperator],
+    e: BitVector | None,
+    seed: int,
+    trials: int,
+) -> Runs:
+    """``trials`` runs of the circuit, shared by the codewords whose input
+    operators are ``inputs``, which must pairwise commute, under the
+    spacetime error e (or none); the random draws come from ``seed``."""
+    rng = random.Random(seed)
+    error_layers = error_layer_masks(g, e) if e is not None else None
+    distinct = {(p.x, p.z): p for p in inputs if p.x | p.z}
+    runs = Runs(e, circuit.wires()[0])
+    for _ in range(trials):
+        state = random_tableau(circuit.n_qubits, rng)
+        runs.eigenvalues.append({key: state.measure_pauli(p, rng) for key, p in distinct.items()})
+        runs.results.append(run(circuit, state, rng, error_layers=error_layers))
+    return runs
+
+
 def verify_codeword_equation(
     circuit: Circuit,
     g: TannerGraph,
@@ -386,44 +473,50 @@ def verify_codeword_equation(
     e: BitVector | None,
     seed: int,
     trials: int = 4,
+    runs: Runs | None = None,
 ) -> Verdict:
     """Check the codeword equation of c, optionally with a spacetime error.
 
     Depending on the codeword class the check asserts the sign relation
     between the relevant measurement outcomes, the Clifford sign, the error
-    parity and the transported Pauli operators, on stabiliser initial states.
+    parity, the transported Pauli operators and the eigenvalue of the input
+    operator, on every run of ``runs``: those ``prepare_runs`` made for a
+    group of codewords that holds c, under the same error e. Without
+    ``runs``, c is a group of one, run ``trials`` times from ``seed``.
     """
-    rng = random.Random(seed)
-    n = circuit.n_qubits
-    cls = cw.classify(g, c)
-    sign_nu = nu(circuit, g, c)
+    masks = g.wire_masks(c)
+    cls = cw.classify(g, c, masks)
+    sigma_in = PauliOperator(g.n_qubits, *masks[0])
+    if runs is None:
+        runs = prepare_runs(circuit, g, [sigma_in], e, seed, trials)
+    if runs.error != e:
+        raise ValueError("the runs were made under another error")
+    key_in = (sigma_in.x, sigma_in.z)
+    if key_in != (0, 0) and any(key_in not in values for values in runs.eigenvalues):
+        raise ValueError("the runs did not measure the codeword's input operator")
+    sign_nu = nu(circuit, g, c, masks, runs.ops_on)
     parity = c.dot(e) if e is not None else 0
-    error_layers = error_layer_masks(g, e) if e is not None else None
-
-    sigma_in = cw.sigma_at_layer(g, c, 0)
-    sigma_out = cw.sigma_at_layer(g, c, circuit.depth)
+    sigma_out = PauliOperator(g.n_qubits, *masks[circuit.depth])
     relevant = cw.relevant_measurements(g, c)
     relevant_keys = {(g.bits[i].q, g.bits[i].t + 1) for i in relevant}
 
     failures: list[Failure] = []
-    for trial in range(trials):
-        initial = random_tableau(n, rng)
-        if not sigma_in.is_identity_kind():
-            initial.project(sigma_in, rng)
-        result = run(circuit, initial, rng, error_layers=error_layers)
+    for trial, (result, eigenvalues) in enumerate(zip(runs.results, runs.eigenvalues)):
+        eigenvalue = eigenvalues.get(key_in, 1)
         mu_r = 1
         for key in relevant_keys:
             mu_r *= result.outcomes[key]
         observed = (-1) ** parity * sign_nu * mu_r
-        if cls in ("checker", "detector"):
+        if cls in (cw.CHECKER, cw.DETECTOR):
             # nu * mu_R * (-1)^{c.e} equals the eigenvalue of sigma_in, which
-            # the prepared state fixes to +1 (trivially so for checkers).
-            if observed != 1:
-                failures.append(Failure(trial, cls, 1, observed, result.outcomes))
+            # is +1 for a checker, whose sigma_in is the identity
+            if observed != eigenvalue:
+                failures.append(Failure(trial, cls, eigenvalue, observed, result.outcomes))
         else:
             # emitters and propagators leave the final state in an eigenstate
-            # of sigma_out with that same eigenvalue
+            # of sigma_out, with that value times the eigenvalue of sigma_in
+            want = observed * eigenvalue
             got = result.tableau.stabilizes(sigma_out)
-            if got != observed:
-                failures.append(Failure(trial, cls, observed, got, result.outcomes))
+            if got != want:
+                failures.append(Failure(trial, cls, want, got, result.outcomes))
     return Verdict(not failures, cls, sign_nu, failures)

@@ -140,6 +140,8 @@ class TannerGraph:
         """(x, z) qubit masks of the wire bits set in v, one pair per time 0..depth."""
         if self.depth is None:
             raise ValueError("graph has no layer structure")
+        if v.n != self.n_bits:
+            raise ValueError("length mismatch")
         xs = [0] * (self.depth + 1)
         zs = [0] * (self.depth + 1)
         for i in v.support():

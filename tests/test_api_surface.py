@@ -25,6 +25,7 @@ KEEP = {
     "find_anticommuting_partner": "paper-facing: the anticommuting genuine propagator every genuine propagator has, on both boundaries",
     "Tableau.apply_swap": "perfbench/tracing.py wraps the gate methods by the built name apply_{g}",
     "write_alist": "perfbench/tracing.py wraps the text formats by name; the CLI writes alist bundles from the checks with alist_text",
+    "read_matrix_text": "perfbench/tracing.py wraps the text formats by name; the CLI streams dense matrix files through read_matrix_supports",
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from circuitcode import codewords as cw
 from circuitcode import pauli_sim as sim
-from circuitcode.circuit import Circuit, OpKind, parse_circuit, random_circuit
+from circuitcode.circuit import Circuit, OpKind, Operation, parse_circuit, random_circuit
 from circuitcode.gf2 import BitVector
 from circuitcode.pauli import PauliOperator
 from circuitcode.tanner import build_plain, symmetrize, verify_symmetry
@@ -573,3 +573,300 @@ def test_column_tableau_matches_row_major_oracle_wide():
     gen = random.Random(67)
     for _ in range(3):
         _assert_matches_row_major(40, _random_moves(40, 400, gen), gen.randrange(10**6))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: nu scanning every operation of every layer, as it did before it read
+# only the operations on the operator's qubits through the per-layer index
+
+
+def nu_scanning_every_operation(circuit, g, c):
+    if c.n != g.n_bits or g.syndrome(c):
+        raise ValueError("nu needs a codeword of the circuit graph")
+    n = circuit.n_qubits
+    masks = g.wire_masks(c)
+    row = sim.Tableau._from_columns(n, [0] * n, [0] * n, 0)
+    for t, layer in enumerate(circuit.layers, start=1):
+        (x0, z0), (x1, z1) = masks[t - 1], masks[t]
+        support = x0 | z0
+        keep = (1 << n) - 1
+        gates = []
+        for op in layer:
+            if op.kind.is_init or op.kind.is_measurement:
+                keep &= ~(1 << (op.qubits[0] - 1))
+            elif any(support >> (q - 1) & 1 for q in op.qubits):
+                gates.append(op)
+        x, z = x0 & keep, z0 & keep
+        if gates:
+            row.x[:] = [x >> q & 1 for q in range(n)]
+            row.z[:] = [z >> q & 1 for q in range(n)]
+            for op in gates:
+                row.apply_operation(op)
+            x = sum(bit << q for q, bit in enumerate(row.x))
+            z = sum(bit << q for q, bit in enumerate(row.z))
+        if x != x1 & keep or z != z1 & keep:
+            raise AssertionError(f"conjugated codeword operator does not match layer {t}")
+    return -1 if row.r else 1
+
+
+def codeword_fuzz_corpus(seed):
+    """The random circuits of perfbench's codeword-fuzz workload for seed."""
+    rng = random.Random(seed)
+    corpus = []
+    for n, depth in [(n, depth) for n in range(1, 6) for depth in range(1, 11)] * 4:
+        corpus.append(random_circuit(n, depth, rng))
+        rng.randrange(1 << 30)
+    return corpus
+
+
+def i_and_y_corpus(count):
+    rng, swap_rng = random.Random(47), random.Random(48)
+    return [
+        with_i_and_y(random_circuit(rng.randrange(1, 6), rng.randrange(1, 10), rng), swap_rng)
+        for _ in range(count)
+    ]
+
+
+def all_h_circuit(q):
+    layer = "\n".join(f"h {i}" for i in range(1, q + 1))
+    return parse_circuit(f"qubits {q}\n" + "\ntick\n".join([layer] * (q - 1)) + "\n")
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, AssertionError) as err:
+        return type(err), str(err)
+
+
+_SWAPPED_GATE = {OpKind.H: OpKind.S, OpKind.S: OpKind.H, OpKind.PAULI_X: OpKind.I}
+
+
+def _gates_swapped(c):
+    """c with h and s exchanged and x made i: a circuit that the graph of c
+    does not describe, so that nu on it mostly fails a layer's check."""
+    layers = [
+        [Operation(_SWAPPED_GATE.get(op.kind, op.kind), op.qubits) for op in layer]
+        for layer in c.layers
+    ]
+    return Circuit(c.n_qubits, layers)
+
+
+def test_nu_matches_scanning_every_operation():
+    rng = random.Random(71)
+    circuits = [c for seed in (7, 11, 13) for c in codeword_fuzz_corpus(seed)]
+    circuits += i_and_y_corpus(100) + [all_h_circuit(31)]
+    seen = set()
+    for c in circuits:
+        g = build_plain(c)
+        kernel = g.kernel_basis().rows
+        vectors = list(kernel)
+        combination = 0
+        for row in kernel:
+            combination ^= row * rng.randrange(2)
+        vectors.append(combination)
+        if g.n_bits:
+            vectors.append(combination ^ 1 << rng.randrange(g.n_bits))  # mostly no codeword
+        for bits in vectors:
+            v = BitVector(g.n_bits, bits)
+            for circuit in (c, _gates_swapped(c)):
+                got = _outcome(sim.nu, circuit, g, v)
+                assert got == _outcome(nu_scanning_every_operation, circuit, g, v)
+                seen.add(got if isinstance(got, int) else got[0])
+        wrong_length = BitVector(g.n_bits + 1, 1)
+        assert _outcome(sim.nu, c, g, wrong_length) == _outcome(
+            nu_scanning_every_operation, c, g, wrong_length
+        )
+    assert seen == {1, -1, ValueError, AssertionError}
+
+
+# ---------------------------------------------------------------------------
+# Codewords verified on shared runs
+
+
+def _roundtrip_circuits():
+    from circuitcode.synthesis import synthesize, trivial_partition
+    from tests.test_tanner import parity_text
+
+    out = []
+    for text in (ZZ_TEXT, parity_text(1), parity_text(2), parity_text(3)):
+        c = parse_circuit(text)
+        g, w, _ = symmetrize(build_plain(c), c)
+        out.append(synthesize(g, w, trivial_partition(g, w)).circuit)
+    return out
+
+
+def _verify_in_groups(c, g, vectors, e, seed, trials):
+    """The verdicts of the codewords, each group sharing one set of runs."""
+    inputs = [cw.sigma_at_layer(g, v, 0) for v in vectors]
+    verdicts = {}
+    for k, group in enumerate(sim.commuting_groups(inputs)):
+        runs = sim.prepare_runs(c, g, [inputs[i] for i in group], e, seed + k, trials)
+        for i in group:
+            verdicts[i] = sim.verify_codeword_equation(c, g, vectors[i], e, seed, trials, runs=runs)
+    return [verdicts[i] for i in range(len(vectors))]
+
+
+def _summary(verdict):
+    return verdict.ok, verdict.codeword_class, verdict.nu_sign
+
+
+def test_shared_runs_give_each_codeword_its_verdict_alone():
+    rng = random.Random(73)
+    circuits = [random_circuit(rng.randrange(1, 5), rng.randrange(1, 7), rng) for _ in range(40)]
+    circuits += i_and_y_corpus(40) + _roundtrip_circuits() + [parse_circuit(rep_memory_text(3))]
+    groups = 0
+    for c in circuits:
+        g = build_plain(c)
+        vectors = list(g.kernel_basis().row_vectors())
+        if not vectors:
+            continue
+        errors = [None]
+        if g.n_bits:
+            support = rng.sample(range(g.n_bits), min(g.n_bits, rng.randrange(1, 4)))
+            errors.append(BitVector.from_indices(g.n_bits, support))
+        for e in errors:
+            seed = rng.randrange(1 << 30)
+            shared = _verify_in_groups(c, g, vectors, e, seed, 3)
+            alone = [sim.verify_codeword_equation(c, g, v, e, seed, 3) for v in vectors]
+            assert [_summary(v) for v in shared] == [_summary(v) for v in alone]
+            assert all(v.ok for v in shared), c
+        groups += len(sim.commuting_groups([cw.sigma_at_layer(g, v, 0) for v in vectors]))
+    assert groups > len(circuits)  # some circuit has two groups or more
+
+
+def _flip_nu_of(target, monkeypatch):
+    real_nu = sim.nu
+
+    def sabotaged(circuit, g, c, *args):
+        sign = real_nu(circuit, g, c, *args)
+        return -sign if c == target else sign
+
+    monkeypatch.setattr(sim, "nu", sabotaged)
+
+
+@pytest.mark.parametrize("target", [0, 2, 4])
+def test_a_sabotaged_codeword_fails_alone(target, monkeypatch):
+    c = parse_circuit(ZZ_TEXT)
+    g = build_plain(c)
+    vectors = list(g.kernel_basis().row_vectors())
+    _flip_nu_of(vectors[target], monkeypatch)
+    shared = _verify_in_groups(c, g, vectors, None, 5, 4)
+    alone = [sim.verify_codeword_equation(c, g, v, None, 5, 4) for v in vectors]
+    for verdicts in (shared, alone):
+        assert [i for i, v in enumerate(verdicts) if not v.ok] == [target]
+        assert len(verdicts[target].failures) == 4
+
+
+def test_a_sabotaged_codeword_is_the_one_cli_failure(tmp_path, monkeypatch, capsys):
+    from circuitcode.cli import main
+
+    path = tmp_path / "zz.qc"
+    path.write_text(ZZ_TEXT)
+    c = parse_circuit(ZZ_TEXT)
+    vectors = list(build_plain(c).kernel_basis().row_vectors())
+    _flip_nu_of(vectors[2], monkeypatch)
+    assert main(["verify", "--circuit", str(path), "--seed", "7"]) == 1
+    out, err = capsys.readouterr()
+    assert [line for line in out.splitlines() if not line.endswith(" ok")] == [
+        line for line in out.splitlines() if line.startswith("2 ")
+    ]
+    assert out.splitlines()[2].endswith(" FAIL")
+    assert err.count("codeword equation VIOLATED") == 1
+    assert err.endswith("error: 1 codeword equations violated\n")
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_anticommuting_inputs_form_separate_groups(q):
+    c = all_h_circuit(q)
+    g = build_plain(c)
+    inputs = [cw.sigma_at_layer(g, v, 0) for v in g.kernel_basis().row_vectors()]
+    groups = sim.commuting_groups(inputs)
+    assert len(groups) == 2
+    for group in groups:
+        assert all(inputs[i].commutes_with(inputs[j]) for i in group for j in group)
+        # the X and Z propagators: each group holds one kind of input
+        assert len({(inputs[i].x != 0, inputs[i].z != 0) for i in group}) == 1
+    assert sorted(i for group in groups for i in group) == list(range(len(inputs)))
+
+
+def test_identity_inputs_join_the_first_group():
+    x, z, one = (PauliOperator.from_label(s, 1) for s in ("X1", "Z1", "I1"))
+    assert sim.commuting_groups([x, z, one, z, x]) == [[0, 2, 4], [1, 3]]
+    assert sim.commuting_groups([one, one]) == [[0, 1]]
+    assert sim.commuting_groups([]) == []
+
+
+@pytest.mark.parametrize("text", [ZZ_TEXT, "qubits 3\n" + "\ntick\n".join(["h 1\nh 2\nh 3"] * 2)])
+def test_every_codeword_is_checked_on_exactly_states_runs(text, tmp_path, monkeypatch, capsys):
+    from circuitcode.cli import main
+
+    path = tmp_path / "c.qc"
+    path.write_text(text)
+    c = parse_circuit(text)
+    g = build_plain(c)
+    inputs = [cw.sigma_at_layer(g, v, 0) for v in g.kernel_basis().row_vectors()]
+    n_groups = len(sim.commuting_groups(inputs))
+    runs_made, runs_read = [], []
+    real_run, real_verify = sim.run, sim.verify_codeword_equation
+
+    def counted_run(*args, **kwargs):
+        runs_made.append(1)
+        return real_run(*args, **kwargs)
+
+    def counted_verify(*args, runs=None, **kwargs):
+        runs_read.append(len(runs.results))
+        return real_verify(*args, runs=runs, **kwargs)
+
+    monkeypatch.setattr(sim, "run", counted_run)
+    monkeypatch.setattr(sim, "verify_codeword_equation", counted_verify)
+    assert main(["verify", "--circuit", str(path), "--seed", "3", "--states", "3"]) == 0
+    assert capsys.readouterr().out.endswith(f"verified {len(inputs)} codewords\n")
+    assert runs_read == [3] * len(inputs)
+    assert len(runs_made) == 3 * n_groups
+
+
+@pytest.mark.parametrize("text", [ZZ_TEXT, rep_memory_text(3)], ids=["zz", "rep3"])
+def test_the_minus_one_eigenvalue_path_is_checked(text):
+    c = parse_circuit(text)
+    g = build_plain(c)
+    vectors = list(g.kernel_basis().row_vectors())
+    inputs = [cw.sigma_at_layer(g, v, 0) for v in vectors]
+    minus_one = 0
+    for seed in range(4):
+        for group in sim.commuting_groups(inputs):
+            runs = sim.prepare_runs(c, g, [inputs[i] for i in group], None, seed, 4)
+            for i in group:
+                verdict = sim.verify_codeword_equation(c, g, vectors[i], None, seed, 4, runs=runs)
+                assert verdict.ok, verdict.report(c, vectors[i], None)
+                key = (inputs[i].x, inputs[i].z)
+                read = [values.get(key, 1) for values in runs.eigenvalues]
+                minus_one += read.count(-1)
+                # read as +1, each -1 eigenvalue makes that trial fail
+                runs_plus = sim.Runs(None, runs.ops_on)
+                runs_plus.results = runs.results
+                runs_plus.eigenvalues = [{k: 1 for k in values} for values in runs.eigenvalues]
+                flipped = sim.verify_codeword_equation(
+                    c, g, vectors[i], None, seed, 4, runs=runs_plus
+                )
+                assert [f.trial for f in flipped.failures] == [
+                    k for k, value in enumerate(read) if value == -1
+                ]
+    assert minus_one > 0
+
+
+def test_runs_of_another_group_or_error_are_refused():
+    c = all_h_circuit(2)
+    g = build_plain(c)
+    vectors = list(g.kernel_basis().row_vectors())
+    inputs = [cw.sigma_at_layer(g, v, 0) for v in vectors]
+    first, second = sim.commuting_groups(inputs)
+    runs = sim.prepare_runs(c, g, [inputs[i] for i in first], None, 1, 2)
+    with pytest.raises(ValueError, match="did not measure"):
+        sim.verify_codeword_equation(c, g, vectors[second[0]], None, 1, 2, runs=runs)
+    e = BitVector.from_indices(g.n_bits, [0])
+    with pytest.raises(ValueError, match="another error"):
+        sim.verify_codeword_equation(c, g, vectors[first[0]], e, 1, 2, runs=runs)
+    too_long = BitVector(g.n_bits + 1, 1 << g.n_bits)
+    with pytest.raises(ValueError, match="length mismatch"):
+        sim.verify_codeword_equation(c, g, too_long, None, 1, 2)
