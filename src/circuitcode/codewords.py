@@ -124,16 +124,24 @@ def _require_commuting(paulis: list[PauliOperator], message: str) -> None:
 
 
 def validate_b_l(
-    a: BitMatrix, b: BitMatrix, l: BitMatrix, boundaries: tuple[BitMatrix, BitMatrix]
+    a: BitMatrix | TannerGraph,
+    b: BitMatrix,
+    l: BitMatrix,
+    boundaries: tuple[BitMatrix, BitMatrix],
 ) -> None:
     """Rows of B and L are independent codewords of A, and the operators of
-    the rows of B pairwise commute at each boundary. ``boundaries`` holds
-    the (x|z) operator matrices of B's rows at the input and the output.
+    the rows of B pairwise commute at each boundary. ``a`` is the check
+    matrix, or the graph, whose syndromes then test the rows without a dense
+    A. ``boundaries`` holds the (x|z) operator matrices of B's rows at the
+    input and the output.
     """
-    if not a.matmul(b.transpose()).is_zero():
-        raise ValueError("A B^T must vanish")
-    if not a.matmul(l.transpose()).is_zero():
-        raise ValueError("A L^T must vanish")
+    for name, m in (("B", b), ("L", l)):
+        if isinstance(a, TannerGraph):
+            codewords = not any(a.syndrome(v) for v in m.row_vectors())
+        else:
+            codewords = a.matmul(m.transpose()).is_zero()
+        if not codewords:
+            raise ValueError(f"A {name}^T must vanish")
     if b.stack(l).rank() != b.n_rows + l.n_rows:
         raise ValueError("rows of B and L must be independent")
     for m in boundaries:
@@ -151,7 +159,7 @@ def _ec_structure(
 ) -> EcStructure:
     """The validated structure; ``boundaries`` spans the boundary operators
     of B's rows at the input and the output, as ``validate_b_l`` takes them."""
-    validate_b_l(g.check_matrix(), b, l, boundaries)
+    validate_b_l(g, b, l, boundaries)
     return EcStructure(b=b, l=l, s_in=s_in, s_out=s_out)
 
 

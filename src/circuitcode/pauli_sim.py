@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from . import codewords as cw
 from .circuit import Circuit, OpKind, Operation, serialize
@@ -220,20 +221,23 @@ class Tableau:
         return 1 if ((e >> 1) + s) & 1 == 0 else -1
 
 
-def random_tableau(n: int, rng: random.Random) -> Tableau:
-    """A random stabiliser state built from 12n + 6 random Clifford moves."""
+def random_tableau(n: int, rng: random.Random, qubits: Sequence[int]) -> Tableau:
+    """A random n-qubit stabiliser state on ``qubits`` (0-based), from
+    12k + 6 random Clifford moves on those k qubits; every other qubit stays
+    in |0>. On ``range(n)`` it is a random state on every qubit."""
     t = Tableau(n)
-    for _ in range(12 * n + 6):
+    k = len(qubits)
+    for _ in range(12 * k + 6 if k else 0):
         r = rng.random()
-        if n >= 2 and r < 0.35:
-            a, b = rng.sample(range(n), 2)
+        if k >= 2 and r < 0.35:
+            a, b = rng.sample(qubits, 2)
             t.apply_cnot(a, b)
         elif r < 0.6:
-            t.apply_h(rng.randrange(n))
+            t.apply_h(qubits[rng.randrange(k)])
         elif r < 0.85:
-            t.apply_s(rng.randrange(n))
+            t.apply_s(qubits[rng.randrange(k)])
         else:
-            q = rng.randrange(n)
+            q = qubits[rng.randrange(k)]
             t.apply_pauli(1 << q if rng.random() < 0.5 else 0, 1 << q)
     return t
 
@@ -454,13 +458,24 @@ def prepare_runs(
 ) -> Runs:
     """``trials`` runs of the circuit, shared by the codewords whose input
     operators are ``inputs``, which must pairwise commute, under the
-    spacetime error e (or none); the random draws come from ``seed``."""
+    spacetime error e (or none); the random draws come from ``seed``.
+
+    Each run starts from a random state on the qubits that are live at
+    t = 0, those whose first wire segment starts there, and |0> on the
+    others. The graph has no bit on such a qubit before its initialisation,
+    and that projection commutes with every operator on the other qubits, so
+    the equations checked are those of a random state on every qubit. When
+    every qubit is live at t = 0, the draws are those of a random state on
+    ``range(n)``.
+    """
     rng = random.Random(seed)
     error_layers = error_layer_masks(g, e) if e is not None else None
     distinct = {(p.x, p.z): p for p in inputs if p.x | p.z}
-    runs = Runs(e, circuit.wires()[0])
+    ops_on, spans = circuit.wires()
+    live = [q for q, q_spans in enumerate(spans) if q_spans and q_spans[0][0] == 0]
+    runs = Runs(e, ops_on)
     for _ in range(trials):
-        state = random_tableau(circuit.n_qubits, rng)
+        state = random_tableau(circuit.n_qubits, rng, live)
         runs.eigenvalues.append({key: state.measure_pauli(p, rng) for key, p in distinct.items()})
         runs.results.append(run(circuit, state, rng, error_layers=error_layers))
     return runs

@@ -15,7 +15,7 @@ from .circuit import MAX_WIRE_BITS, Circuit, OpKind, Operation
 from .distance import circuit_distance
 from .gf2 import BitMatrix
 from .splitting import distance_bound_holds
-from .tanner import CodeMaps, SymmetryWitness, TannerGraph, build_plain
+from .tanner import CodeMaps, SymmetryWitness, TannerGraph, build_plain, sweep_checks
 
 Vertex = tuple[str, int]  # ("b", bit index) or ("c", check index)
 
@@ -343,25 +343,14 @@ def _build_maps(g, w, p, circuit, qubits, role_of, dt):
             values[g_out.bit_index(kind, line.qubit, t)] = 1 << len(seeds)
             seeds.append(columns[bit])
     # build_plain emits its checks layer by layer and every gadget row has one
-    # output bit, so each row either fixes that bit or finds every bit set. A
-    # value is never changed once set, so the output codewords are the source
-    # values on which every such closing row sums to zero.
-    closing_rows: list[int] = []
-    for members in g_out.checks:
-        unset = []
-        acc = 0
-        for j in members:
-            if values[j] is None:
-                unset.append(j)
-            else:
-                acc ^= values[j]
-        if len(unset) == 1:
-            values[unset[0]] = acc
-        elif unset:
-            raise AssertionError("codeword images violate an output check")
-        else:
-            closing_rows.append(acc)
-    if None in values:
+    # output bit, so once the first wire bits are seeded each check fixes its
+    # one unset bit or closes, and the sweep makes no source of its own. The
+    # output codewords are the source values on which every closing sum
+    # vanishes.
+    free, closing_rows = sweep_checks(g_out.checks, values, len(seeds))
+    if any(g_out.bit_degree(j) for j in free):
+        raise AssertionError("codeword images violate an output check")
+    if free:
         raise AssertionError("an output bit carries no codeword image")
 
     sources = BitMatrix(len(seeds), kernel.n_rows, seeds)

@@ -13,7 +13,7 @@ bit i equals the masked sum of input bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .circuit import Circuit, OpKind
 from .gf2 import BitMatrix, BitVector
@@ -60,18 +60,26 @@ class TannerGraph:
         checks: list[tuple[int, ...]],
         n_qubits: int | None = None,
         depth: int | None = None,
-        gadgets: list[GadgetRec] | None = None,
+        gadgets: list[GadgetRec] | Callable[[], list[GadgetRec]] | None = None,
     ):
         self.bits = bits
         self.checks = [tuple(sorted(c)) for c in checks]
         self.n_qubits = n_qubits
         self.depth = depth
-        self.gadgets = gadgets
+        self._gadgets = gadgets
         # memoised on the assumption that a graph is not mutated once built
         self._matrix: BitMatrix | None = None
         self._kernel: BitMatrix | None = None
         self._index: dict[tuple, int] | None = None
         self._bit_checks: list[list[int]] | None = None
+
+    @property
+    def gadgets(self) -> list[GadgetRec] | None:
+        """The gadget records of a plain graph, None for any other graph;
+        ``build_plain`` passes a function that builds them on first read."""
+        if callable(self._gadgets):
+            self._gadgets = self._gadgets()
+        return self._gadgets
 
     @property
     def n_bits(self) -> int:
@@ -93,9 +101,16 @@ class TannerGraph:
         return self._matrix
 
     def kernel_basis(self) -> BitMatrix:
-        """RREF basis of the codewords, ker A."""
+        """RREF basis of the codewords, ker A, from one ``sweep_checks``: the
+        null space of the closing sums over the sources, carried to the bits
+        through the sources' columns. Its largest matrix is sources x bits,
+        not the checks x bits of A."""
         if self._kernel is None:
-            self._kernel = self.check_matrix().kernel_basis()
+            values: list[int | None] = [None] * self.n_bits
+            free, closing = sweep_checks(self.checks, values, 0)
+            relations = BitMatrix(len(closing), len(free), closing)
+            columns = BitMatrix(self.n_bits, len(free), values).transpose()
+            self._kernel = relations.kernel_basis().matmul(columns).rref()
         return self._kernel
 
     def bit_index(self, kind: str, q: int, t: int, serial: int = 0) -> int | None:
@@ -171,6 +186,51 @@ class TannerGraph:
     def max_degree(self) -> int:
         degrees = [len(c) for c in self.checks] + [len(c) for c in self._adjacency()]
         return max(degrees, default=0)
+
+
+def sweep_checks(
+    checks: Iterable[Sequence[int]], values: list[int | None], n_sources: int
+) -> tuple[list[int], list[int]]:
+    """Walk the checks in order, writing each bit's value as a sum of sources.
+
+    ``values[j]`` is bit j's value, a mask over the sources, or None while
+    it is unset; the bits the caller set are seeds over sources 0 ..
+    n_sources - 1. Each check lists its bits in increasing order, each once.
+    In a check, every unset bit but the highest becomes a new source and the
+    highest is set to the sum of the others, so the check holds whatever the
+    sources are. A check with no unset bit closes: its sum must vanish. A
+    bit in no check becomes a source at the end.
+
+    Returns the bits that became sources, in order (bit ``free[k]`` is
+    source n_sources + k), and the sum of each closing check. The codewords
+    are the values on the assignments of the sources that zero every closing
+    sum. Plain graphs close only at measurements, and their sources are the
+    t = 0 and initialised bits.
+    """
+    free: list[int] = []
+    closing: list[int] = []
+    for members in checks:
+        acc = 0
+        last = -1
+        for j in members:
+            v = values[j]
+            if v is None:
+                if last >= 0:
+                    values[last] = v = 1 << (n_sources + len(free))
+                    free.append(last)
+                    acc ^= v
+                last = j
+            else:
+                acc ^= v
+        if last >= 0:
+            values[last] = acc
+        else:
+            closing.append(acc)
+    for j, v in enumerate(values):
+        if v is None:
+            values[j] = 1 << (n_sources + len(free))
+            free.append(j)
+    return free, closing
 
 
 @dataclass
@@ -355,18 +415,30 @@ def build_plain(circuit: Circuit) -> TannerGraph:
             index.append(at)
 
     checks: list[tuple[int, ...]] = []
-    gadgets: list[GadgetRec] = []
     for t in range(1, T + 1):
         at = index[2 * t - 2 : 2 * t + 2]
-        for qubits, (rows, sides) in gadget[t]:
-            first_check = len(checks)
+        for qubits, (rows, _) in gadget[t]:
             for row in rows:
                 checks.append(tuple([at[off][qubits[slot]] for off, slot in row]))
-            gadgets.append(GadgetRec(list(range(first_check, len(checks))), [
-                SideInfo(side, at[short][qubits[slot]], at[long][qubits[slot]], first_check + pair)
+    return TannerGraph(bits, checks, n, T, lambda: _gadget_records(gadget, index))
+
+
+def _gadget_records(
+    gadget: list[list[tuple]], index: list[list[int | None]]
+) -> list[GadgetRec]:
+    """The records of build_plain's gadgets, whose checks it numbered in this
+    order; only symmetrisation reads them."""
+    records = []
+    first = 0
+    for t in range(1, len(gadget)):
+        at = index[2 * t - 2 : 2 * t + 2]
+        for qubits, (rows, sides) in gadget[t]:
+            records.append(GadgetRec(list(range(first, first + len(rows))), [
+                SideInfo(side, at[short][qubits[slot]], at[long][qubits[slot]], first + pair)
                 for slot, side, short, long, pair in sides
             ]))
-    return TannerGraph(bits, checks, n, T, gadgets)
+            first += len(rows)
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from circuitcode import cli, synthesis
+from circuitcode import cli, synthesis, tanner
 from circuitcode import codewords as cw
 from circuitcode.circuit import MAX_WIRE_BITS, parse_circuit, random_circuit
 from circuitcode.cli import main
@@ -369,15 +369,18 @@ def test_synthesize_check_synthesises_once(zz_file, tmp_path, capsys, monkeypatc
         calls.append("synthesize")
         return original(*args)
 
-    kernel_basis = BitMatrix.kernel_basis
+    sweep = tanner.sweep_checks
 
-    def counted_kernel(m):
-        calls.append(f"{m.n_rows} {m.n_cols}")
-        return kernel_basis(m)
+    def counted_sweep(checks, values, n_sources):
+        # an unseeded sweep is a kernel computation of a whole graph
+        if n_sources == 0:
+            calls.append(f"{len(checks)} {len(values)}")
+        return sweep(checks, values, n_sources)
 
     monkeypatch.setattr(cli, "synthesize", counted)
     monkeypatch.setattr(synthesis, "synthesize", counted)
-    monkeypatch.setattr(BitMatrix, "kernel_basis", counted_kernel)
+    monkeypatch.setattr(tanner, "sweep_checks", counted_sweep)
+    monkeypatch.setattr(synthesis, "sweep_checks", counted_sweep)
     code, out, _ = run_cli(
         ["synthesize", "--graph", prefix, "--out", tmp_path / "s.qc", "--check",
          "--max-weight", "2"],
@@ -385,7 +388,7 @@ def test_synthesize_check_synthesises_once(zz_file, tmp_path, capsys, monkeypatc
     )
     assert code == 0 and "roundtrip ok" in out
     assert calls.count("synthesize") == 1
-    # the kernel of the input graph's check matrix is eliminated once
+    # the kernel of the input graph is computed once
     assert calls.count(a) == 1
 
 

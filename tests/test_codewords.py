@@ -155,8 +155,10 @@ def test_validate_b_l_trips_each_condition():
     }
     for message, structure in broken.items():
         b, l = structure.b, structure.l
-        with pytest.raises(ValueError, match=re.escape(message)):
-            cw.validate_b_l(g.check_matrix(), b, l, g.boundaries(b))
+        # the check matrix, or the graph whose syndromes test the rows
+        for a in (g.check_matrix(), g):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                cw.validate_b_l(a, b, l, g.boundaries(b))
 
 
 def test_ec_structure_unitary_circuit():
@@ -425,12 +427,10 @@ def test_whole_code_readers_walk_no_single_codeword(text, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Per-codeword readers never build the dense check matrix
+# Neither the kernel nor the per-codeword readers build the dense check matrix
 
 
 def _forbid_check_matrix(g, monkeypatch):
-    g.kernel_basis()  # the one elimination of A, memoised on the graph
-
     def dense(*_):
         raise AssertionError("a per-codeword reader built the dense check matrix")
 
@@ -449,6 +449,16 @@ def test_codeword_readers_use_no_dense_matrix(text, monkeypatch):
         assert sim.verify_codeword_equation(c, g, v, None, seed=i, trials=2).ok
     with pytest.raises(ValueError, match="not a codeword"):
         cw.classify(g, BitVector(g.n_bits, 1))
+
+
+@pytest.mark.parametrize("text", [ZZ_TEXT, rep_memory_text(3)], ids=["zz", "rep3"])
+def test_ec_structures_use_no_dense_matrix(text, monkeypatch):
+    c = parse_circuit(text)
+    g = build_plain(c)
+    _forbid_check_matrix(g, monkeypatch)
+    ec = cw.complete_ec_structure(g)
+    assert ec.b.n_rows + ec.l.n_rows == g.kernel_basis().n_rows
+    assert cw.build_ec_structure(g, ec.s_in, ec.s_out).b == ec.b
 
 
 @pytest.mark.parametrize("text", [ZZ_TEXT, rep_memory_text(3)], ids=["zz", "rep3"])

@@ -52,7 +52,7 @@ def test_zz_outcomes_agree_on_stabilised_input():
     c = parse_circuit(ZZ_TEXT)
     rng = random.Random(3)
     for _ in range(20):
-        initial = sim.random_tableau(3, rng)
+        initial = sim.random_tableau(3, rng, range(3))
         initial.project(PauliOperator.from_label("Z1Z2", 3), rng)
         result = sim.run(c, initial, rng)
         assert result.outcomes[(3, 4)] == result.outcomes[(3, 8)]
@@ -78,7 +78,7 @@ def test_tableau_invariants_preserved():
     rng = random.Random(9)
     for _ in range(20):
         c = random_circuit(rng.randrange(1, 5), rng.randrange(1, 8), rng)
-        t = sim.random_tableau(c.n_qubits, rng)
+        t = sim.random_tableau(c.n_qubits, rng, range(c.n_qubits))
         assert invariants_ok(t)
         out = sim.run(c, t, rng)
         assert invariants_ok(out.tableau)
@@ -88,7 +88,7 @@ def test_random_state_containing():
     rng = random.Random(13)
     p = PauliOperator.from_label("X1Z3", 3)
     for _ in range(10):
-        t = sim.random_tableau(3, rng)
+        t = sim.random_tableau(3, rng, range(3))
         t.project(p, rng)
         assert t.stabilizes(p) == 1
 
@@ -200,7 +200,7 @@ def test_verify_zz_checker_with_data_error():
     rng = random.Random(5)
     res = sim.run(
         c,
-        sim.random_tableau(3, rng),
+        sim.random_tableau(3, rng, range(3)),
         rng,
         error_layers=sim.error_layer_masks(g, e),
     )
@@ -334,7 +334,7 @@ def test_apply_swap_is_three_cnots():
     rng = random.Random(59)
     for _ in range(20):
         n = rng.randrange(2, 5)
-        t = sim.random_tableau(n, rng)
+        t = sim.random_tableau(n, rng, range(n))
         a, b = rng.sample(range(n), 2)
         swapped, cnots = t.copy(), t.copy()
         swapped.apply_swap(a, b)
@@ -870,3 +870,126 @@ def test_runs_of_another_group_or_error_are_refused():
     too_long = BitVector(g.n_bits + 1, 1 << g.n_bits)
     with pytest.raises(ValueError, match="length mismatch"):
         sim.verify_codeword_equation(c, g, too_long, None, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Random states on the qubits live at t = 0 only
+
+
+def reference_random_tableau(n, rng):
+    """The reference sampler on all n qubits, 12n + 6 random Clifford moves:
+    ``random_tableau`` on every qubit must draw exactly this."""
+    t = sim.Tableau(n)
+    for _ in range(12 * n + 6):
+        r = rng.random()
+        if n >= 2 and r < 0.35:
+            a, b = rng.sample(range(n), 2)
+            t.apply_cnot(a, b)
+        elif r < 0.6:
+            t.apply_h(rng.randrange(n))
+        elif r < 0.85:
+            t.apply_s(rng.randrange(n))
+        else:
+            q = rng.randrange(n)
+            t.apply_pauli(1 << q if rng.random() < 0.5 else 0, 1 << q)
+    return t
+
+
+def reference_prepare_runs(circuit, g, inputs, e, seed, trials):
+    """``prepare_runs`` with a random state on every qubit."""
+    rng = random.Random(seed)
+    error_layers = sim.error_layer_masks(g, e) if e is not None else None
+    distinct = {(p.x, p.z): p for p in inputs if p.x | p.z}
+    runs = sim.Runs(e, circuit.wires()[0])
+    for _ in range(trials):
+        state = reference_random_tableau(circuit.n_qubits, rng)
+        runs.eigenvalues.append({key: state.measure_pauli(p, rng) for key, p in distinct.items()})
+        runs.results.append(sim.run(circuit, state, rng, error_layers=error_layers))
+    return runs
+
+
+def _live_at_start(c):
+    return [q for q, spans in enumerate(c.wires()[1]) if spans[0][0] == 0]
+
+
+def _initial_states(c, g, monkeypatch, seed=5, trials=6):
+    """The states prepare_runs hands to run, for the first group of c's
+    codewords, and the inputs it measured on them."""
+    states = []
+    real_run = sim.run
+
+    def recording_run(circuit, initial, *args, **kwargs):
+        states.append(initial.copy())
+        return real_run(circuit, initial, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "run", recording_run)
+    inputs = [cw.sigma_at_layer(g, v, 0) for v in g.kernel_basis().row_vectors()]
+    group = [inputs[i] for i in sim.commuting_groups(inputs)[0]]
+    sim.prepare_runs(c, g, group, None, seed, trials)
+    return states
+
+
+LATE_TEXTS = {
+    # qubit 2 is initialised in layer 1, qubit 3 in layer 3
+    "layer-1-and-mid": "qubits 3\nh 1\nrz 2\ntick\ncnot 1 2\ntick\nrx 3\ntick\ncnot 2 3\nmx 1\ntick\nmz 2\nh 3\n",
+    # every qubit starts at an initialisation
+    "none-live": "qubits 2\nrx 1\ntick\nrz 2\ntick\ncnot 1 2\ntick\nmz 2\n",
+}
+
+
+@pytest.mark.parametrize("text", LATE_TEXTS.values(), ids=LATE_TEXTS.keys())
+def test_qubits_initialised_later_start_in_zero(text, monkeypatch):
+    c = parse_circuit(text)
+    g = build_plain(c)
+    n = c.n_qubits
+    live = _live_at_start(c)
+    late = [q for q in range(n) if q not in live]
+    assert late
+    states = _initial_states(c, g, monkeypatch)
+    assert len(states) == 6
+    zero = sim.Tableau(n)
+    rows = sum(1 << q | 1 << (n + q) for q in late)
+    for t in states:
+        for q in late:
+            assert (t.x[q], t.z[q]) == (zero.x[q], zero.z[q])
+        for q in live:
+            assert not (t.x[q] | t.z[q]) & rows
+        assert not t.r & rows
+    if live:  # the live qubits' state is drawn
+        assert any((t.x[q], t.z[q]) != (zero.x[q], zero.z[q]) for t in states for q in live)
+    # and every codeword equation holds on such runs
+    vectors = list(g.kernel_basis().row_vectors())
+    assert all(v.ok for v in _verify_in_groups(c, g, vectors, None, 3, 4))
+
+
+def _same_runs(a, b):
+    return a.eigenvalues == b.eigenvalues and [
+        (r.outcomes, r.tableau.x, r.tableau.z, r.tableau.r) for r in a.results
+    ] == [(r.outcomes, r.tableau.x, r.tableau.z, r.tableau.r) for r in b.results]
+
+
+def test_runs_draw_the_old_stream_when_every_qubit_is_live():
+    for n in range(1, 7):
+        states = [
+            sim.random_tableau(n, random.Random(n), range(n)),
+            sim.random_tableau(n, random.Random(n), list(range(n))),
+            reference_random_tableau(n, random.Random(n)),
+        ]
+        assert len({(tuple(t.x), tuple(t.z), t.r) for t in states}) == 1
+    rng = random.Random(83)
+    circuits = [random_circuit(rng.randrange(1, 6), rng.randrange(1, 9), rng) for _ in range(200)]
+    circuits += i_and_y_corpus(60) + [all_h_circuit(3), parse_circuit(ZZ_TEXT)]
+    all_live = mixed = 0
+    for k, c in enumerate(circuits):
+        g = build_plain(c)
+        vectors = list(g.kernel_basis().row_vectors())
+        inputs = [cw.sigma_at_layer(g, v, 0) for v in vectors]
+        e = BitVector.from_indices(g.n_bits, [k % g.n_bits]) if k % 2 and g.n_bits else None
+        for group in sim.commuting_groups(inputs):
+            args = (c, g, [inputs[i] for i in group], e, 1000 + k, 3)
+            if len(_live_at_start(c)) == c.n_qubits:
+                assert _same_runs(sim.prepare_runs(*args), reference_prepare_runs(*args))
+                all_live += 1
+            else:
+                mixed += not _same_runs(sim.prepare_runs(*args), reference_prepare_runs(*args))
+    assert all_live > 100 and mixed > 20

@@ -5,12 +5,15 @@ import random
 
 import pytest
 
+from circuitcode import tanner
 from circuitcode.circuit import Circuit, OpKind, Operation, parse_circuit, random_circuit
 from circuitcode.gf2 import BitMatrix, BitVector
 from circuitcode.splitting import random_plan, symmetric_split
 from circuitcode.tanner import (
     GADGETS,
     SymmetryWitness,
+    TannerGraph,
+    VertexLabel,
     _junctions,
     bit_split,
     build_plain,
@@ -620,3 +623,73 @@ def test_syndrome_matches_the_dense_product():
         with pytest.raises(ValueError, match="length mismatch"):
             g.syndrome(BitVector(g.n_bits + 1))
     assert codewords > 1000 and non_codewords > 1000
+
+
+# ---------------------------------------------------------------------------
+# The kernel by one sweep over the checks, against the dense elimination
+
+
+def dense_kernel(g):
+    """The oracle: the RREF kernel basis of the dense check matrix."""
+    return g.check_matrix().kernel_basis()
+
+
+def test_kernel_equals_the_dense_oracle_on_the_graph_corpus():
+    rng = random.Random(29)
+    for c in graph_corpus():
+        g = build_plain(c)
+        sym, w, _ = symmetrize(g, c)
+        split, _, _ = symmetric_split(sym, w, random_plan(sym, w, rng))
+        for graph in (g, sym, split):
+            assert graph.kernel_basis() == dense_kernel(graph)
+
+
+def test_kernel_equals_the_dense_oracle_on_shuffled_check_lists():
+    rng = random.Random(31)
+    shapes = set()
+    for _ in range(400):
+        n_bits = rng.randrange(0, 16)
+        checks = []
+        for _ in range(rng.randrange(0, 14)):
+            size = rng.randrange(0, min(n_bits, 5) + 1)
+            checks.append(tuple(rng.sample(range(n_bits), size)))
+        # repeat some checks and shuffle their order, so the sweep sees a
+        # check that closes on a copy and checks in no layer order
+        checks += rng.sample(checks, rng.randrange(0, len(checks) + 1))
+        rng.shuffle(checks)
+        g = TannerGraph([VertexLabel("s", 0, -1, i) for i in range(n_bits)], checks)
+        assert g.kernel_basis() == dense_kernel(g)
+        in_checks = {j for c in checks for j in c}
+        shapes.add((
+            () in g.checks,
+            len(set(g.checks)) < len(g.checks),
+            len(in_checks) < n_bits,
+        ))
+    # empty checks, repeated checks and isolated bits, alone and together
+    assert len(shapes) == 8
+
+
+def test_sweep_checks_sources_of_a_plain_graph():
+    # the sources are the t = 0 bits and the initialised bits (an init
+    # gadget fixes the other kind), and only the measurements close
+    g = build_plain(parse_circuit(ZZ_TEXT))
+    values = [None] * g.n_bits
+    free, closing = tanner.sweep_checks(g.checks, values, 0)
+    initialised = [i for i, lab in enumerate(g.bits) if lab.is_initialisation]
+    assert initialised and sorted(free) == g.layer_bits(0) + initialised
+    assert len(closing) == sum(lab.is_measurement for lab in g.bits) > 0
+    assert None not in values
+
+
+def test_build_plain_builds_gadget_records_when_read(monkeypatch):
+    made = []
+    records = tanner._gadget_records
+    monkeypatch.setattr(tanner, "_gadget_records", lambda *a: made.append(1) or records(*a))
+    c = parse_circuit(rep_memory_text(3))
+    g = build_plain(c)
+    g.kernel_basis()
+    g.syndrome(BitVector(g.n_bits))
+    assert made == []
+    assert g.gadgets is g.gadgets and len(made) == 1
+    symmetrize(build_plain(c), c)
+    assert len(made) == 2
