@@ -22,9 +22,12 @@ PSEUDO_PROPAGATOR = "pseudo-propagator"
 GENUINE_PROPAGATOR = "genuine-propagator"
 
 
-def sigma_at_layer(g: TannerGraph, c: BitVector, t: int) -> PauliOperator:
-    """The Pauli operator carried by a codeword at time t, with +1 phase."""
-    x, z = g.wire_masks(c)[t]
+def sigma_at_layer(
+    g: TannerGraph, c: BitVector, t: int, support: list[int] | None = None
+) -> PauliOperator:
+    """The Pauli operator carried by a codeword at time t, with +1 phase;
+    ``support`` is ``c.support()`` when the caller has walked it."""
+    x, z = g.wire_masks(c, support)[t]
     return PauliOperator(g.n_qubits, x, z)
 
 
@@ -64,13 +67,21 @@ def code_spaces(g: TannerGraph) -> CodeSpaces:
     return spaces
 
 
-def classify(g: TannerGraph, c: BitVector, masks: list[tuple[int, int]] | None = None) -> str:
+def classify(
+    g: TannerGraph,
+    c: BitVector,
+    masks: list[tuple[int, int]] | None = None,
+    support: list[int] | None = None,
+) -> str:
     """Codeword class by its boundary layers and coherence; ``masks`` are
-    c's ``g.wire_masks(c)`` when the caller has read them."""
-    if g.syndrome(c):
+    c's ``g.wire_masks(c)`` and ``support`` its ``c.support()`` when the
+    caller has read them."""
+    if support is None:
+        support = c.support()
+    if g.syndrome(c, support):
         raise ValueError("not a codeword of the graph")
     if masks is None:
-        masks = g.wire_masks(c)
+        masks = g.wire_masks(c, support)
     zero_in = masks[0] == (0, 0)
     zero_out = masks[g.depth] == (0, 0)
     if zero_in and zero_out:
@@ -85,9 +96,13 @@ def classify(g: TannerGraph, c: BitVector, masks: list[tuple[int, int]] | None =
     return GENUINE_PROPAGATOR
 
 
-def relevant_measurements(g: TannerGraph, c: BitVector) -> list[int]:
-    """Measurement bits whose outcomes enter the codeword's sign factor."""
-    return [i for i in c.support() if g.bits[i].is_measurement]
+def relevant_measurements(
+    g: TannerGraph, c: BitVector, support: list[int] | None = None
+) -> list[int]:
+    """Measurement bits whose outcomes enter the codeword's sign factor;
+    ``support`` is ``c.support()`` when the caller has walked it."""
+    bits = g.bits
+    return [i for i in (c.support() if support is None else support) if bits[i].is_measurement]
 
 
 def _swap_halves(m: BitMatrix, n: int) -> BitMatrix:

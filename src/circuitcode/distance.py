@@ -158,31 +158,42 @@ def circuit_distance(
 
     Exact when a witness of weight <= max_weight exists; otherwise the result
     carries as a lower bound the cap, or the last weight searched when the
-    next table would exceed TABLE_LIMIT.
+    next table would exceed TABLE_LIMIT. The search runs on the columns of
+    B and L; see ``column_distance``.
     """
     if b.n_cols != l.n_cols:
         raise ValueError("B and L must share the error space")
-    n = b.n_cols
+    return column_distance(b.transpose().rows, l.transpose().rows, max_weight)
+
+
+def column_distance(
+    b_cols: list[int], l_cols: list[int], max_weight: int = 6
+) -> DistanceResult:
+    """``circuit_distance`` of the B and L whose column j, a mask over their
+    rows, is ``b_cols[j]`` and ``l_cols[j]``: the search and the witness
+    check read the columns only."""
+    if len(b_cols) != len(l_cols):
+        raise ValueError("B and L must share the error space")
+    n = len(b_cols)
     max_weight = min(max_weight, n)
-    if l.n_rows == 0 or l.is_zero():
+    if not any(l_cols):
         return DistanceResult(None, None, max_weight, 0)
-    b_cols, l_cols = b.transpose().rows, l.transpose().rows
     keep = _reduce_columns(b_cols, l_cols)
     support, searched, count = _search(
         [b_cols[j] for j in keep], [l_cols[j] for j in keep], max_weight
     )
     if support is None:
         return DistanceResult(None, None, searched, count)
-    witness = BitVector.from_indices(n, [keep[i] for i in support])
-    _verify_witness(b, l, witness)
-    return DistanceResult(witness.weight(), witness, max_weight, count)
-
-
-def _verify_witness(b: BitMatrix, l: BitMatrix, witness: BitVector) -> None:
-    if not b.mul_vec(witness).is_zero():
+    witness = [keep[i] for i in support]
+    syn_b = syn_l = 0
+    for j in witness:
+        syn_b ^= b_cols[j]
+        syn_l ^= l_cols[j]
+    if syn_b:
         raise AssertionError("witness fails the B checks")
-    if l.mul_vec(witness).is_zero():
+    if not syn_l:
         raise AssertionError("witness is not a logical error")
+    return DistanceResult(len(witness), BitVector.from_indices(n, witness), max_weight, count)
 
 
 def css_distance(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import or_
 from typing import Sequence
 
 from . import codewords as cw
@@ -132,10 +133,12 @@ class Tableau:
         # or Y there. The first sum is counted in the bit planes lo and hi,
         # and lo ends at 0 because the rows commute with the pivot; each c
         # goes straight into hi.
+        # Only the columns that meet the pivot change, and then p's support.
         lo = hi = 0
         x, z, keep = self.x, self.z, ~pivot
-        p_x, p_z, support = p.x, p.z, p.x | p.z
-        for q in range(n):
+        for q, column in enumerate(map(or_, x, z)):
+            if not column & pivot:
+                continue
             xq, zq = x[q], z[q]
             px, pz = xq & s_bit, zq & s_bit
             if px or pz:
@@ -152,11 +155,20 @@ class Tableau:
                     zq ^= rows
                 hi ^= (lo & add) ^ c
                 lo ^= add
-            elif not ((xq | zq) & pivot or support >> q & 1):
-                continue
-            # the old pivot becomes destabiliser i, and p becomes stabiliser i
-            x[q] = (xq & keep) | (px >> n) | (s_bit if p_x >> q & 1 else 0)
-            z[q] = (zq & keep) | (pz >> n) | (s_bit if p_z >> q & 1 else 0)
+            # the old pivot becomes destabiliser i
+            x[q] = (xq & keep) | (px >> n)
+            z[q] = (zq & keep) | (pz >> n)
+        # and p becomes stabiliser i
+        mask = p.x
+        while mask:
+            low = mask & -mask
+            x[low.bit_length() - 1] |= s_bit
+            mask ^= low
+        mask = p.z
+        while mask:
+            low = mask & -mask
+            z[low.bit_length() - 1] |= s_bit
+            mask ^= low
         if lo:
             raise AssertionError("row product acquired an imaginary phase")
         r_pivot = self.r >> (n + i) & 1
@@ -202,8 +214,12 @@ class Tableau:
         # e = sum x_k z_k + 2 #{j < k: z_j = x_k = 1} - X Z.
         e = 2 * (self.r & rows).bit_count()
         gx = gz = 0
-        for q in range(n):
-            a, b = self.x[q] & rows, self.z[q] & rows
+        # only the qubits where a selected row acts contribute
+        xs, zs = self.x, self.z
+        for q, column in enumerate(map(or_, xs, zs)):
+            if not column & rows:
+                continue
+            a, b = xs[q] & rows, zs[q] & rows
             if a and b:
                 below = b << 1  # becomes the parity of b over the rows below
                 shift = 1
@@ -402,9 +418,10 @@ class Verdict:
 
 def error_layer_masks(g: TannerGraph, e: BitVector) -> dict[int, tuple[int, int]]:
     """Spacetime error as per-time Pauli masks: x bits flip Z, z bits flip X."""
-    if any(g.bits[i].kind not in ("x", "z") for i in e.support()):
+    support = e.support()
+    if any(g.bits[i].kind not in ("x", "z") for i in support):
         raise ValueError("spacetime errors live on wire bits")
-    return {t: (z, x) for t, (x, z) in enumerate(g.wire_masks(e)) if x or z}
+    return {t: (z, x) for t, (x, z) in enumerate(g.wire_masks(e, support)) if x or z}
 
 
 def commuting_groups(paulis: list[PauliOperator]) -> list[list[int]]:
@@ -489,6 +506,7 @@ def verify_codeword_equation(
     seed: int,
     trials: int = 4,
     runs: Runs | None = None,
+    support: list[int] | None = None,
 ) -> Verdict:
     """Check the codeword equation of c, optionally with a spacetime error.
 
@@ -497,10 +515,14 @@ def verify_codeword_equation(
     parity, the transported Pauli operators and the eigenvalue of the input
     operator, on every run of ``runs``: those ``prepare_runs`` made for a
     group of codewords that holds c, under the same error e. Without
-    ``runs``, c is a group of one, run ``trials`` times from ``seed``.
+    ``runs``, c is a group of one, run ``trials`` times from ``seed``. The
+    syndrome, wire masks and relevant measurements are read from one walk of
+    c's support, ``support`` when the caller has made it.
     """
-    masks = g.wire_masks(c)
-    cls = cw.classify(g, c, masks)
+    if support is None:
+        support = c.support()
+    masks = g.wire_masks(c, support)
+    cls = cw.classify(g, c, masks, support)
     sigma_in = PauliOperator(g.n_qubits, *masks[0])
     if runs is None:
         runs = prepare_runs(circuit, g, [sigma_in], e, seed, trials)
@@ -512,7 +534,7 @@ def verify_codeword_equation(
     sign_nu = nu(circuit, g, c, masks, runs.ops_on)
     parity = c.dot(e) if e is not None else 0
     sigma_out = PauliOperator(g.n_qubits, *masks[circuit.depth])
-    relevant = cw.relevant_measurements(g, c)
+    relevant = cw.relevant_measurements(g, c, support)
     relevant_keys = {(g.bits[i].q, g.bits[i].t + 1) for i in relevant}
 
     failures: list[Failure] = []

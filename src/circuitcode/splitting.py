@@ -13,7 +13,6 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .gf2 import BitMatrix
 from .tanner import CodeMaps, SymmetryWitness, TannerGraph, VertexLabel, verify_symmetry
 
 
@@ -117,44 +116,47 @@ def symmetric_split(
     check_of_bit = w.check_of_bit()
 
     new_bits: list[VertexLabel] = []
-    bit_rows: list[int] = []  # codeword-map row per new bit (over old coords)
-    err_rows: list[int] = []
+    codeword: list[tuple[int, ...]] = []  # codeword-map support per new bit
+    error: list[tuple[int, ...]] = []
     bit_tree_pos: dict[tuple[int, int], int] = {}
     edge_bit_pos: dict[tuple[int, tuple[int, int]], int] = {}
     long_pos: dict[int, int] = {}
 
     pair_order = sorted(plan.pairs.values(), key=lambda p: p.bit)
 
-    # subtree loads: value carried by a check-tree edge bit, over old coords
-    def edge_vectors(pp: PairPlan) -> dict[tuple[int, int], int]:
-        total = [sum(1 << u for u in sub) for sub in pp.subsets]  # distinct bits
+    # subtree loads: the old bits whose sum a check-tree edge bit carries
+    def edge_supports(pp: PairPlan) -> dict[tuple[int, int], tuple[int, ...]]:
+        total = [list(sub) for sub in pp.subsets]
         parent, order = _tree_order(pp)
         # accumulate subtree loads bottom-up: an edge bit carries the sum of
-        # every leaf value hanging below it
+        # every leaf value hanging below it; the subsets are disjoint, so the
+        # sum's support is their union
         for x in reversed(order):
             p = parent[x]
             if p is not None:
-                total[p] ^= total[x]
-        return {(i, j): total[j if parent[j] == i else i] for i, j in pp.tree}
+                total[p] += total[x]
+        return {(i, j): tuple(sorted(total[j if parent[j] == i else i])) for i, j in pp.tree}
 
     for pp in pair_order:
         v = pp.bit
+        unit = (v,)
         for i in range(pp.order):
             bit_tree_pos[(v, i)] = len(new_bits)
             new_bits.append(g.bits[v] if i == 0 else _S_BIT)
-            bit_rows.append(1 << v)
-            err_rows.append((1 << v) if i == 0 else 0)
-        vectors = edge_vectors(pp)
+            codeword.append(unit)
+            error.append(unit if i == 0 else ())
+        supports = edge_supports(pp)
         for e in pp.tree:
             edge_bit_pos[(pp.check, e)] = len(new_bits)
             new_bits.append(_S_BIT)
-            bit_rows.append(vectors[e])
-            err_rows.append(0)
+            codeword.append(supports[e])
+            error.append(())
     for t in sorted(w.long_terminals):
         long_pos[t] = len(new_bits)
         new_bits.append(g.bits[t])
-        bit_rows.append(1 << t)
-        err_rows.append(1 << t)
+        unit = (t,)
+        codeword.append(unit)
+        error.append(unit)
 
     checks: list[tuple[int, ...]] = []
     dual: dict[int, int] = {}
@@ -200,11 +202,7 @@ def symmetric_split(
     new_bits = [lab._replace(serial=next(serials)) if lab.kind == "s" else lab for lab in new_bits]
     g2 = TannerGraph(new_bits, checks, g.n_qubits, g.depth)
     w2 = SymmetryWitness(dual, frozenset(long_pos.values()))
-    maps = CodeMaps(
-        BitMatrix(len(new_bits), g.n_bits, bit_rows),
-        BitMatrix(len(new_bits), g.n_bits, err_rows),
-    )
-    return g2, w2, maps
+    return g2, w2, CodeMaps(codeword, error)
 
 
 def distance_bound_holds(before, after, g_max: int) -> tuple[bool, bool]:

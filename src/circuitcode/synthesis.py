@@ -12,8 +12,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .circuit import MAX_WIRE_BITS, Circuit, OpKind, Operation
-from .distance import circuit_distance
-from .gf2 import BitMatrix
+from .distance import column_distance
+from .gf2 import BitMatrix, _set_bits
 from .splitting import distance_bound_holds
 from .tanner import CodeMaps, SymmetryWitness, TannerGraph, build_plain, sweep_checks
 
@@ -323,56 +323,65 @@ def _table_gate(qu: int, ru: str, qv: int, rv: str) -> list[Operation]:
 def _build_maps(g, w, p, circuit, qubits, role_of, dt):
     g_out = build_plain(circuit)
     kernel = g.kernel_basis()
+    columns = kernel.transpose().rows
 
     # Each wire starts at the source bits it carries: an open input at its end
     # bit and long terminal, an initialised qubit at the bit of its init basis.
-    # Source s is seeded with the unit vector 1 << s; seeds[s] is its value on
-    # each kernel row, so bit k of (values . seeds)[i] is output bit i in the
-    # image of kernel row k.
-    columns = kernel.transpose().rows
-    values: list[int | None] = [None] * g_out.n_bits
-    seeds: list[int] = []
+    starts = []
     for line in qubits:
         role = role_of[("b", line.first_bit)][1]
         if line.open_in is None:
-            starts = [(role, 1, line.first_bit)]
+            starts.append((role, line.qubit, 1, line.first_bit))
         else:
             other = "z" if role == "x" else "x"
-            starts = [(role, 0, line.first_bit), (other, 0, line.open_in[1])]
-        for kind, t, bit in starts:
-            values[g_out.bit_index(kind, line.qubit, t)] = 1 << len(seeds)
-            seeds.append(columns[bit])
+            starts.append((role, line.qubit, 0, line.first_bit))
+            starts.append((other, line.qubit, 0, line.open_in[1]))
+    # Seed s is the unit source 1 << s, with the kernel column of its source
+    # bit above the n seeds, so every value is (image << n) | (sum of seeds):
+    # bit k of its image is the output bit in the image of kernel row k.
+    n = len(starts)
+    values: list[int | None] = [None] * g_out.n_bits
+    seeds = []
+    for s, (kind, q, t, bit) in enumerate(starts):
+        values[g_out.bit_index(kind, q, t)] = columns[bit] << n | 1 << s
+        seeds.append(columns[bit])
     # build_plain emits its checks layer by layer and every gadget row has one
     # output bit, so once the first wire bits are seeded each check fixes its
     # one unset bit or closes, and the sweep makes no source of its own. The
-    # output codewords are the source values on which every closing sum
-    # vanishes.
-    free, closing_rows = sweep_checks(g_out.checks, values, len(seeds))
-    if any(g_out.bit_degree(j) for j in free):
+    # output codewords are the seed sums on which every closing sum vanishes;
+    # the image part of a closing sum must vanish on every kernel row.
+    free, closing = sweep_checks(g_out.checks, values, n + kernel.n_rows)
+    if any(g_out.bit_degree(j) for j in free) or any(c >> n for c in closing):
         raise AssertionError("codeword images violate an output check")
     if free:
         raise AssertionError("an output bit carries no codeword image")
-
-    sources = BitMatrix(len(seeds), kernel.n_rows, seeds)
-    closing = BitMatrix(len(closing_rows), len(seeds), closing_rows)
-    if not closing.matmul(sources).is_zero():
-        raise AssertionError("codeword images violate an output check")
-    images = BitMatrix(g_out.n_bits, len(seeds), values).matmul(sources)
-    if images.transpose().rank() != kernel.n_rows:
+    # the seeded bits keep their values, so the images span the seeds' columns
+    if BitMatrix(n, kernel.n_rows, seeds).rank() != kernel.n_rows:
         raise AssertionError("codeword images are not injective")
-    if len(seeds) - closing.rank() != kernel.n_rows:
+    if n - BitMatrix(len(closing), n, closing).rank() != kernel.n_rows:
         raise AssertionError("synthesised code has a different dimension")
+
+    # row k of the kernel basis is the only one with a 1 at its pivot, the
+    # lowest set bit of the row, so a codeword's image at an output bit is the
+    # sum of its pivot bits over the kernel rows in that bit's image
+    pivots = [(r & -r).bit_length() - 1 for r in kernel.rows]
+    support_of: dict[int, tuple[int, ...]] = {}
+    codeword = []
+    for v in values:
+        image = v >> n
+        support = support_of.get(image)
+        if support is None:
+            support = support_of[image] = tuple(pivots[k] for k in _set_bits(image))
+        codeword.append(support)
 
     # error carriers: boundary bits for long terminals, window-exit wire bits
     # for subgraph bits
-    err_rows = [0] * g_out.n_bits
-    used = set()
+    error: list[tuple[int, ...]] = [()] * g_out.n_bits
 
     def carrier(kind: str, q: int, t: int) -> int:
         idx = g_out.bit_index(kind, q, t)
-        if idx is None or idx in used:
+        if idx is None or error[idx]:
             raise AssertionError("missing or duplicate error carrier")
-        used.add(idx)
         return idx
 
     for line in qubits:
@@ -380,20 +389,12 @@ def _build_maps(g, w, p, circuit, qubits, role_of, dt):
             if end is not None:
                 bit_end, long_end = end
                 other = "z" if role_of[("b", bit_end)][1] == "x" else "x"
-                err_rows[carrier(other, line.qubit, t)] = 1 << long_end
+                error[carrier(other, line.qubit, t)] = (long_end,)
     for v_idx in sorted(w.dual.values()):
         q, role = role_of[("b", v_idx)]
         # the wire bit at the exit of the bit's time window
-        err_rows[carrier(role, q, 1 + p.tau[("b", v_idx)] * dt)] = 1 << v_idx
-
-    # row k of the kernel basis is the only one with a 1 at its pivot, the
-    # lowest set bit of the row, so reading the pivot bits of a codeword gives
-    # its coefficients over the basis
-    coefficients = BitMatrix(kernel.n_rows, g.n_bits, [r & -r for r in kernel.rows])
-    return CodeMaps(
-        codeword=images.matmul(coefficients),
-        error=BitMatrix(g_out.n_bits, g.n_bits, err_rows),
-    )
+        error[carrier(role, q, 1 + p.tau[("b", v_idx)] * dt)] = (v_idx,)
+    return CodeMaps(codeword, error)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +429,11 @@ def roundtrip_check(
 
     ``result`` is ``synthesize`` run on ``g``. The rows of ``b`` and ``l``
     must be codewords of ``g``. The pairing holds when the error map sends
-    each bit to its own output bit and ``c.e = codeword(c).error(e)`` for
-    every codeword ``c`` and error ``e``.
+    each bit to its own output bit, its carrier, and ``c.e =
+    codeword(c).error(e)`` for every codeword ``c`` and error ``e``: the
+    image of every kernel row at the carrier of bit s is its bit s. The
+    distances are searched on the columns of ``b`` and ``l`` and of their
+    images.
     """
     for name, m in (("B", b), ("L", l)):
         if m.n_cols != g.n_bits:
@@ -438,12 +442,18 @@ def roundtrip_check(
             raise ValueError(f"the rows of {name} are not codewords of the graph")
     maps = result.maps
     kernel = g.kernel_basis()
+    kernel_columns = kernel.transpose().rows
+    # the carriers in source-bit order; on them the codeword map must send
+    # every kernel column to itself
+    carried = sorted((support, i) for i, support in enumerate(maps.error) if support)
+    at_carriers = CodeMaps([maps.codeword[i] for _, i in carried], [])
     pairing_ok = (
-        sorted(r for r in maps.error.rows if r) == [1 << j for j in range(g.n_bits)]
-        and maps.map_matrix(kernel).matmul(maps.error) == kernel
+        [support for support, _ in carried] == [(j,) for j in range(g.n_bits)]
+        and at_carriers.map_columns(kernel_columns) == kernel_columns
     )
-    d1 = circuit_distance(b, l, max_weight)
-    d2 = circuit_distance(maps.map_matrix(b), maps.map_matrix(l), max_weight)
+    b_columns, l_columns = b.transpose().rows, l.transpose().rows
+    d1 = column_distance(b_columns, l_columns, max_weight)
+    d2 = column_distance(maps.map_columns(b_columns), maps.map_columns(l_columns), max_weight)
     return RoundTripReport(
         result.circuit, kernel.n_rows, pairing_ok, d1, d2, g.max_degree()
     )

@@ -115,7 +115,8 @@ class TannerGraph:
 
     def bit_index(self, kind: str, q: int, t: int, serial: int = 0) -> int | None:
         if self._index is None:
-            self._index = {lab.key(): i for i, lab in enumerate(self.bits)}
+            # lab[:4] is lab.key() without the method call
+            self._index = {lab[:4]: i for i, lab in enumerate(self.bits)}
         return self._index.get((kind, q, t, serial))
 
     def _adjacency(self) -> list[list[int]]:
@@ -133,14 +134,15 @@ class TannerGraph:
     def bit_neighbors(self, i: int) -> list[int]:
         return list(self._adjacency()[i])
 
-    def syndrome(self, v: BitVector) -> int:
+    def syndrome(self, v: BitVector, support: Sequence[int] | None = None) -> int:
         """A v^T as a mask over the checks: the checks with an odd number of
-        bits in v's support, read from the bit->checks adjacency."""
+        bits in v's support, read from the bit->checks adjacency. A caller
+        that has walked ``v.support()`` passes it as ``support``."""
         if v.n != self.n_bits:
             raise ValueError("length mismatch")
         adjacency = self._adjacency()
         odd: set[int] = set()
-        for i in v.support():
+        for i in v.support() if support is None else support:
             odd.symmetric_difference_update(adjacency[i])
         return sum(1 << k for k in odd)
 
@@ -151,15 +153,18 @@ class TannerGraph:
             if lab.kind in ("x", "z") and lab.t == t
         ]
 
-    def wire_masks(self, v: BitVector) -> list[tuple[int, int]]:
-        """(x, z) qubit masks of the wire bits set in v, one pair per time 0..depth."""
+    def wire_masks(
+        self, v: BitVector, support: Sequence[int] | None = None
+    ) -> list[tuple[int, int]]:
+        """(x, z) qubit masks of the wire bits set in v, one pair per time
+        0..depth; ``support`` is ``v.support()`` when the caller has walked it."""
         if self.depth is None:
             raise ValueError("graph has no layer structure")
         if v.n != self.n_bits:
             raise ValueError("length mismatch")
         xs = [0] * (self.depth + 1)
         zs = [0] * (self.depth + 1)
-        for i in v.support():
+        for i in v.support() if support is None else support:
             lab = self.bits[i]
             if lab.kind == "x":
                 xs[lab.t] |= 1 << (lab.q - 1)
@@ -237,17 +242,33 @@ def sweep_checks(
 class CodeMaps:
     """Linear maps between codeword spaces and error spaces of two graphs.
 
-    ``codeword`` sends ker A into ker A'; ``error`` embeds errors so that
-    c . e = codeword(c) . error(e) and weights are preserved. Bit splitting,
-    symmetrisation, symmetric splitting and synthesis all return one.
+    Both are kept as supports over the source bits, one per target bit: in
+    every codeword c of the source graph, target bit i of ``codeword(c)``
+    is the sum of c over ``codeword[i]``, and target bit i of ``error(e)``
+    is e at the one source bit of ``error[i]``, or 0 when it is empty. So
+    c . e = codeword(c) . error(e), and weights are preserved, when every
+    source bit has one carrier. Bit splitting, symmetrisation, symmetric
+    splitting and synthesis all return one.
     """
 
-    codeword: BitMatrix  # |V_B'| x |V_B|
-    error: BitMatrix  # |V_B'| x |V_B|
+    codeword: list[Sequence[int]]
+    error: list[Sequence[int]]
+
+    def map_columns(self, columns: Sequence[int]) -> list[int]:
+        """The columns of a matrix of source codewords -> those of its image:
+        target column i is the XOR of ``columns`` over ``codeword[i]``."""
+        out = []
+        for support in self.codeword:
+            acc = 0
+            for s in support:
+                acc ^= columns[s]
+            out.append(acc)
+        return out
 
     def map_matrix(self, m: BitMatrix) -> BitMatrix:
         """Map every row of ``m`` (a codeword of the source graph)."""
-        return m.matmul(self.codeword.transpose())
+        columns = self.map_columns(m.transpose().rows)
+        return BitMatrix(len(columns), m.n_rows, columns).transpose()
 
 
 @dataclass
@@ -402,17 +423,23 @@ def build_plain(circuit: Circuit) -> TannerGraph:
                 gadget[t1 + 1].append(((q,), _EMIT[closer.kind, None]))
 
     # wire bits, ordered by (t, kind, q): per layer x1..xn then z1..zn;
-    # index[2 * t + k][q] is the bit of kind "xz"[k] on qubit q at time t
+    # index[2 * t + k][q] is the bit of kind "xz"[k] on qubit q at time t.
+    # Labels are made as plain tuples, then the flagged few are replaced.
     bits: list[VertexLabel] = []
     index: list[list[int | None]] = []
+    make = tuple.__new__
     for t in range(T + 1):
         for kind in ("x", "z"):
             at: list[int | None] = [None] * (n + 1)
             for q in live[t]:
                 at[q] = len(bits)
-                key = (kind, q, t)
-                bits.append(VertexLabel(kind, q, t, 0, key in measured, key in initialised))
+                bits.append(make(VertexLabel, (kind, q, t, 0, False, False)))
             index.append(at)
+    for key in measured | initialised:
+        kind, q, t = key
+        bits[index[2 * t + (kind == "z")][q]] = VertexLabel(
+            kind, q, t, 0, key in measured, key in initialised
+        )
 
     checks: list[tuple[int, ...]] = []
     for t in range(1, T + 1):
@@ -471,24 +498,23 @@ def _split_bits(
 
     The k-th fresh bit is bit ``g.n_bits + k`` and its tie check is check
     ``g.n_checks + k``. The codeword map copies v onto its fresh bit; the
-    error map leaves the fresh bit clean.
+    error map leaves the fresh bit clean. Every old bit keeps one unit
+    support, shared by both maps.
     """
     n = g.n_bits
     serial = max((lab.serial for lab in g.bits if lab.kind == "s"), default=-1) + 1
     bits = list(g.bits)
     checks = list(g.checks)
-    fwd = [1 << i for i in range(n)]
-    err = list(fwd)
     for v, moved in moves:
         v2 = len(bits)
         bits.append(VertexLabel("s", 0, -1, serial + v2 - n))
         for c in moved:
             checks[c] = tuple(j for j in checks[c] if j != v) + (v2,)
         checks.append((v, v2))
-        fwd.append(1 << v)
-        err.append(0)
-    maps = CodeMaps(BitMatrix(len(bits), n, fwd), BitMatrix(len(bits), n, err))
-    return TannerGraph(bits, checks, g.n_qubits, g.depth), maps
+    units = [(i,) for i in range(n)]
+    codeword = units + [units[v] for v, _ in moves]
+    error = units + [()] * len(moves)
+    return TannerGraph(bits, checks, g.n_qubits, g.depth), CodeMaps(codeword, error)
 
 
 # ---------------------------------------------------------------------------

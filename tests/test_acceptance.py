@@ -20,6 +20,7 @@ from circuitcode.tanner import bit_split, build_plain, symmetrize, verify_symmet
 from tests.test_circuit import ZZ_TEXT
 from tests.test_splitting import split_distances
 from tests.test_synthesis import sampled_pairing_ok
+from tests.test_tanner import dense_maps
 
 STEANE_H = BitMatrix.from_rows(
     [
@@ -178,7 +179,8 @@ def test_criterion_6_symmetric_splitting_bound():
         k = g.check_matrix().kernel_basis()
         a2 = g2.check_matrix()
         assert a2.kernel_basis().n_rows == k.n_rows
-        images = [maps.codeword.mul_vec(v) for v in k.row_vectors()]
+        codeword, _ = dense_maps(maps, g.n_bits)
+        images = [codeword.mul_vec(v) for v in k.row_vectors()]
         for img in images:
             assert a2.mul_vec(img).is_zero()
         if images:

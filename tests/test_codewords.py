@@ -426,6 +426,27 @@ def test_whole_code_readers_walk_no_single_codeword(text, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("text", [ZZ_TEXT, rep_memory_text(3)], ids=["zz", "rep3"])
+def test_classify_and_verify_walk_each_codeword_once(text, tmp_path, monkeypatch):
+    # the syndrome, wire masks and relevant measurements of a codeword come
+    # from one walk of its support, on the command line and in the library
+    path = tmp_path / "c.qc"
+    path.write_text(text)
+    g = build_plain(parse_circuit(text))
+    walks = []
+    support = BitVector.support
+    monkeypatch.setattr(BitVector, "support", lambda self: walks.append(self) or support(self))
+    dim = g.kernel_basis().n_rows
+    for argv in (["classify"], ["verify", "--seed", "3", "--states", "2"]):
+        walks.clear()
+        assert cli.main([*argv[:1], "--circuit", str(path), *argv[1:]]) == 0
+        assert len(walks) == dim
+    for i, v in enumerate(g.kernel_basis().row_vectors()):
+        walks.clear()
+        assert sim.verify_codeword_equation(parse_circuit(text), g, v, None, seed=i, trials=2).ok
+        assert walks == [v]
+
+
 # ---------------------------------------------------------------------------
 # Neither the kernel nor the per-codeword readers build the dense check matrix
 

@@ -115,6 +115,17 @@ def test_random_corpus_matches_oracle():
         assert_matches_oracle(b, l, cap, want)
 
 
+def test_column_search_matches_the_row_entry_on_the_corpus():
+    # the search on the columns of B and L gives the value, witness,
+    # searched weight and enumerated count of circuit_distance on B and L
+    for b, l, cap, _ in random_corpus():
+        by_rows = circuit_distance(b, l, cap)
+        by_columns = distance.column_distance(b.transpose().rows, l.transpose().rows, cap)
+        assert by_columns == by_rows
+    with pytest.raises(ValueError, match="share the error space"):
+        distance.column_distance([1, 0], [1], 2)
+
+
 @pytest.mark.parametrize("limit", [1, 3, 20])
 def test_table_limit_gives_the_witness_or_a_true_bound(monkeypatch, limit):
     monkeypatch.setattr(distance, "TABLE_LIMIT", limit)

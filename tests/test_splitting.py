@@ -18,6 +18,7 @@ from circuitcode.splitting import (
 )
 from circuitcode.tanner import build_plain, symmetrize, verify_symmetry
 from tests.test_circuit import ZZ_TEXT
+from tests.test_tanner import dense_maps
 
 
 def split_distances(b, l, maps, max_weight):
@@ -43,8 +44,9 @@ def test_trivial_plan_is_isomorphic():
     assert verify_symmetry(g2, w2) == []
     a, a2 = g.check_matrix(), g2.check_matrix()
     assert a2.kernel_basis().n_rows == a.kernel_basis().n_rows
+    codeword, _ = dense_maps(maps, g.n_bits)
     for v in a.kernel_basis().row_vectors():
-        assert a2.mul_vec(maps.codeword.mul_vec(v)).is_zero()
+        assert a2.mul_vec(codeword.mul_vec(v)).is_zero()
 
 
 def test_degree_five_check_path_template():
@@ -73,8 +75,9 @@ def test_degree_five_check_path_template():
     k1 = g1.check_matrix().kernel_basis()
     k2 = g2.check_matrix().kernel_basis()
     assert k1.n_rows == k2.n_rows
+    codeword, _ = dense_maps(maps, g1.n_bits)
     for v in k1.row_vectors():
-        assert g2.check_matrix().mul_vec(maps.codeword.mul_vec(v)).is_zero()
+        assert g2.check_matrix().mul_vec(codeword.mul_vec(v)).is_zero()
 
 
 def test_random_splits_preserve_code_and_symmetry():
@@ -89,7 +92,8 @@ def test_random_splits_preserve_code_and_symmetry():
         k = g.check_matrix().kernel_basis()
         a2 = g2.check_matrix()
         assert a2.kernel_basis().n_rows == k.n_rows
-        images = [maps.codeword.mul_vec(v) for v in k.row_vectors()]
+        codeword, _ = dense_maps(maps, g.n_bits)
+        images = [codeword.mul_vec(v) for v in k.row_vectors()]
         for img in images:
             assert a2.mul_vec(img).is_zero()
         # injectivity: images stay independent
@@ -109,11 +113,12 @@ def test_pairing_identity_random():
         plan = random_plan(g, w, rng)
         g2, w2, maps = symmetric_split(g, w, plan)
         k = g.check_matrix().kernel_basis()
+        codeword, error = dense_maps(maps, g.n_bits)
         for _ in range(100):
             e = BitVector(g.n_bits, rng.getrandbits(g.n_bits))
-            assert e.weight() == maps.error.mul_vec(e).weight()
+            assert e.weight() == error.mul_vec(e).weight()
             for v in k.row_vectors():
-                assert v.dot(e) == maps.codeword.mul_vec(v).dot(maps.error.mul_vec(e))
+                assert v.dot(e) == codeword.mul_vec(v).dot(error.mul_vec(e))
 
 
 def test_error_carrier_is_first_subset():
@@ -121,9 +126,10 @@ def test_error_carrier_is_first_subset():
     plan = random_plan(g, w, random.Random(11))
     g2, w2, maps = symmetric_split(g, w, plan)
     # single-bit error on a non-terminal maps to a single bit on its tree
+    _, error = dense_maps(maps, g.n_bits)
     for v in sorted(set(w.dual.values()))[:5]:
         e = BitVector.from_indices(g.n_bits, [v])
-        img = maps.error.mul_vec(e)
+        img = error.mul_vec(e)
         assert img.weight() == 1
 
 
@@ -131,10 +137,10 @@ def test_classification_preserved_zz():
     c, g, w, maps0 = symmetric_zz()
     g_plain = build_plain(c)
     checker_plain = cw.code_spaces(g_plain).checkers.row(0)
-    checker = maps0.codeword.mul_vec(checker_plain)
+    checker = dense_maps(maps0, g_plain.n_bits)[0].mul_vec(checker_plain)
     plan = random_plan(g, w, random.Random(13))
     g2, w2, maps = symmetric_split(g, w, plan)
-    img = maps.codeword.mul_vec(checker)
+    img = dense_maps(maps, g.n_bits)[0].mul_vec(checker)
     assert g2.check_matrix().mul_vec(img).is_zero()
     # a checker stays supported away from the carried-over long terminals
     # of the boundary: its image pairs to zero with every boundary error
@@ -156,10 +162,10 @@ def test_distance_bound_trivial_plan_equality():
 
 
 def trivial_maps(g):
-    from circuitcode.gf2 import BitMatrix
     from circuitcode.tanner import CodeMaps
 
-    return CodeMaps(BitMatrix.identity(g.n_bits), BitMatrix.identity(g.n_bits))
+    units = [(i,) for i in range(g.n_bits)]
+    return CodeMaps(units, units)
 
 
 def test_distance_bound_random_plans():
@@ -236,12 +242,13 @@ def test_codeword_map_inverse_via_carriers():
     plan = random_plan(g, w, rng)
     g2, _, maps = symmetric_split(g, w, plan)
     k = g.check_matrix().kernel_basis()
+    codeword, error = dense_maps(maps, g.n_bits)
     for v in k.row_vectors():
-        img = maps.codeword.mul_vec(v)
+        img = codeword.mul_vec(v)
         rebuilt = BitVector(g.n_bits)
         for b in range(g.n_bits):
             e = BitVector.from_indices(g.n_bits, [b])
-            carrier = maps.error.mul_vec(e)
+            carrier = error.mul_vec(e)
             (pos,) = carrier.support()
             if img[pos]:
                 rebuilt ^= e

@@ -21,7 +21,7 @@ from circuitcode.synthesis import (
 )
 from circuitcode.tanner import build_plain, symmetrize, verify_symmetry
 from tests.test_circuit import ZZ_TEXT
-from tests.test_tanner import parity_text, rep_memory_text
+from tests.test_tanner import dense_maps, parity_text, rep_memory_text
 
 
 def symmetric_graph(text):
@@ -38,11 +38,12 @@ def sampled_pairing_ok(g, maps, rng, samples=50):
     keeps its weight and c.e = codeword(c).error(e) for every basis codeword.
     """
     basis = list(g.kernel_basis().row_vectors())
-    images = [maps.codeword.mul_vec(v) for v in basis]
+    codeword, error = dense_maps(maps, g.n_bits)
+    images = [codeword.mul_vec(v) for v in basis]
     errors = [BitVector.from_indices(g.n_bits, [j]) for j in range(g.n_bits)]
     errors += [BitVector(g.n_bits, rng.getrandbits(g.n_bits)) for _ in range(samples)]
     for e in errors:
-        img_e = maps.error.mul_vec(e)
+        img_e = error.mul_vec(e)
         if e.weight() != img_e.weight():
             return False
         if any(v.dot(e) != img.dot(img_e) for v, img in zip(basis, images)):
@@ -107,11 +108,12 @@ def test_synthesize_cnot_gadget():
     k = g.check_matrix().kernel_basis()
     assert k.n_rows == 4
     assert maps.map_matrix(k).rank() == 4
+    codeword, error = dense_maps(maps, g.n_bits)
     for v in k.row_vectors():
-        img = maps.codeword.mul_vec(v)
+        img = codeword.mul_vec(v)
         for j in range(g.n_bits):
             e = BitVector.from_indices(g.n_bits, [j])
-            assert v.dot(e) == img.dot(maps.error.mul_vec(e))
+            assert v.dot(e) == img.dot(error.mul_vec(e))
 
 
 def test_synthesize_gate_count_zz():
@@ -163,8 +165,8 @@ def test_roundtrip_zz():
 
     g_plain0 = build_plain(c)
     checker0 = cw.code_spaces(g_plain0).checkers.row(0)
-    checker_sym = maps0.codeword.mul_vec(checker0)
-    img = result.maps.codeword.mul_vec(checker_sym)
+    checker_sym = dense_maps(maps0, g_plain0.n_bits)[0].mul_vec(checker0)
+    img = dense_maps(result.maps, g.n_bits)[0].mul_vec(checker_sym)
     g2 = build_plain(result.circuit)
     assert cw.classify(g2, img) == cw.CHECKER
     assert len(cw.relevant_measurements(g2, img)) >= 2
@@ -258,25 +260,24 @@ def test_pairing_check_catches_tampered_maps():
         return roundtrip_check(g, replace(result, maps=maps), b, l, max_weight=2).pairing_ok
 
     err = result.maps.error
-    carriers = [i for i, r in enumerate(err.rows) if r]
+    carriers = [i for i, support in enumerate(err) if support]
     first, second = carriers[:2]
     # two columns sent to one output bit
-    rows = list(err.rows)
-    rows[first] |= rows[second]
-    rows[second] = 0
-    assert not tampered(error=BitMatrix(err.n_rows, err.n_cols, rows))
+    supports = list(err)
+    supports[first] += supports[second]
+    supports[second] = ()
+    assert not tampered(error=supports)
     # a column dropped
-    rows = list(err.rows)
-    rows[first] = 0
-    assert not tampered(error=BitMatrix(err.n_rows, err.n_cols, rows))
+    supports = list(err)
+    supports[first] = ()
+    assert not tampered(error=supports)
     # one codeword-map bit flipped on a carrier row, in a column some
     # basis codeword uses
-    cw_map = result.maps.codeword
     k0 = g.kernel_basis().rows[0]
     pivot = (k0 & -k0).bit_length() - 1
-    rows = list(cw_map.rows)
-    rows[first] ^= 1 << pivot
-    assert not tampered(codeword=BitMatrix(cw_map.n_rows, cw_map.n_cols, rows))
+    supports = list(result.maps.codeword)
+    supports[first] = tuple(sorted(set(supports[first]) ^ {pivot}))
+    assert not tampered(codeword=supports)
 
 
 def test_roundtrip_report_uses_the_split_distance_bound():
@@ -316,21 +317,22 @@ def symmetric_digest(circuits):
     h = hashlib.sha256()
     plan_rng = random.Random(20)
 
-    def graph_record(g, w, maps):
+    def graph_record(g, w, maps, n_source):
         bits = [(b.kind, b.q, b.t, b.serial, b.is_measurement, b.is_initialisation) for b in g.bits]
-        return bits, g.checks, list(w.dual.items()), sorted(w.long_terminals), maps.codeword.rows, maps.error.rows
+        dense = [m.rows for m in dense_maps(maps, n_source)]
+        return bits, g.checks, list(w.dual.items()), sorted(w.long_terminals), *dense
 
     for c in circuits:
-        sym, w, maps = symmetrize(build_plain(c), c)
-        record = [graph_record(sym, w, maps)]
+        plain = build_plain(c)
+        sym, w, maps = symmetrize(plain, c)
+        record = [graph_record(sym, w, maps, plain.n_bits)]
         for plan in (trivial_plan(sym, w), random_plan(sym, w, plan_rng)):
-            record.append(graph_record(*symmetric_split(sym, w, plan)))
+            record.append(graph_record(*symmetric_split(sym, w, plan), sym.n_bits))
         for p in (trivial_partition(sym, w), greedy_partition(sym, w)):
             result = synthesize(sym, w, p)
             record.append((
                 serialize(result.circuit),
-                result.maps.codeword.rows,
-                result.maps.error.rows,
+                *(m.rows for m in dense_maps(result.maps, sym.n_bits)),
                 write_partition(sym, w, p),
             ))
         h.update(repr(record).encode())
@@ -341,3 +343,43 @@ def test_symmetric_corpus_digest_is_pinned():
     circuits = symmetric_corpus()
     assert len(circuits) == 205
     assert symmetric_digest(circuits) == SYMMETRIC_CORPUS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# Code maps as row supports, against the dense oracle
+
+
+def assert_maps_match_the_dense_oracle(maps, source, rng):
+    """``map_matrix`` and ``map_columns`` against ``m.codeword^T`` with the
+    dense codeword matrix built from the supports: on the source graph's
+    kernel basis and on a few random rows over its bits."""
+    codeword, error = dense_maps(maps, source.n_bits)
+    assert (codeword.n_rows, error.n_rows) == (len(maps.codeword), len(maps.error))
+    rows = [rng.getrandbits(source.n_bits) for _ in range(3)]
+    for m in (source.kernel_basis(), BitMatrix(len(rows), source.n_bits, rows)):
+        want = m.matmul(codeword.transpose())
+        assert maps.map_matrix(m) == want
+        assert maps.map_columns(m.transpose().rows) == want.transpose().rows
+
+
+def test_mapped_matrices_equal_the_dense_oracle_on_the_graph_corpus():
+    # plain -> symmetric -> split on every circuit of the corpus; the split
+    # graph is synthesised for the parity rounds, repetition memory d = 3
+    # and every 80th random circuit, which keeps the dense oracle's
+    # transposes of the wide outputs to a few seconds
+    from tests.test_tanner import graph_corpus
+
+    rng = random.Random(41)
+    circuits = graph_corpus()
+    synthesised = 0
+    for k, c in enumerate(circuits):
+        g = build_plain(c)
+        sym, w, maps = symmetrize(g, c)
+        assert_maps_match_the_dense_oracle(maps, g, rng)
+        split, w2, maps = symmetric_split(sym, w, random_plan(sym, w, rng))
+        assert_maps_match_the_dense_oracle(maps, sym, rng)
+        if k in (0, 3, 4, 5) or (k > 5 and k % 80 == 0):
+            result = synthesize(split, w2, greedy_partition(split, w2))
+            assert_maps_match_the_dense_oracle(result.maps, split, rng)
+            synthesised += 1
+    assert len(circuits) == 806 and synthesised == 14

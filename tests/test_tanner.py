@@ -34,6 +34,23 @@ def cnot_graph():
     return build_plain(parse_circuit("qubits 2\ncnot 1 2\n"))
 
 
+def dense_maps(maps, n_source):
+    """The dense oracle of a CodeMaps: its codeword and error maps as
+    |V_B'| x |V_B| matrices, row i the sum of the unit rows over target bit
+    i's support."""
+
+    def dense(supports):
+        rows = []
+        for support in supports:
+            row = 0
+            for s in support:
+                row ^= 1 << s
+            rows.append(row)
+        return BitMatrix(len(rows), n_source, rows)
+
+    return dense(maps.codeword), dense(maps.error)
+
+
 def test_cnot_graph_shape_and_codeword():
     g = cnot_graph()
     assert g.n_bits == 8
@@ -91,15 +108,17 @@ def test_bit_split_examples():
     g2, maps = bit_split(g, v, ([neigh[0]], [neigh[1]]))
     a2 = g2.check_matrix()
     assert a2.kernel_basis().n_rows == k.n_rows
+    codeword, _ = dense_maps(maps, g.n_bits)
     for c in k.row_vectors():
-        assert a2.mul_vec(maps.codeword.mul_vec(c)).is_zero()
+        assert a2.mul_vec(codeword.mul_vec(c)).is_zero()
 
     # degenerate split with an empty side still preserves the code
     g3, maps3 = bit_split(g, v, (neigh, []))
     assert g3.check_matrix().kernel_basis().n_rows == k.n_rows
     # the dangling bit copies the value of v in every codeword
+    codeword3, _ = dense_maps(maps3, g.n_bits)
     for c in k.row_vectors():
-        c3 = maps3.codeword.mul_vec(c)
+        c3 = codeword3.mul_vec(c)
         assert c3[g3.n_bits - 1] == c[v]
 
 
@@ -126,10 +145,11 @@ def test_bit_split_pairing_identity():
         cut = rng.randrange(len(neigh) + 1)
         g2, maps = bit_split(g, v, (neigh[:cut], neigh[cut:]))
         k = g.check_matrix().kernel_basis()
+        codeword, error = dense_maps(maps, g.n_bits)
         for cw in k.row_vectors():
             e = BitVector(g.n_bits, rng.getrandbits(g.n_bits))
-            assert cw.dot(e) == maps.codeword.mul_vec(cw).dot(maps.error.mul_vec(e))
-            assert e.weight() == maps.error.mul_vec(e).weight()
+            assert cw.dot(e) == codeword.mul_vec(cw).dot(error.mul_vec(e))
+            assert e.weight() == error.mul_vec(e).weight()
 
 
 def test_symmetrize_sh_needs_no_split():
@@ -184,8 +204,9 @@ def test_symmetrize_random_circuits():
         k = g.check_matrix().kernel_basis()
         a2 = g2.check_matrix()
         assert a2.kernel_basis().n_rows == k.n_rows
+        codeword, _ = dense_maps(maps, g.n_bits)
         for cw in k.row_vectors():
-            assert a2.mul_vec(maps.codeword.mul_vec(cw)).is_zero()
+            assert a2.mul_vec(codeword.mul_vec(cw)).is_zero()
 
 
 def rep_memory_text(d):
@@ -212,9 +233,11 @@ def symmetrize_by_bit_split(g):
             [c for c in neigh if c in early_checks],
             [c for c in neigh if c in late_checks],
         )
+        n = current.n_bits
         current, maps = bit_split(current, v, partition)
-        codeword = maps.codeword.matmul(codeword)
-        error = maps.error.matmul(error)
+        step_codeword, step_error = dense_maps(maps, n)
+        codeword = step_codeword.matmul(codeword)
+        error = step_error.matmul(error)
         lab = g.bits[v]
         partner = g.bit_index("z" if lab.kind == "x" else "x", lab.q, lab.t)
         dual[early.pair_check] = v
@@ -237,8 +260,7 @@ def test_symmetrize_equals_bit_split_fold():
         assert g2.checks == ref.checks
         assert list(w.dual.items()) == list(ref_w.dual.items())
         assert w.long_terminals == ref_w.long_terminals
-        assert maps.codeword == codeword
-        assert maps.error == error
+        assert dense_maps(maps, g.n_bits) == (codeword, error)
         n_splits += g2.n_bits - g.n_bits
     assert n_splits > 1500
 
@@ -560,8 +582,7 @@ def graph_digest(circuits):
             sym.checks,
             list(w.dual.items()),
             sorted(w.long_terminals),
-            maps.codeword.rows,
-            maps.error.rows,
+            *(m.rows for m in dense_maps(maps, g.n_bits)),
         )
         h.update(repr(record).encode())
     return h.hexdigest()
