@@ -139,11 +139,10 @@ def cmd_classify(args) -> int:
     g = build_plain(circuit)
     spaces = cw.code_spaces(g)
     for i, v in enumerate(spaces.kernel.row_vectors()):
-        support = v.support()
-        kind = cw.classify(g, v, support=support)
+        kind = cw.classify(g, v)
         s_in = PauliOperator.from_xz_vector(spaces.xz_in.row(i)).label()
         s_out = PauliOperator.from_xz_vector(spaces.xz_out.row(i)).label()
-        rel = len(cw.relevant_measurements(g, v, support))
+        rel = len(cw.relevant_measurements(g, v))
         print(f"{i} {kind} in={s_in} out={s_out} measurements={rel}")
     print(
         f"dimensions codewords={spaces.kernel.n_rows}"
@@ -206,17 +205,16 @@ def cmd_verify(args) -> int:
     circuit = _read_circuit(args.circuit)
     g = build_plain(circuit)
     vectors = list(g.kernel_basis().row_vectors())
-    supports = [v.support() for v in vectors]
     rng = random.Random(args.seed)
     # codewords whose input operators commute share one set of runs
-    inputs = [cw.sigma_at_layer(g, v, 0, support) for v, support in zip(vectors, supports)]
+    inputs = [cw.sigma_at_layer(g, v, 0) for v in vectors]
     verdicts = {}
     for group in sim.commuting_groups(inputs):
         seed = rng.randrange(1 << 30)
         runs = sim.prepare_runs(circuit, g, [inputs[i] for i in group], None, seed, args.states)
         for i in group:
             verdicts[i] = sim.verify_codeword_equation(
-                circuit, g, vectors[i], None, seed, args.states, runs=runs, support=supports[i]
+                circuit, g, vectors[i], None, seed, args.states, runs=runs
             )
     failures = 0
     for i, v in enumerate(vectors):

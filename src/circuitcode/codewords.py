@@ -22,12 +22,9 @@ PSEUDO_PROPAGATOR = "pseudo-propagator"
 GENUINE_PROPAGATOR = "genuine-propagator"
 
 
-def sigma_at_layer(
-    g: TannerGraph, c: BitVector, t: int, support: list[int] | None = None
-) -> PauliOperator:
-    """The Pauli operator carried by a codeword at time t, with +1 phase;
-    ``support`` is ``c.support()`` when the caller has walked it."""
-    x, z = g.wire_masks(c, support)[t]
+def sigma_at_layer(g: TannerGraph, c: BitVector, t: int) -> PauliOperator:
+    """The Pauli operator carried by a codeword at time t, with +1 phase."""
+    x, z = g.wire_masks(c)[t]
     return PauliOperator(g.n_qubits, x, z)
 
 
@@ -52,9 +49,8 @@ def _carve(kernel: BitMatrix, conditions: list[BitMatrix]) -> BitMatrix:
 
 
 def code_spaces(g: TannerGraph) -> CodeSpaces:
-    cached = getattr(g, "_code_spaces", None)
-    if cached is not None:
-        return cached
+    if g._code_spaces is not None:
+        return g._code_spaces
     kernel = g.kernel_basis()
     # a codeword's layer-t bits vanish iff its operator at time t does
     m0, mt = g.boundaries(kernel)
@@ -67,21 +63,11 @@ def code_spaces(g: TannerGraph) -> CodeSpaces:
     return spaces
 
 
-def classify(
-    g: TannerGraph,
-    c: BitVector,
-    masks: list[tuple[int, int]] | None = None,
-    support: list[int] | None = None,
-) -> str:
-    """Codeword class by its boundary layers and coherence; ``masks`` are
-    c's ``g.wire_masks(c)`` and ``support`` its ``c.support()`` when the
-    caller has read them."""
-    if support is None:
-        support = c.support()
-    if g.syndrome(c, support):
+def classify(g: TannerGraph, c: BitVector) -> str:
+    """Codeword class by its boundary layers and coherence."""
+    if g.syndrome(c):
         raise ValueError("not a codeword of the graph")
-    if masks is None:
-        masks = g.wire_masks(c, support)
+    masks = g.wire_masks(c)
     zero_in = masks[0] == (0, 0)
     zero_out = masks[g.depth] == (0, 0)
     if zero_in and zero_out:
@@ -96,13 +82,10 @@ def classify(
     return GENUINE_PROPAGATOR
 
 
-def relevant_measurements(
-    g: TannerGraph, c: BitVector, support: list[int] | None = None
-) -> list[int]:
-    """Measurement bits whose outcomes enter the codeword's sign factor;
-    ``support`` is ``c.support()`` when the caller has walked it."""
+def relevant_measurements(g: TannerGraph, c: BitVector) -> list[int]:
+    """Measurement bits whose outcomes enter the codeword's sign factor."""
     bits = g.bits
-    return [i for i in (c.support() if support is None else support) if bits[i].is_measurement]
+    return [i for i in c.support() if bits[i].is_measurement]
 
 
 def _swap_halves(m: BitMatrix, n: int) -> BitMatrix:
@@ -164,20 +147,6 @@ def validate_b_l(
         _require_commuting(paulis, "B boundary operators must commute")
 
 
-def _ec_structure(
-    g: TannerGraph,
-    b: BitMatrix,
-    l: BitMatrix,
-    s_in: list[PauliOperator],
-    s_out: list[PauliOperator],
-    boundaries: tuple[BitMatrix, BitMatrix],
-) -> EcStructure:
-    """The validated structure; ``boundaries`` spans the boundary operators
-    of B's rows at the input and the output, as ``validate_b_l`` takes them."""
-    validate_b_l(g, b, l, boundaries)
-    return EcStructure(b=b, l=l, s_in=s_in, s_out=s_out)
-
-
 def build_ec_structure(
     g: TannerGraph,
     s_in: list[PauliOperator],
@@ -210,7 +179,8 @@ def build_ec_structure(
     w = _carve(k, [c_in, c_out])
 
     l = extend_span(b, w).rref()
-    return _ec_structure(g, b, l, s_in, s_out, g.boundaries(b))
+    validate_b_l(g, b, l, g.boundaries(b))
+    return EcStructure(b=b, l=l, s_in=s_in, s_out=s_out)
 
 
 def complete_ec_structure(g: TannerGraph) -> EcStructure:
@@ -223,8 +193,8 @@ def complete_ec_structure(g: TannerGraph) -> EcStructure:
     # the generators span B's boundary operators, and operators commute
     # pairwise iff a spanning set of them does
     n = g.n_qubits
-    spans = (_pauli_matrix(s_in, n), _pauli_matrix(s_out, n))
-    return _ec_structure(g, b, l, s_in, s_out, spans)
+    validate_b_l(g, b, l, (_pauli_matrix(s_in, n), _pauli_matrix(s_out, n)))
+    return EcStructure(b=b, l=l, s_in=s_in, s_out=s_out)
 
 
 def derive_codes_from_b(

@@ -22,15 +22,17 @@ def _set_bits(r: int) -> list[int]:
 
 
 class BitVector:
-    """A fixed-length vector over GF(2), packed into one integer."""
+    """A fixed-length vector over GF(2), packed into one integer. Its bits
+    are fixed at construction, so it keeps its support once walked."""
 
-    __slots__ = ("n", "bits")
+    __slots__ = ("n", "bits", "_support")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 0:
             raise ValueError("length must be non-negative")
         self.n = n
         self.bits = bits & ((1 << n) - 1) if n else 0
+        self._support: list[int] | None = None
 
     @classmethod
     def from_bits(cls, values: Iterable[int]) -> "BitVector":
@@ -85,7 +87,11 @@ class BitVector:
         return (self.bits & other.bits).bit_count() & 1
 
     def support(self) -> list[int]:
-        return _set_bits(self.bits)
+        """The set bit positions, ascending, from the vector's one walk of its
+        bits; the list is shared by every call, so callers must not change it."""
+        if self._support is None:
+            self._support = _set_bits(self.bits)
+        return self._support
 
     def is_zero(self) -> bool:
         return self.bits == 0

@@ -313,7 +313,6 @@ def nu(
     circuit: Circuit,
     g: TannerGraph,
     c: BitVector,
-    masks: list[tuple[int, int]] | None = None,
     ops_on: list[dict[int, Operation]] | None = None,
 ) -> int:
     """Sign contributed by the Clifford gates along a codeword.
@@ -331,14 +330,12 @@ def nu(
     on a gate's qubits are set from the masks before the gate; its sign bit
     collects the signs.
 
-    A caller that has read c's ``g.wire_masks(c)`` after checking that c is
-    a codeword passes them as ``masks``, and one that checks many codewords
-    of the circuit passes the index it built once.
+    A caller that checks many codewords of the circuit passes the index it
+    built once.
     """
-    if masks is None:
-        if c.n != g.n_bits or g.syndrome(c):
-            raise ValueError("nu needs a codeword of the circuit graph")
-        masks = g.wire_masks(c)
+    if c.n != g.n_bits or g.syndrome(c):
+        raise ValueError("nu needs a codeword of the circuit graph")
+    masks = g.wire_masks(c)
     if ops_on is None:
         ops_on = circuit.wires()[0]
     n = circuit.n_qubits
@@ -418,10 +415,9 @@ class Verdict:
 
 def error_layer_masks(g: TannerGraph, e: BitVector) -> dict[int, tuple[int, int]]:
     """Spacetime error as per-time Pauli masks: x bits flip Z, z bits flip X."""
-    support = e.support()
-    if any(g.bits[i].kind not in ("x", "z") for i in support):
+    if any(g.bits[i].kind not in ("x", "z") for i in e.support()):
         raise ValueError("spacetime errors live on wire bits")
-    return {t: (z, x) for t, (x, z) in enumerate(g.wire_masks(e, support)) if x or z}
+    return {t: (z, x) for t, (x, z) in enumerate(g.wire_masks(e)) if x or z}
 
 
 def commuting_groups(paulis: list[PauliOperator]) -> list[list[int]]:
@@ -506,7 +502,6 @@ def verify_codeword_equation(
     seed: int,
     trials: int = 4,
     runs: Runs | None = None,
-    support: list[int] | None = None,
 ) -> Verdict:
     """Check the codeword equation of c, optionally with a spacetime error.
 
@@ -516,13 +511,11 @@ def verify_codeword_equation(
     operator, on every run of ``runs``: those ``prepare_runs`` made for a
     group of codewords that holds c, under the same error e. Without
     ``runs``, c is a group of one, run ``trials`` times from ``seed``. The
-    syndrome, wire masks and relevant measurements are read from one walk of
-    c's support, ``support`` when the caller has made it.
+    syndrome, wire masks and relevant measurements are read from c's one
+    walk of its support.
     """
-    if support is None:
-        support = c.support()
-    masks = g.wire_masks(c, support)
-    cls = cw.classify(g, c, masks, support)
+    cls = cw.classify(g, c)
+    masks = g.wire_masks(c)
     sigma_in = PauliOperator(g.n_qubits, *masks[0])
     if runs is None:
         runs = prepare_runs(circuit, g, [sigma_in], e, seed, trials)
@@ -531,10 +524,10 @@ def verify_codeword_equation(
     key_in = (sigma_in.x, sigma_in.z)
     if key_in != (0, 0) and any(key_in not in values for values in runs.eigenvalues):
         raise ValueError("the runs did not measure the codeword's input operator")
-    sign_nu = nu(circuit, g, c, masks, runs.ops_on)
+    sign_nu = nu(circuit, g, c, runs.ops_on)
     parity = c.dot(e) if e is not None else 0
     sigma_out = PauliOperator(g.n_qubits, *masks[circuit.depth])
-    relevant = cw.relevant_measurements(g, c, support)
+    relevant = cw.relevant_measurements(g, c)
     relevant_keys = {(g.bits[i].q, g.bits[i].t + 1) for i in relevant}
 
     failures: list[Failure] = []

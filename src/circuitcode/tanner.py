@@ -70,6 +70,7 @@ class TannerGraph:
         # memoised on the assumption that a graph is not mutated once built
         self._matrix: BitMatrix | None = None
         self._kernel: BitMatrix | None = None
+        self._code_spaces = None  # codewords.code_spaces of the graph
         self._index: dict[tuple, int] | None = None
         self._bit_checks: list[list[int]] | None = None
 
@@ -134,15 +135,14 @@ class TannerGraph:
     def bit_neighbors(self, i: int) -> list[int]:
         return list(self._adjacency()[i])
 
-    def syndrome(self, v: BitVector, support: Sequence[int] | None = None) -> int:
+    def syndrome(self, v: BitVector) -> int:
         """A v^T as a mask over the checks: the checks with an odd number of
-        bits in v's support, read from the bit->checks adjacency. A caller
-        that has walked ``v.support()`` passes it as ``support``."""
+        bits in v's support, read from the bit->checks adjacency."""
         if v.n != self.n_bits:
             raise ValueError("length mismatch")
         adjacency = self._adjacency()
         odd: set[int] = set()
-        for i in v.support() if support is None else support:
+        for i in v.support():
             odd.symmetric_difference_update(adjacency[i])
         return sum(1 << k for k in odd)
 
@@ -153,18 +153,15 @@ class TannerGraph:
             if lab.kind in ("x", "z") and lab.t == t
         ]
 
-    def wire_masks(
-        self, v: BitVector, support: Sequence[int] | None = None
-    ) -> list[tuple[int, int]]:
-        """(x, z) qubit masks of the wire bits set in v, one pair per time
-        0..depth; ``support`` is ``v.support()`` when the caller has walked it."""
+    def wire_masks(self, v: BitVector) -> list[tuple[int, int]]:
+        """(x, z) qubit masks of the wire bits set in v, one pair per time 0..depth."""
         if self.depth is None:
             raise ValueError("graph has no layer structure")
         if v.n != self.n_bits:
             raise ValueError("length mismatch")
         xs = [0] * (self.depth + 1)
         zs = [0] * (self.depth + 1)
-        for i in v.support() if support is None else support:
+        for i in v.support():
             lab = self.bits[i]
             if lab.kind == "x":
                 xs[lab.t] |= 1 << (lab.q - 1)

@@ -1,11 +1,12 @@
 import itertools
 import random
 import re
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from circuitcode import cli
+from circuitcode import cli, gf2
 from circuitcode import codewords as cw
 from circuitcode import pauli_sim as sim
 from circuitcode.circuit import parse_circuit, random_circuit
@@ -429,22 +430,26 @@ def test_whole_code_readers_walk_no_single_codeword(text, monkeypatch):
 @pytest.mark.parametrize("text", [ZZ_TEXT, rep_memory_text(3)], ids=["zz", "rep3"])
 def test_classify_and_verify_walk_each_codeword_once(text, tmp_path, monkeypatch):
     # the syndrome, wire masks and relevant measurements of a codeword come
-    # from one walk of its support, on the command line and in the library
+    # from one walk of its bits, on the command line and in the library
     path = tmp_path / "c.qc"
     path.write_text(text)
     g = build_plain(parse_circuit(text))
-    walks = []
-    support = BitVector.support
-    monkeypatch.setattr(BitVector, "support", lambda self: walks.append(self) or support(self))
-    dim = g.kernel_basis().n_rows
+    codewords = [v.bits for v in g.kernel_basis().row_vectors()]
+    walks = Counter()
+    set_bits = gf2._set_bits
+    monkeypatch.setattr(gf2, "_set_bits", lambda r: walks.update([r]) or set_bits(r))
+    # the kernel and code_spaces walk the kernel rows once per graph
+    cw.code_spaces(build_plain(parse_circuit(text)))
+    per_graph = [walks[r] for r in codewords]
     for argv in (["classify"], ["verify", "--seed", "3", "--states", "2"]):
         walks.clear()
         assert cli.main([*argv[:1], "--circuit", str(path), *argv[1:]]) == 0
-        assert len(walks) == dim
+        assert [walks[r] for r in codewords] == [k + 1 for k in per_graph]
+    cw.code_spaces(g)
     for i, v in enumerate(g.kernel_basis().row_vectors()):
         walks.clear()
         assert sim.verify_codeword_equation(parse_circuit(text), g, v, None, seed=i, trials=2).ok
-        assert walks == [v]
+        assert [walks[r] for r in codewords] == [int(r == v.bits) for r in codewords]
 
 
 # ---------------------------------------------------------------------------

@@ -349,11 +349,24 @@ def naive_alist(m):
 # diff of the whole text.
 
 
-def test_set_bits_and_support_match_a_bit_by_bit_walk():
+def test_set_bits_and_support_match_a_bit_by_bit_walk(monkeypatch):
     singles = [1 << k for k in (0, 1, 29, 30, 31, 63, 64, 20_000)]
     for r in [0, *singles, *(r for m in walker_matrices() for r in m.rows)]:
         assert _set_bits(r) == naive_set_bits(r)
         assert BitVector(r.bit_length(), r).support() == naive_set_bits(r)
+    # a vector walks its bits once, and keeps the support
+    walks = []
+    set_bits = gf2._set_bits
+    monkeypatch.setattr(gf2, "_set_bits", lambda r: walks.append(r) or set_bits(r))
+    v, w = BitVector(70, 0b1011 | 1 << 69), BitVector(70, 0b0110 | 1 << 40)
+    first = v.support()
+    assert walks == [v.bits]
+    # a second call returns an equal list without walking again
+    assert v.support() == first == [0, 1, 3, 69]
+    assert walks == [v.bits]
+    # v ^ w is a new vector and walks its own bits
+    assert (v ^ w).support() == [0, 2, 3, 40, 69]
+    assert walks == [v.bits, v.bits ^ w.bits]
 
 
 def test_transpose_matches_entrywise_transpose():
